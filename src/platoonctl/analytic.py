@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .domain import ArrivalModel, CostParameters, PlatoonPolicy, validate_scenario
 
 # Upper bound on rate * threshold accepted by every operation here.
@@ -46,18 +48,77 @@ class OptimalThreshold:
     clamped: bool = False  # closed-form interior optimum exceeded r_max
 
 
+@dataclass(frozen=True, eq=False)
+class ThresholdCurves:
+    """The closed forms at every threshold of a grid, one array per quantity."""
+
+    threshold: np.ndarray  # seconds
+    merge_probability: np.ndarray
+    expected_platoon_size: np.ndarray  # vehicles
+    expected_platoon_headway: np.ndarray  # seconds
+    expected_time_reduction: np.ndarray  # seconds
+    expected_fuel_increase: np.ndarray  # liters, linearized
+    expected_fuel_saving: np.ndarray  # liters
+    expected_total_cost: np.ndarray  # currency per vehicle
+
+
 def _check_product(rate: float, threshold: float) -> None:
-    if rate * threshold > MAX_RATE_THRESHOLD_PRODUCT:
+    # repr, not a rounded format: a 6-digit format prints a product such as
+    # 50.00002 as the limit itself.
+    product = rate * threshold
+    if product > MAX_RATE_THRESHOLD_PRODUCT:
         raise ValueError(
-            f"rate * threshold = {rate * threshold:.6g} exceeds "
-            f"{MAX_RATE_THRESHOLD_PRODUCT:g}; thresholds this large are outside "
-            "the supported range (expected platoon size would exceed e^50)"
+            f"rate * threshold = {rate!r} * {threshold!r} = {product!r} exceeds "
+            f"{MAX_RATE_THRESHOLD_PRODUCT:g}; the supported range is rate * threshold "
+            f"<= {MAX_RATE_THRESHOLD_PRODUCT:g} (beyond it the expected platoon size "
+            "would exceed e^50)"
         )
 
 
 def _check_scenario(arrival: ArrivalModel, policy: PlatoonPolicy) -> None:
     validate_scenario(arrival, policy)
     _check_product(arrival.rate, policy.threshold)
+
+
+# The closed forms below are written once, in terms of x = rate * threshold,
+# and take either numbers or numpy arrays of thresholds.
+
+
+def _libm(fn, x):
+    """``fn`` (``math.exp`` or ``math.expm1``) at ``x``, elementwise when ``x``
+    is an array. numpy's own exp and expm1 differ from libm in the last bit at
+    some arguments, so arrays go through ``math`` as well and every element
+    equals the scalar result at that threshold."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+    return fn(x)
+
+
+def _merge_probability(x):
+    return -_libm(math.expm1, -x)
+
+
+def _platoon_size(x):
+    return _libm(math.exp, x)
+
+
+def _time_reduction(rate, threshold, x):
+    value = _libm(math.expm1, x) / rate - threshold
+    if isinstance(value, np.ndarray):
+        return np.where(value > 0.0, value, 0.0)  # max(0.0, value) elementwise
+    return max(0.0, value)
+
+
+def _fuel_increase(params: CostParameters, time_reduction):
+    return 2.0 * params.drag_fuel_coeff * params.cruise_speed**3 * time_reduction
+
+
+def _fuel_saving(params: CostParameters, merge):
+    return params.fuel_saving_fraction * params.fuel_per_meter * params.cruise_zone_len * merge
+
+
+def _total_cost(params: CostParameters, time_reduction, merge):
+    return merge_time_cost_rate(params) * time_reduction - params.drafting_value * merge
 
 
 def platoon_size_pmf(arrival: ArrivalModel, policy: PlatoonPolicy, y: int) -> float:
@@ -79,13 +140,13 @@ def merge_probability(arrival: ArrivalModel, policy: PlatoonPolicy) -> float:
     """Probability that an arriving vehicle joins the platoon ahead:
     P(gap <= threshold) = 1 - exp(-rate * threshold)."""
     _check_scenario(arrival, policy)
-    return -math.expm1(-arrival.rate * policy.threshold)
+    return _merge_probability(arrival.rate * policy.threshold)
 
 
 def expected_platoon_size(arrival: ArrivalModel, policy: PlatoonPolicy) -> float:
     """Mean number of vehicles per platoon: exp(rate * threshold)."""
     _check_scenario(arrival, policy)
-    return math.exp(arrival.rate * policy.threshold)
+    return _platoon_size(arrival.rate * policy.threshold)
 
 
 def expected_platoon_headway(arrival: ArrivalModel, policy: PlatoonPolicy) -> float:
@@ -104,17 +165,49 @@ def expected_time_reduction(arrival: ArrivalModel, policy: PlatoonPolicy) -> flo
     threshold 0 and non-negative everywhere since e^x - 1 >= x.
     """
     _check_scenario(arrival, policy)
-    value = math.expm1(arrival.rate * policy.threshold) / arrival.rate - policy.threshold
-    return max(0.0, value)
+    return _time_reduction(arrival.rate, policy.threshold, arrival.rate * policy.threshold)
 
 
 def platoon_statistics(arrival: ArrivalModel, policy: PlatoonPolicy) -> PlatoonStatistics:
     """Bundle the four closed-form statistics for one scenario."""
+    _check_scenario(arrival, policy)
+    x = arrival.rate * policy.threshold
+    size = _platoon_size(x)
     return PlatoonStatistics(
-        merge_probability=merge_probability(arrival, policy),
-        expected_platoon_size=expected_platoon_size(arrival, policy),
-        expected_platoon_headway=expected_platoon_headway(arrival, policy),
-        expected_time_reduction=expected_time_reduction(arrival, policy),
+        merge_probability=_merge_probability(x),
+        expected_platoon_size=size,
+        expected_platoon_headway=size / arrival.rate,
+        expected_time_reduction=_time_reduction(arrival.rate, policy.threshold, x),
+    )
+
+
+def threshold_curves(
+    params: CostParameters, arrival: ArrivalModel, thresholds
+) -> ThresholdCurves:
+    """The closed forms and cost terms at every threshold of a 1-D grid, in
+    one array pass.
+
+    Each element is bit-identical to the scalar function at that threshold
+    (``expected_platoon_size``, ``expected_total_cost`` and so on). The grid
+    is checked once, on its largest threshold, before anything is evaluated.
+    """
+    threshold = np.asarray(thresholds, dtype=float)
+    if threshold.ndim != 1 or not threshold.size or not 0.0 <= threshold.min() <= threshold.max() < math.inf:
+        raise ValueError("thresholds must be a non-empty 1-D grid of finite numbers >= 0")
+    _check_product(arrival.rate, float(threshold.max()))
+    x = arrival.rate * threshold
+    merge = _merge_probability(x)
+    size = _platoon_size(x)
+    time_reduction = _time_reduction(arrival.rate, threshold, x)
+    return ThresholdCurves(
+        threshold=threshold,
+        merge_probability=merge,
+        expected_platoon_size=size,
+        expected_platoon_headway=size / arrival.rate,
+        expected_time_reduction=time_reduction,
+        expected_fuel_increase=_fuel_increase(params, time_reduction),
+        expected_fuel_saving=_fuel_saving(params, merge),
+        expected_total_cost=_total_cost(params, time_reduction, merge),
     )
 
 
@@ -165,12 +258,7 @@ def expected_fuel_increase_linearized(
 ) -> float:
     """First-order expected merging fuel increase, liters:
     2 * drag_fuel_coeff * cruise_speed^3 * expected_time_reduction."""
-    return (
-        2.0
-        * params.drag_fuel_coeff
-        * params.cruise_speed**3
-        * expected_time_reduction(arrival, policy)
-    )
+    return _fuel_increase(params, expected_time_reduction(arrival, policy))
 
 
 def expected_fuel_saving_cruise(
@@ -178,12 +266,7 @@ def expected_fuel_saving_cruise(
 ) -> float:
     """Expected drafting fuel saving over the cruising zone, liters:
     fuel_saving_fraction * fuel_per_meter * cruise_zone_len * P(merge)."""
-    return (
-        params.fuel_saving_fraction
-        * params.fuel_per_meter
-        * params.cruise_zone_len
-        * merge_probability(arrival, policy)
-    )
+    return _fuel_saving(params, merge_probability(arrival, policy))
 
 
 def merge_time_cost_rate(params: CostParameters) -> float:
@@ -201,16 +284,9 @@ def expected_total_cost(
     merge_time_cost_rate * expected_time_reduction minus the monetized cruise
     fuel saving. Exactly 0 at threshold 0 (nothing merges, nothing changes).
     """
-    drafting_value = (
-        params.fuel_price
-        * params.fuel_saving_fraction
-        * params.fuel_per_meter
-        * params.cruise_zone_len
-    )
-    return (
-        merge_time_cost_rate(params) * expected_time_reduction(arrival, policy)
-        - drafting_value * merge_probability(arrival, policy)
-    )
+    _check_scenario(arrival, policy)
+    x = arrival.rate * policy.threshold
+    return _total_cost(params, _time_reduction(arrival.rate, policy.threshold, x), _merge_probability(x))
 
 
 def total_cost_derivative(params: CostParameters, arrival: ArrivalModel, r: float) -> float:
@@ -223,14 +299,8 @@ def total_cost_derivative(params: CostParameters, arrival: ArrivalModel, r: floa
     _check_product(arrival.rate, r)
     rate = arrival.rate
     net_rate = merge_time_cost_rate(params)
-    drafting_value = (
-        params.fuel_price
-        * params.fuel_saving_fraction
-        * params.fuel_per_meter
-        * params.cruise_zone_len
-    )
     growth = math.exp(rate * r)
-    return (net_rate * (growth * growth - growth) - drafting_value * rate) / growth
+    return (net_rate * (growth * growth - growth) - params.drafting_value * rate) / growth
 
 
 def optimal_threshold(
@@ -259,13 +329,7 @@ def optimal_threshold(
         clamped = False
     else:
         regime = ThresholdRegime.INTERIOR_OPTIMUM
-        drafting_value = (
-            params.fuel_price
-            * params.fuel_saving_fraction
-            * params.fuel_per_meter
-            * params.cruise_zone_len
-        )
-        root = math.sqrt(4.0 * drafting_value * arrival.rate / net_rate + 1.0)
+        root = math.sqrt(4.0 * params.drafting_value * arrival.rate / net_rate + 1.0)
         stationary = math.log(0.5 + 0.5 * root) / arrival.rate
         clamped = stationary > r_max
         best = min(stationary, float(r_max))

@@ -37,6 +37,7 @@ from .analytic import (
     optimal_threshold,
     platoon_size_pmf,
     platoon_statistics,
+    threshold_curves,
 )
 from .domain import (
     ArrivalModel,
@@ -58,7 +59,6 @@ class SweepSpec:
     r_min: float
     r_max: float
     n_points: int
-    scale: str = "linear"
 
     def __post_init__(self) -> None:
         if not isinstance(self.r_min, (int, float)) or not math.isfinite(self.r_min) or self.r_min < 0:
@@ -67,11 +67,9 @@ class SweepSpec:
             raise ValueError(f"r_max must be finite and > r_min, got {self.r_max!r}")
         if not isinstance(self.n_points, int) or isinstance(self.n_points, bool) or self.n_points < 2:
             raise ValueError(f"n_points must be an integer >= 2, got {self.n_points!r}")
-        if self.scale != "linear":
-            raise ValueError(f"scale must be 'linear', got {self.scale!r}")
 
     def grid(self) -> list[float]:
-        return [float(r) for r in np.linspace(self.r_min, self.r_max, self.n_points)]
+        return np.linspace(self.r_min, self.r_max, self.n_points).tolist()
 
 
 @dataclass(frozen=True)
@@ -385,23 +383,28 @@ def sweep_rows(
     sim: SimulationConfig | None = None,
 ) -> tuple[list[str], list[list]]:
     """Analytic sweep rows over the threshold grid, optionally with pooled
-    empirical columns (same seed at every grid point, so runs share draws)."""
+    empirical columns (same seed at every grid point, so runs share draws).
+
+    The closed-form columns come from one array pass over the grid, which
+    rejects an out-of-range ``r_max`` before anything is evaluated or
+    simulated; each row equals ``analytic_quantities`` at its threshold.
+    """
     header = list(SWEEP_HEADER) + (list(SWEEP_SIM_HEADER) if sim is not None else [])
-    rows = []
-    for r in spec.grid():
-        policy = PlatoonPolicy(threshold=r)
-        values = analytic_quantities(params, arrival, policy)
-        row = [
-            r,
-            values["expected_platoon_size"],
-            values["expected_leader_headway_s"],
-            values["expected_time_reduction_s"],
-            values["expected_fuel_increase_l"],
-            values["expected_fuel_saving_l"],
-            values["expected_total_cost"],
-        ]
-        if sim is not None:
-            aggregate, _ = run_replications(replace(sim, policy=policy))
+    curves = threshold_curves(params, arrival, spec.grid())
+    table = np.column_stack([
+        curves.threshold,
+        curves.expected_platoon_size,
+        curves.expected_platoon_headway,
+        curves.expected_time_reduction,
+        curves.expected_fuel_increase,
+        curves.expected_fuel_saving,
+        curves.expected_total_cost,
+    ])
+    del curves  # the rows of Python floats are the peak; free the arrays first
+    rows = table.tolist()
+    if sim is not None:
+        for row in rows:
+            aggregate, _ = run_replications(replace(sim, policy=PlatoonPolicy(threshold=row[0])))
             row += [
                 aggregate.platoon_size.mean,
                 aggregate.platoon_size.ci_half_width,
@@ -410,7 +413,6 @@ def sweep_rows(
                 aggregate.time_shift.mean,
                 aggregate.time_shift.ci_half_width,
             ]
-        rows.append(row)
     return header, rows
 
 

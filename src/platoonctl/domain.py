@@ -106,6 +106,13 @@ class CostParameters:
         _check_non_negative("cruise_zone_len", self.cruise_zone_len)
         _check_non_negative("nominal_merge_time", self.nominal_merge_time)
 
+    @property
+    def drafting_value(self) -> float:
+        """Monetized drafting fuel saving of one merged vehicle over the
+        cruising zone, currency:
+        fuel_price * fuel_saving_fraction * fuel_per_meter * cruise_zone_len."""
+        return self.fuel_price * self.fuel_saving_fraction * self.fuel_per_meter * self.cruise_zone_len
+
 
 @dataclass(frozen=True)
 class RawCostConfig:

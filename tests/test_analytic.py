@@ -25,6 +25,7 @@ from platoonctl import (
     total_cost_derivative,
     truncation_cutoff,
 )
+from platoonctl.analytic import threshold_curves
 
 
 def with_cruise_km(params, km):
@@ -429,3 +430,41 @@ class TestNumericOptimalThreshold:
     def test_rejects_bad_tolerance(self, nominal_params, nominal_arrival):
         with pytest.raises(ValueError, match="tol"):
             numeric_optimal_threshold(nominal_params, nominal_arrival, 100.0, tol=0.0)
+
+
+class TestThresholdCurves:
+    @pytest.mark.parametrize("rate, r_max", [(0.02, 400.0), (0.125, 400.0), (0.02, 1e-16)])
+    def test_every_element_equals_the_scalar_function(self, nominal_params, rate, r_max):
+        arrival = ArrivalModel(rate=rate)
+        grid = np.linspace(0.0, r_max, 1001)
+        curves = threshold_curves(nominal_params, arrival, grid)
+        scalar = {
+            "merge_probability": lambda p: merge_probability(arrival, p),
+            "expected_platoon_size": lambda p: expected_platoon_size(arrival, p),
+            "expected_platoon_headway": lambda p: expected_platoon_headway(arrival, p),
+            "expected_time_reduction": lambda p: expected_time_reduction(arrival, p),
+            "expected_fuel_increase": lambda p: expected_fuel_increase_linearized(nominal_params, arrival, p),
+            "expected_fuel_saving": lambda p: expected_fuel_saving_cruise(nominal_params, arrival, p),
+            "expected_total_cost": lambda p: expected_total_cost(nominal_params, arrival, p),
+        }
+        assert curves.threshold.tolist() == grid.tolist()
+        for name, fn in scalar.items():
+            want = [fn(PlatoonPolicy(threshold=r)).hex() for r in grid.tolist()]
+            got = [value.hex() for value in getattr(curves, name).tolist()]
+            assert got == want, name
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[], [[0.0, 1.0]], [0.0, -1.0], [0.0, math.nan], [0.0, math.inf]],
+        ids=["empty", "2d", "negative", "nan", "inf"],
+    )
+    def test_rejects_malformed_grids(self, nominal_params, nominal_arrival, grid):
+        with pytest.raises(ValueError, match="thresholds"):
+            threshold_curves(nominal_params, nominal_arrival, grid)
+
+    def test_rejects_a_grid_past_the_product_limit(self, nominal_params, nominal_arrival):
+        with pytest.raises(ValueError, match="rate \\* threshold"):
+            threshold_curves(nominal_params, nominal_arrival, [0.0, 2500.001])
+        # The boundary itself, rate * threshold = 50 exactly, is accepted.
+        curves = threshold_curves(nominal_params, nominal_arrival, [0.0, 2500.0])
+        assert curves.expected_platoon_size[-1] == math.exp(50.0)

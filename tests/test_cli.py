@@ -3,9 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from platoonctl import ArrivalModel, PlatoonPolicy, optimal_threshold
+from platoonctl import (
+    ArrivalModel,
+    PlatoonPolicy,
+    expected_fuel_increase_linearized,
+    expected_fuel_saving_cruise,
+    expected_platoon_headway,
+    expected_platoon_size,
+    expected_time_reduction,
+    expected_total_cost,
+    optimal_threshold,
+)
 from platoonctl.cli import (
     SweepSpec,
+    _write_csv,
     build_comparison,
     load_scenario,
     main,
@@ -195,7 +206,106 @@ class TestSimulateCommand:
             assert row.relative_error < 0.02
 
 
+DOCUMENTED_SWEEP_HEADER = [
+    "threshold_s",
+    "expected_platoon_size",
+    "expected_leader_headway_s",
+    "expected_time_reduction_s",
+    "expected_fuel_increase_l",
+    "expected_fuel_saving_l",
+    "expected_total_cost",
+]
+
+
+def reference_sweep_rows(params, arrival, r_min, r_max, points):
+    """The per-point loop the sweep is checked against: one policy and the
+    scalar public closed forms at every grid threshold."""
+    rows = []
+    for r in np.linspace(r_min, r_max, points):
+        policy = PlatoonPolicy(threshold=float(r))
+        rows.append([
+            float(r),
+            expected_platoon_size(arrival, policy),
+            expected_platoon_headway(arrival, policy),
+            expected_time_reduction(arrival, policy),
+            expected_fuel_increase_linearized(params, arrival, policy),
+            expected_fuel_saving_cruise(params, arrival, policy),
+            expected_total_cost(params, arrival, policy),
+        ])
+    return rows
+
+
+# (overrides, r_min, r_max, points). Every grid starts at threshold 0. On the
+# dense grids numpy's exp/expm1 differ from libm's in the last bit at about
+# 5% of the points, so an array pass through them fails the byte comparison.
+SWEEP_GRIDS = {
+    # Sub-ulp thresholds, where expm1(x) / rate - threshold rounds below 0
+    # and the time reduction is clipped to 0.
+    "tiny_thresholds": ({}, 0.0, 1e-16, 101),
+    "x50_boundary": ({"arrival": {"rate": 0.125}}, 0.0, 400.0, 2001),
+    "cruise_5km": ({"cost": {"cruise_zone_km": 5.0}}, 0.0, 400.0, 2001),
+    "cruise_30km": ({}, 0.0, 400.0, 2001),
+    "cruise_80km": ({"cost": {"cruise_zone_km": 80.0}}, 0.0, 400.0, 2001),
+    "unbounded_decreasing": ({"cost": {"value_of_time_per_h": 100.0}}, 0.0, 400.0, 2001),
+}
+
+
 class TestSweepCommand:
+    @pytest.mark.parametrize("grid", list(SWEEP_GRIDS))
+    def test_csv_bytes_equal_the_per_point_reference(self, write_config, tmp_path, grid):
+        overrides, r_min, r_max, points = SWEEP_GRIDS[grid]
+        path = write_config(overrides)
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--config", path, "--r-min", repr(r_min), "--r-max", repr(r_max),
+            "--points", str(points), "--csv", str(out),
+        ]) == 0
+        scenario = load_scenario(path)
+        reference = tmp_path / "reference.csv"
+        _write_csv(
+            reference,
+            DOCUMENTED_SWEEP_HEADER,
+            reference_sweep_rows(scenario.cost, scenario.arrival, r_min, r_max, points),
+        )
+        assert out.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("grid", ["x50_boundary", "cruise_30km", "unbounded_decreasing"])
+    def test_sweep_row_equals_analytic_json_bit_for_bit(self, write_config, tmp_path, grid):
+        overrides, r_min, r_max, points = SWEEP_GRIDS[grid]
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--config", write_config(overrides), "--r-min", repr(r_min),
+            "--r-max", repr(r_max), "--points", str(points), "--csv", str(out),
+        ]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        for index in range(0, points, 97):
+            row = dict(zip(header, lines[1 + index].split(",")))
+            threshold = float(row["threshold_s"])
+            config = write_config(
+                {**overrides, "policy": {"threshold": threshold}}, name=f"point{index}.json"
+            )
+            json_path = tmp_path / f"point{index}.out.json"
+            assert main(["analytic", "--config", config, "--json", str(json_path)]) == 0
+            results = json.loads(json_path.read_text(encoding="utf-8"))["results"]
+            for column in DOCUMENTED_SWEEP_HEADER[1:]:
+                assert repr(results[column]) == row[column], (threshold, column)
+
+    @pytest.mark.parametrize("r_max", ["3000", "2500.001"])
+    def test_out_of_range_r_max_exits_2_before_any_work(self, write_config, tmp_path, capsys, r_max):
+        # At 2500.001 the product is 50.00002..., which the message must show
+        # above the limit rather than rounded to "50".
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--config", write_config(), "--r-min", "0", "--r-max", r_max,
+            "--points", "1000001", "--csv", str(out),
+        ]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "supported range is rate * threshold <= 50" in err
+        product = 0.02 * float(r_max)
+        assert product > 50.0 and f"= {product!r} exceeds 50" in err
+
     def test_two_points_gives_exact_endpoints(self, write_config, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main([
@@ -260,8 +370,6 @@ class TestSweepCommand:
             SweepSpec(r_min=10.0, r_max=5.0, n_points=5)
         with pytest.raises(ValueError, match="n_points"):
             SweepSpec(r_min=0.0, r_max=10.0, n_points=1)
-        with pytest.raises(ValueError, match="scale"):
-            SweepSpec(r_min=0.0, r_max=10.0, n_points=5, scale="log")
 
     def test_sweep_rows_via_library(self, nominal_params, nominal_arrival):
         header, rows = sweep_rows(nominal_params, nominal_arrival, SweepSpec(0.0, 100.0, 5))
