@@ -187,7 +187,13 @@ def _number(sect: dict, key: str, where: str, default: float | None = None) -> f
     value = sect[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"config field {where}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"config field {where}.{key} must be a finite number")
+    return number
 
 
 def _integer(sect: dict, key: str, where: str, default: int | None = None) -> int:

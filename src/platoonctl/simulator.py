@@ -9,22 +9,34 @@ Randomness contract: gaps come from numpy's PCG64 generator (period 2^128)
 seeded with ``SeedSequence((seed, replication))``. The master seed plus the
 replication index fully determines every draw, so runs reproduce
 bit-for-bit, and replications own disjoint streams that could execute in any
-order (or in parallel) without changing the aggregate. Aggregation pools raw
-samples in replication-index order, which keeps it order-independent.
+order (or in parallel) without changing the aggregate. Aggregation merges
+per-replication statistics in index order, which keeps it order-independent.
+
+``run_replications`` streams each replication in chunks of ``CHUNK_VEHICLES``
+gaps and folds every chunk into mergeable statistics, so its memory is
+O(CHUNK_VEHICLES) whatever ``n_vehicles`` and ``n_replications`` are.
+``run_simulation``, ``SimulationRun`` and ``summarize`` keep a whole run in
+memory (O(n)); they are the small-n reference the streaming kernel matches.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _check_scenario
 from .domain import ArrivalModel, PlatoonPolicy, validate_scenario
 
 # Two-sided 95% normal quantile used for all confidence half-widths.
 Z_95 = 1.96
 
 MAX_SEED = 2**64 - 1
+
+# Vehicles drawn and folded per step of ``run_replications``; its working
+# memory is a few arrays of this length, whatever the number of vehicles.
+CHUNK_VEHICLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -39,7 +51,7 @@ class SimulationConfig:
     warmup_vehicles: int = 0  # leading vehicles excluded from shift statistics
 
     def __post_init__(self) -> None:
-        validate_scenario(self.arrival, self.policy)
+        _check_scenario(self.arrival, self.policy)  # rate * threshold too, before any work
         if not isinstance(self.n_vehicles, int) or isinstance(self.n_vehicles, bool) or self.n_vehicles < 2:
             raise ValueError(f"n_vehicles must be an integer >= 2, got {self.n_vehicles!r}")
         if not isinstance(self.n_replications, int) or isinstance(self.n_replications, bool) or self.n_replications < 1:
@@ -268,11 +280,15 @@ def _estimate(values: np.ndarray, statistic: str) -> StatEstimate:
     return StatEstimate(mean=mean, ci_half_width=half_width, count=int(values.size))
 
 
+def _check_pmf_cutoff(pmf_cutoff: int) -> None:
+    if not isinstance(pmf_cutoff, int) or isinstance(pmf_cutoff, bool) or pmf_cutoff < 1:
+        raise ValueError(f"pmf_cutoff must be an integer >= 1, got {pmf_cutoff!r}")
+
+
 def _summarize_samples(
     sizes: np.ndarray, headways: np.ndarray, shifts: np.ndarray, pmf_cutoff: int
 ) -> EmpiricalSummary:
-    if not isinstance(pmf_cutoff, int) or isinstance(pmf_cutoff, bool) or pmf_cutoff < 1:
-        raise ValueError(f"pmf_cutoff must be an integer >= 1, got {pmf_cutoff!r}")
+    _check_pmf_cutoff(pmf_cutoff)
     size_est = _estimate(sizes, "platoon-size (all platoons censored)")
     headway_est = _estimate(headways, "leader-headway (fewer than two platoons)")
     shift_est = _estimate(shifts, "time-shift (post-warmup)")
@@ -292,35 +308,164 @@ def summarize(run: SimulationRun, warmup_vehicles: int = 0, pmf_cutoff: int = 10
     return _summarize_samples(sizes, headways, shifts, pmf_cutoff)
 
 
+@dataclass(frozen=True)
+class _Moments:
+    """Count, mean and sum of squared deviations (M2) of a float sample,
+    mergeable pairwise (Chan, Golub & LeVeque 1979)."""
+
+    count: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> _Moments:
+        if values.size == 0:
+            return cls()
+        mean = float(np.mean(values))
+        deviations = values - mean
+        return cls(int(values.size), mean, float(np.dot(deviations, deviations)))
+
+    def merge(self, other: _Moments) -> _Moments:
+        if other.count == 0:
+            return self
+        if self.count == 0:
+            return other
+        count = self.count + other.count
+        delta = other.mean - self.mean
+        return _Moments(
+            count,
+            self.mean + delta * (other.count / count),
+            self.m2 + other.m2 + delta * delta * (self.count * other.count / count),
+        )
+
+    def estimate(self, statistic: str) -> StatEstimate:
+        if self.count == 0:
+            raise ValueError(f"no {statistic} samples to summarize")
+        half_width = 0.0
+        if self.count >= 2:
+            half_width = Z_95 * math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
+        return StatEstimate(mean=self.mean, ci_half_width=half_width, count=self.count)
+
+
+@dataclass(frozen=True, eq=False)
+class _ReplicationStats:
+    """Mergeable sufficient statistics of one replication or of several.
+
+    Closed platoon sizes are kept as exact integers: their count, sum, sum of
+    squares and a histogram whose last bin holds every size above the PMF
+    cutoff.
+    """
+
+    size_count: int
+    size_sum: int
+    size_sum_sq: int
+    size_hist: np.ndarray
+    headway: _Moments
+    shift: _Moments
+
+    def merge(self, other: _ReplicationStats) -> _ReplicationStats:
+        return _ReplicationStats(
+            self.size_count + other.size_count,
+            self.size_sum + other.size_sum,
+            self.size_sum_sq + other.size_sum_sq,
+            self.size_hist + other.size_hist,
+            self.headway.merge(other.headway),
+            self.shift.merge(other.shift),
+        )
+
+    def summary(self, pmf_cutoff: int) -> EmpiricalSummary:
+        n = self.size_count
+        sizes = _Moments()
+        if n:
+            # Integer numerators, so the mean and M2 are each rounded once.
+            sizes = _Moments(n, self.size_sum / n, (n * self.size_sum_sq - self.size_sum**2) / n)
+        return EmpiricalSummary(
+            platoon_size=sizes.estimate("platoon-size (all platoons censored)"),
+            leader_headway=self.headway.estimate("leader-headway (fewer than two platoons)"),
+            time_shift=self.shift.estimate("time-shift (post-warmup)"),
+            size_pmf={y: float(self.size_hist[y] / n) for y in range(1, pmf_cutoff + 1)},
+        )
+
+
+def _gap_chunks(seed: int, replication: int, n: int, rate: float):
+    """Yield ``sample_interarrivals(seed, n, arrival, replication)`` in chunks
+    of ``CHUNK_VEHICLES``, bit for bit: PCG64 draws split into chunks equal
+    one long draw, and each chunk goes through the same transform."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, replication)))
+    for start in range(0, n, CHUNK_VEHICLES):
+        u = 1.0 - rng.random(min(CHUNK_VEHICLES, n - start))  # rng.random is [0, 1), so u covers (0, 1]
+        yield _as_gap_array(headway_from_uniform(u, rate))
+
+
+def _replication_stats(config: SimulationConfig, replication: int, pmf_cutoff: int) -> _ReplicationStats:
+    """Fold one replication's gaps, chunk by chunk, into its sufficient
+    statistics; memory is O(CHUNK_VEHICLES) whatever n is.
+
+    Across chunk boundaries the kernel carries the open (not yet closed)
+    platoon: its size and the time since its leader arrived, which is also
+    the shift of its last vehicle. Times inside a chunk count from the last
+    vehicle of the previous chunk, so the open platoon's leader sits at
+    ``-since_leader``.
+    """
+    threshold = config.policy.threshold
+    size_hist = np.zeros(pmf_cutoff + 2, dtype=np.int64)
+    size_count = size_sum = size_sum_sq = 0
+    headway = shift = _Moments()
+    open_size = 0  # 0 only before the first chunk: vehicle 1 always leads
+    since_leader = 0.0
+    warmup_left = config.warmup_vehicles
+    for gaps in _gap_chunks(config.seed, replication, config.n_vehicles, config.arrival.rate):
+        leads = gaps > threshold  # the inverse of the merge mask
+        if not open_size:
+            leads[0] = True
+        leaders = np.flatnonzero(leads)
+        arrivals = np.cumsum(gaps)
+        leader_times = arrivals[leaders]
+        if open_size:
+            leaders = np.concatenate(([-open_size], leaders))
+            leader_times = np.concatenate(([-since_leader], leader_times))
+
+        sizes = np.diff(leaders)
+        if sizes.size:
+            # Every size but the first lies inside this chunk, so their squares
+            # sum within int64; the first may span any number of chunks.
+            size_count += int(sizes.size)
+            size_sum += int(sizes.sum())
+            size_sum_sq += int(sizes[0]) ** 2 + int(np.dot(sizes[1:], sizes[1:]))
+            size_hist += np.bincount(np.minimum(sizes, pmf_cutoff + 1), minlength=pmf_cutoff + 2)
+            headway = headway.merge(_Moments.of(np.diff(leader_times)))
+
+        # Each vehicle's shift is its arrival minus its platoon leader's;
+        # members counts each platoon's vehicles that fall in this chunk.
+        members = np.diff(np.append(np.maximum(leaders, 0), gaps.size))
+        shifts = np.subtract(arrivals, np.repeat(leader_times, members), out=arrivals)
+        open_size = gaps.size - int(leaders[-1])
+        since_leader = float(shifts[-1])
+        skip = min(warmup_left, gaps.size)
+        warmup_left -= skip
+        shift = shift.merge(_Moments.of(shifts[skip:]))
+    return _ReplicationStats(size_count, size_sum, size_sum_sq, size_hist, headway, shift)
+
+
 def run_replications(
     config: SimulationConfig, pmf_cutoff: int = 10
 ) -> tuple[EmpiricalSummary, list[EmpiricalSummary]]:
-    """Run every replication of ``config`` and pool the raw samples.
+    """Run every replication of ``config`` in one streaming pass each.
 
-    Returns (aggregate, per_replication). Pooling concatenates the raw
-    statistic samples in replication-index order before summarizing, so the
-    aggregate does not depend on execution order.
+    Returns (aggregate, per_replication). The aggregate merges the
+    per-replication statistics in replication-index order, so it does not
+    depend on the order replications execute in. Estimators equal
+    :func:`summarize` on the full in-memory runs (pooled across
+    replications), up to float rounding.
     """
-    size_parts: list[np.ndarray] = []
-    headway_parts: list[np.ndarray] = []
-    shift_parts: list[np.ndarray] = []
+    _check_pmf_cutoff(pmf_cutoff)
+    total: _ReplicationStats | None = None
     per_replication: list[EmpiricalSummary] = []
     for rep in range(config.n_replications):
         try:
-            run = run_simulation(
-                config.arrival, config.policy, config.n_vehicles, config.seed, replication=rep
-            )
-            sizes, headways, shifts = _extract_samples(run, config.warmup_vehicles)
-            per_replication.append(_summarize_samples(sizes, headways, shifts, pmf_cutoff))
+            stats = _replication_stats(config, rep, pmf_cutoff)
+            per_replication.append(stats.summary(pmf_cutoff))
         except ValueError as exc:
             raise ValueError(f"replication {rep}: {exc}") from exc
-        size_parts.append(sizes)
-        headway_parts.append(headways)
-        shift_parts.append(shifts)
-    aggregate = _summarize_samples(
-        np.concatenate(size_parts),
-        np.concatenate(headway_parts),
-        np.concatenate(shift_parts),
-        pmf_cutoff,
-    )
-    return aggregate, per_replication
+        total = stats if total is None else total.merge(stats)
+    return total.summary(pmf_cutoff), per_replication

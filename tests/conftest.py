@@ -1,6 +1,10 @@
+import math
+
+import numpy as np
 import pytest
 
-from platoonctl import ArrivalModel, PlatoonPolicy, RawCostConfig, normalize_units
+from platoonctl import ArrivalModel, PlatoonPolicy, RawCostConfig, normalize_units, run_simulation
+from platoonctl.simulator import _extract_samples, _summarize_samples
 
 # Nominal planning values used throughout the suite (mixed units).
 NOMINAL_RAW = dict(
@@ -34,3 +38,40 @@ def nominal_arrival():
 @pytest.fixture
 def nominal_policy():
     return PlatoonPolicy(threshold=50.0)
+
+
+def pooled_reference(config, pmf_cutoff=10):
+    """``run_replications`` as the in-memory reference computes it: every
+    replication as a full ``SimulationRun`` and summarized on its own, raw
+    samples concatenated in replication-index order for the aggregate.
+    Returns (aggregate, per_replication)."""
+    parts, per_replication = [], []
+    for rep in range(config.n_replications):
+        try:
+            run = run_simulation(config.arrival, config.policy, config.n_vehicles, config.seed, replication=rep)
+            parts.append(_extract_samples(run, config.warmup_vehicles))
+            per_replication.append(_summarize_samples(*parts[-1], pmf_cutoff))
+        except ValueError as exc:
+            raise ValueError(f"replication {rep}: {exc}") from exc
+    aggregate = _summarize_samples(*(np.concatenate([p[i] for p in parts]) for i in range(3)), pmf_cutoff)
+    return aggregate, per_replication
+
+
+def summary_mismatches(summary, reference, rel=1e-12):
+    """Where ``summary`` departs from ``reference``: counts, the PMF and the
+    mean platoon size must be equal; float means and half-widths within
+    ``rel``."""
+    problems = []
+    for name in ("platoon_size", "leader_headway", "time_shift"):
+        got, want = getattr(summary, name), getattr(reference, name)
+        if got.count != want.count:
+            problems.append(f"{name} count {got.count} != {want.count}")
+        for field in ("mean", "ci_half_width"):
+            a, b = getattr(got, field), getattr(want, field)
+            if not math.isclose(a, b, rel_tol=rel, abs_tol=0.0):
+                problems.append(f"{name}.{field} {a!r} != {b!r}")
+    if summary.platoon_size.mean != reference.platoon_size.mean:
+        problems.append("mean platoon size is not exactly equal")
+    if summary.size_pmf != reference.size_pmf:
+        problems.append("size PMF is not exactly equal")
+    return problems

@@ -36,14 +36,13 @@ from platoonctl import (
     optimal_threshold,
     platoon_size_pmf,
     run_replications,
-    run_simulation,
     total_cost_derivative,
     truncation_cutoff,
 )
 from platoonctl.cli import main
-from platoonctl.simulator import _extract_samples, _summarize_samples
+from platoonctl.simulator import _replication_stats
 
-from conftest import NOMINAL_RAW
+from conftest import NOMINAL_RAW, pooled_reference, summary_mismatches
 
 MAIN_SEED = 20260810
 GRID_SEED = 7
@@ -327,8 +326,10 @@ def test_criterion_10_determinism(tmp_path):
     if csv_a.read_bytes() != csv_b.read_bytes():
         failures.append("CSV output differs between identical invocations")
 
-    # Aggregation is order-independent: execute replications in reverse and
-    # pool by index.
+    # Aggregation is order-independent: compute the per-replication
+    # statistics in reverse and merge them by index; the result must equal
+    # the library aggregate bit for bit. Against the pooled in-memory
+    # reference, integer statistics are exact and float ones within 1e-12.
     sim = SimulationConfig(
         arrival=ArrivalModel(rate=0.02),
         policy=PlatoonPolicy(threshold=50.0),
@@ -337,19 +338,13 @@ def test_criterion_10_determinism(tmp_path):
         seed=MAIN_SEED,
     )
     aggregate, _ = run_replications(sim)
-    collected = {}
-    for rep in reversed(range(sim.n_replications)):
-        run = run_simulation(sim.arrival, sim.policy, sim.n_vehicles, sim.seed, replication=rep)
-        collected[rep] = _extract_samples(run, sim.warmup_vehicles)
-    ordered = [collected[rep] for rep in range(sim.n_replications)]
-    manual = _summarize_samples(
-        np.concatenate([s[0] for s in ordered]),
-        np.concatenate([s[1] for s in ordered]),
-        np.concatenate([s[2] for s in ordered]),
-        10,
-    )
-    if manual != aggregate:
+    collected = {rep: _replication_stats(sim, rep, 10) for rep in reversed(range(sim.n_replications))}
+    merged = collected[0]
+    for rep in range(1, sim.n_replications):
+        merged = merged.merge(collected[rep])
+    if merged.summary(10) != aggregate:
         failures.append("aggregate depends on replication execution order")
+    failures.extend(summary_mismatches(aggregate, pooled_reference(sim)[0]))
     conclude(10, "byte-identical CSV output and order-independent aggregation", failures)
 
 

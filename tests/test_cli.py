@@ -14,6 +14,7 @@ from platoonctl import (
     expected_total_cost,
     optimal_threshold,
 )
+from platoonctl import cli
 from platoonctl.cli import (
     SweepSpec,
     _write_csv,
@@ -119,6 +120,25 @@ class TestExitCodes:
         path = write_config({"simulation": {"n_vehicles": 1}})
         assert main(["simulate", "--config", path]) == 2
         assert "n_vehicles" in capsys.readouterr().err
+
+    def test_integer_beyond_float_range_exits_2(self, write_config, capsys):
+        # float() of this JSON integer raises OverflowError, not ValueError.
+        path = write_config({"policy": {"threshold": 10**400}})
+        assert main(["analytic", "--config", path]) == 2
+        assert "config field policy.threshold must be a finite number" in capsys.readouterr().err
+
+    def test_out_of_range_simulation_exits_2_before_sampling(self, write_config, capsys, monkeypatch):
+        # rate * threshold = 51: every vehicle would join one platoon, and
+        # 10**12 of them would take hours to sample before failing.
+        def never(*args, **kwargs):
+            raise AssertionError("simulate sampled an out-of-range scenario")
+
+        monkeypatch.setattr(cli, "run_replications", never)
+        path = write_config(
+            {"arrival": {"rate": 1.0}, "policy": {"threshold": 51.0}, "simulation": {"n_vehicles": 10**12}}
+        )
+        assert main(["simulate", "--config", path]) == 2
+        assert "the supported range is rate * threshold <= 50" in capsys.readouterr().err
 
     def test_simulate_pass_exits_0(self, write_config):
         assert main(["simulate", "--config", write_config()]) == 0

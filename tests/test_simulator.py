@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,10 @@ from platoonctl import (
     sample_interarrivals,
     summarize,
 )
+from platoonctl import simulator
+from platoonctl.simulator import CHUNK_VEHICLES, _gap_chunks, _replication_stats
+
+from conftest import pooled_reference, summary_mismatches
 
 SEED = 20260810
 
@@ -275,11 +281,13 @@ class TestRunReplications:
         return SimulationConfig(**defaults)
 
     def test_single_replication_equals_plain_summary(self):
+        # The streaming kernel against summarize() on the full in-memory run:
+        # integer statistics exactly, float ones to rel 1e-12.
         config = self._config(n_replications=1)
         aggregate, per_rep = run_replications(config)
         direct = summarize(run_simulation(config.arrival, config.policy, config.n_vehicles, config.seed))
-        assert aggregate == direct
-        assert per_rep == [direct]
+        assert summary_mismatches(aggregate, direct) == []
+        assert per_rep == [aggregate]
 
     def test_aggregate_is_deterministic(self):
         config = self._config()
@@ -288,25 +296,18 @@ class TestRunReplications:
         assert first == second
 
     def test_aggregate_independent_of_execution_order(self):
-        # Replication streams derive from (seed, index) alone, so executing
-        # them in any order and pooling by index must reproduce the library
-        # aggregate exactly.
+        # Replication streams derive from (seed, index) alone, so computing
+        # the per-replication statistics in reverse and merging them by index
+        # must reproduce the library aggregate bit for bit.
         config = self._config()
-        aggregate, _ = run_replications(config)
-        from platoonctl.simulator import _extract_samples, _summarize_samples
-
-        samples = {}
-        for rep in reversed(range(config.n_replications)):
-            run = run_simulation(config.arrival, config.policy, config.n_vehicles, config.seed, replication=rep)
-            samples[rep] = _extract_samples(run, config.warmup_vehicles)
-        ordered = [samples[rep] for rep in range(config.n_replications)]
-        manual = _summarize_samples(
-            np.concatenate([s[0] for s in ordered]),
-            np.concatenate([s[1] for s in ordered]),
-            np.concatenate([s[2] for s in ordered]),
-            10,
-        )
-        assert manual == aggregate
+        aggregate, per_rep = run_replications(config)
+        stats = {rep: _replication_stats(config, rep, 10) for rep in reversed(range(config.n_replications))}
+        merged = stats[0]
+        for rep in range(1, config.n_replications):
+            merged = merged.merge(stats[rep])
+        assert merged.summary(10) == aggregate
+        assert [stats[rep].summary(10) for rep in range(config.n_replications)] == per_rep
+        assert summary_mismatches(aggregate, pooled_reference(config)[0]) == []
 
     def test_split_replications_consistent_with_single_run(self):
         # 10 x 100k pooled should agree with 1 x 1M within overlapping CIs.
@@ -318,10 +319,11 @@ class TestRunReplications:
             assert abs(a.mean - b.mean) <= a.ci_half_width + b.ci_half_width
 
     def test_replication_errors_carry_the_index(self):
-        # A threshold far above every gap yields one giant platoon, which has
+        # At the largest supported rate * threshold (50) a gap ends a platoon
+        # with probability e^-50, so 100 vehicles form one platoon, which has
         # no censored size sample.
-        config = self._config(policy=PlatoonPolicy(threshold=1e9), n_vehicles=100, n_replications=2)
-        with pytest.raises(ValueError, match="replication 0"):
+        config = self._config(policy=PlatoonPolicy(threshold=2500.0), n_vehicles=100, n_replications=2)
+        with pytest.raises(ValueError, match="replication 0: no platoon-size"):
             run_replications(config)
 
     def test_config_validation(self):
@@ -337,3 +339,109 @@ class TestRunReplications:
             self._config(warmup_vehicles=-1)
         with pytest.raises(ValueError, match="exceed warmup"):
             self._config(n_vehicles=100, warmup_vehicles=100)
+        with pytest.raises(ValueError, match="supported range is rate \\* threshold <= 50"):
+            self._config(policy=PlatoonPolicy(threshold=2500.0001))
+
+    def test_rejects_bad_pmf_cutoff_before_sampling(self):
+        with pytest.raises(ValueError, match="^pmf_cutoff must be"):
+            run_replications(self._config(n_vehicles=10**12), pmf_cutoff=0)
+
+
+C = CHUNK_VEHICLES
+
+
+class TestStreamingKernel:
+    """``run_replications`` folds gaps chunk by chunk; it must agree with the
+    in-memory reference wherever a chunk boundary falls."""
+
+    def _config(self, **overrides):
+        defaults = dict(
+            arrival=ArrivalModel(rate=0.02),
+            policy=PlatoonPolicy(threshold=50.0),
+            n_vehicles=C,
+            n_replications=1,
+            seed=SEED,
+        )
+        defaults.update(overrides)
+        return SimulationConfig(**defaults)
+
+    def test_chunks_equal_one_shot_draw(self):
+        arrival = ArrivalModel(rate=0.02)
+        n = 3 * C + 7
+        chunks = [gaps.copy() for gaps in _gap_chunks(SEED, 3, n, arrival.rate)]
+        assert [c.size for c in chunks] == [C, C, C, 7]
+        assert np.array_equal(np.concatenate(chunks), sample_interarrivals(SEED, n, arrival, replication=3))
+
+    @pytest.mark.parametrize("n", [2, C - 1, C, C + 1, 3 * C + 7])
+    def test_matches_reference_at_chunk_boundaries(self, n):
+        config = self._config(n_vehicles=n)
+        summary, _ = run_replications(config)
+        assert summary_mismatches(summary, pooled_reference(config)[0]) == []
+
+    def test_platoon_spanning_several_chunks(self):
+        # rate * threshold = 12: the mean platoon holds e^12 ~ 163k vehicles.
+        config = self._config(policy=PlatoonPolicy(threshold=600.0), n_vehicles=1_000_000)
+        run = run_simulation(config.arrival, config.policy, config.n_vehicles, config.seed)
+        assert int(run.platoon_sizes[:-1].max()) > 2 * C
+        summary, _ = run_replications(config)
+        assert summary_mismatches(summary, summarize(run)) == []
+
+    def test_warmup_longer_than_a_chunk(self):
+        config = self._config(n_vehicles=3 * C + 7, warmup_vehicles=C + 100, n_replications=2)
+        summary, _ = run_replications(config)
+        assert summary.time_shift.count == 2 * (2 * C - 93)
+        assert summary_mismatches(summary, pooled_reference(config)[0]) == []
+
+    def test_several_replications(self):
+        config = self._config(n_vehicles=C + 1, n_replications=4, warmup_vehicles=3)
+        summary, per_rep = run_replications(config)
+        reference, reference_per_rep = pooled_reference(config)
+        assert summary_mismatches(summary, reference) == []
+        assert len(per_rep) == len(reference_per_rep) == 4
+        for got, want in zip(per_rep, reference_per_rep):
+            assert summary_mismatches(got, want) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        chunk=st.integers(min_value=1, max_value=9),
+        n=st.integers(min_value=2, max_value=80),
+        x=st.integers(min_value=0, max_value=40).map(lambda k: k / 10.0),
+        reps=st.integers(min_value=1, max_value=3),
+        warmup_share=st.floats(min_value=0.0, max_value=0.9),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_tiny_chunks_match_reference(self, chunk, n, x, reps, warmup_share, seed):
+        # Chunks of a few vehicles put a boundary inside almost every platoon.
+        config = self._config(
+            policy=PlatoonPolicy(threshold=x / 0.02),
+            n_vehicles=n,
+            n_replications=reps,
+            warmup_vehicles=int(warmup_share * n),
+            seed=seed,
+        )
+        try:
+            reference = pooled_reference(config)
+        except ValueError as exc:
+            reference = exc
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "CHUNK_VEHICLES", chunk)
+            if isinstance(reference, ValueError):
+                with pytest.raises(ValueError, match=re.escape(str(reference))):
+                    run_replications(config)
+                return
+            summary, per_rep = run_replications(config)
+        assert summary_mismatches(summary, reference[0]) == []
+        for got, want in zip(per_rep, reference[1], strict=True):
+            assert summary_mismatches(got, want) == []
+
+    def test_memory_is_flat_in_n(self):
+        peaks = {}
+        for n in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                run_replications(self._config(n_vehicles=n))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2_000_000] <= 1.1 * peaks[200_000]
+        assert peaks[2_000_000] < 16 * 2**20
