@@ -29,7 +29,6 @@ from .domain import (
     PlatoonPolicy,
     RawCostConfig,
     normalize_units,
-    validate_scenario,
 )
 from .simulator import (
     EmpiricalSummary,

@@ -15,7 +15,15 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import ArrivalModel, CostParameters, PlatoonPolicy, validate_scenario
+from .domain import (
+    ArrivalModel,
+    CostParameters,
+    PlatoonPolicy,
+    _fraction,
+    _integer,
+    _non_negative,
+    _positive,
+)
 
 # Upper bound on rate * threshold accepted by every operation here.
 MAX_RATE_THRESHOLD_PRODUCT = 50.0
@@ -75,9 +83,11 @@ def _check_product(rate: float, threshold: float) -> None:
         )
 
 
-def _check_scenario(arrival: ArrivalModel, policy: PlatoonPolicy) -> None:
-    validate_scenario(arrival, policy)
-    _check_product(arrival.rate, policy.threshold)
+def _threshold_arg(name: str, value, rule, arrival: ArrivalModel) -> float:
+    """``value`` as a float threshold that obeys ``rule`` and the product limit."""
+    threshold = rule(name, value)
+    _check_product(arrival.rate, threshold)
+    return threshold
 
 
 # The closed forms below are written once, in terms of x = rate * threshold,
@@ -127,11 +137,8 @@ def platoon_size_pmf(arrival: ArrivalModel, policy: PlatoonPolicy, y: int) -> fl
     Platoon sizes are geometric: a platoon ends exactly when a gap exceeds
     the threshold, which happens with probability exp(-rate * threshold).
     """
-    _check_scenario(arrival, policy)
-    if isinstance(y, bool) or not isinstance(y, int):
-        raise ValueError(f"y must be an integer >= 1, got {y!r}")
-    if y < 1:
-        raise ValueError(f"y must be an integer >= 1, got {y}")
+    _check_product(arrival.rate, policy.threshold)
+    _integer("y", y, 1)
     boundary_p = math.exp(-arrival.rate * policy.threshold)
     return boundary_p * (1.0 - boundary_p) ** (y - 1)
 
@@ -139,13 +146,13 @@ def platoon_size_pmf(arrival: ArrivalModel, policy: PlatoonPolicy, y: int) -> fl
 def merge_probability(arrival: ArrivalModel, policy: PlatoonPolicy) -> float:
     """Probability that an arriving vehicle joins the platoon ahead:
     P(gap <= threshold) = 1 - exp(-rate * threshold)."""
-    _check_scenario(arrival, policy)
+    _check_product(arrival.rate, policy.threshold)
     return _merge_probability(arrival.rate * policy.threshold)
 
 
 def expected_platoon_size(arrival: ArrivalModel, policy: PlatoonPolicy) -> float:
     """Mean number of vehicles per platoon: exp(rate * threshold)."""
-    _check_scenario(arrival, policy)
+    _check_product(arrival.rate, policy.threshold)
     return _platoon_size(arrival.rate * policy.threshold)
 
 
@@ -164,13 +171,13 @@ def expected_time_reduction(arrival: ArrivalModel, policy: PlatoonPolicy) -> flo
     Closed form (expm1(rate * threshold) / rate) - threshold; zero at
     threshold 0 and non-negative everywhere since e^x - 1 >= x.
     """
-    _check_scenario(arrival, policy)
+    _check_product(arrival.rate, policy.threshold)
     return _time_reduction(arrival.rate, policy.threshold, arrival.rate * policy.threshold)
 
 
 def platoon_statistics(arrival: ArrivalModel, policy: PlatoonPolicy) -> PlatoonStatistics:
     """Bundle the four closed-form statistics for one scenario."""
-    _check_scenario(arrival, policy)
+    _check_product(arrival.rate, policy.threshold)
     x = arrival.rate * policy.threshold
     size = _platoon_size(x)
     return PlatoonStatistics(
@@ -214,8 +221,7 @@ def threshold_curves(
 def truncation_cutoff(arrival: ArrivalModel, policy: PlatoonPolicy, tail_mass: float = 1e-12) -> int:
     """Smallest y_max whose geometric tail (merge probability)^y_max is at
     most ``tail_mass``; summing the size PMF to y_max captures the rest."""
-    if not 0.0 < tail_mass < 1.0:
-        raise ValueError(f"tail_mass must lie in (0, 1), got {tail_mass}")
+    _fraction("tail_mass", tail_mass)
     q = merge_probability(arrival, policy)
     if q == 0.0:
         return 1
@@ -236,10 +242,7 @@ def exact_fuel_increase(params: CostParameters, t_shift: float) -> float:
     The vehicle covers the zone in (free-flow time - t_shift) seconds, so the
     shift must be strictly below the free-flow traverse time.
     """
-    if isinstance(t_shift, bool) or not isinstance(t_shift, (int, float)) or not math.isfinite(t_shift):
-        raise ValueError(f"t_shift must be a finite number, got {t_shift!r}")
-    if t_shift < 0:
-        raise ValueError(f"t_shift must be >= 0, got {t_shift}")
+    _non_negative("t_shift", t_shift)
     free_flow_time = params.merge_zone_len / params.cruise_speed
     if t_shift >= free_flow_time:
         raise ValueError(
@@ -284,7 +287,7 @@ def expected_total_cost(
     merge_time_cost_rate * expected_time_reduction minus the monetized cruise
     fuel saving. Exactly 0 at threshold 0 (nothing merges, nothing changes).
     """
-    _check_scenario(arrival, policy)
+    _check_product(arrival.rate, policy.threshold)
     x = arrival.rate * policy.threshold
     return _total_cost(params, _time_reduction(arrival.rate, policy.threshold, x), _merge_probability(x))
 
@@ -292,11 +295,7 @@ def expected_total_cost(
 def total_cost_derivative(params: CostParameters, arrival: ArrivalModel, r: float) -> float:
     """Derivative of expected_total_cost with respect to the threshold,
     currency per vehicle per second, evaluated at threshold ``r``."""
-    if isinstance(r, bool) or not isinstance(r, (int, float)) or not math.isfinite(r):
-        raise ValueError(f"r must be a finite number, got {r!r}")
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    _check_product(arrival.rate, r)
+    _threshold_arg("r", r, _non_negative, arrival)
     rate = arrival.rate
     net_rate = merge_time_cost_rate(params)
     growth = math.exp(rate * r)
@@ -316,23 +315,19 @@ def optimal_threshold(
 
     is returned, clamped to r_max (``clamped`` flags that case).
     """
-    if isinstance(r_max, bool) or not isinstance(r_max, (int, float)) or not math.isfinite(r_max):
-        raise ValueError(f"r_max must be a finite number, got {r_max!r}")
-    if r_max <= 0:
-        raise ValueError(f"r_max must be > 0, got {r_max}")
-    _check_product(arrival.rate, r_max)
+    r_max = _threshold_arg("r_max", r_max, _positive, arrival)
 
     net_rate = merge_time_cost_rate(params)
     if net_rate <= 0.0:
         regime = ThresholdRegime.UNBOUNDED_DECREASING
-        best = float(r_max)
+        best = r_max
         clamped = False
     else:
         regime = ThresholdRegime.INTERIOR_OPTIMUM
         root = math.sqrt(4.0 * params.drafting_value * arrival.rate / net_rate + 1.0)
         stationary = math.log(0.5 + 0.5 * root) / arrival.rate
         clamped = stationary > r_max
-        best = min(stationary, float(r_max))
+        best = min(stationary, r_max)
 
     cost = expected_total_cost(params, arrival, PlatoonPolicy(threshold=best))
     return OptimalThreshold(regime=regime, threshold=best, cost_at_threshold=cost, clamped=clamped)
@@ -348,19 +343,14 @@ def numeric_optimal_threshold(
     is unimodal there and golden-section search is valid; it serves as the
     independent cross-check for :func:`optimal_threshold`.
     """
-    if isinstance(r_max, bool) or not isinstance(r_max, (int, float)) or not math.isfinite(r_max):
-        raise ValueError(f"r_max must be a finite number, got {r_max!r}")
-    if r_max <= 0:
-        raise ValueError(f"r_max must be > 0, got {r_max}")
-    if not isinstance(tol, (int, float)) or not math.isfinite(tol) or tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    _check_product(arrival.rate, r_max)
+    r_max = _threshold_arg("r_max", r_max, _positive, arrival)
+    tol = _positive("tol", tol)
 
     def cost(r: float) -> float:
         return expected_total_cost(params, arrival, PlatoonPolicy(threshold=r))
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, float(r_max)
+    lo, hi = 0.0, r_max
     left = hi - inv_phi * (hi - lo)
     right = lo + inv_phi * (hi - lo)
     f_left = cost(left)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -44,6 +45,10 @@ from .domain import (
     CostParameters,
     PlatoonPolicy,
     RawCostConfig,
+    _integer,
+    _non_negative,
+    _number,
+    _positive,
     normalize_units,
 )
 from .simulator import EmpiricalSummary, SimulationConfig, Z_95, run_replications
@@ -61,12 +66,10 @@ class SweepSpec:
     n_points: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r_min, (int, float)) or not math.isfinite(self.r_min) or self.r_min < 0:
-            raise ValueError(f"r_min must be a finite number >= 0, got {self.r_min!r}")
-        if not isinstance(self.r_max, (int, float)) or not math.isfinite(self.r_max) or self.r_max <= self.r_min:
-            raise ValueError(f"r_max must be finite and > r_min, got {self.r_max!r}")
-        if not isinstance(self.n_points, int) or isinstance(self.n_points, bool) or self.n_points < 2:
-            raise ValueError(f"n_points must be an integer >= 2, got {self.n_points!r}")
+        r_min = _non_negative("r_min", self.r_min)
+        if _number("r_max", self.r_max) <= r_min:
+            raise ValueError(f"r_max must be > r_min, got {self.r_max!r}")
+        _integer("n_points", self.n_points, 2)
 
     def grid(self) -> list[float]:
         return np.linspace(self.r_min, self.r_max, self.n_points).tolist()
@@ -117,8 +120,7 @@ def build_comparison(
     arrival: ArrivalModel, policy: PlatoonPolicy, summary: EmpiricalSummary, sigma: float = 3.0
 ) -> ComparisonReport:
     """Compare a pooled empirical summary against the closed forms."""
-    if not isinstance(sigma, (int, float)) or not math.isfinite(sigma) or sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
+    sigma = _positive("sigma", sigma)
     singleton_freq = summary.size_pmf.get(1, 0.0)
     n_platoons = summary.platoon_size.count
     singleton_hw = Z_95 * math.sqrt(singleton_freq * (1.0 - singleton_freq) / n_platoons)
@@ -156,7 +158,7 @@ def build_comparison(
             sigma,
         ),
     )
-    return ComparisonReport(rows=rows, sigma=float(sigma))
+    return ComparisonReport(rows=rows, sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -179,32 +181,20 @@ def _section(cfg: dict, name: str) -> dict:
     return sect
 
 
-def _number(sect: dict, key: str, where: str, default: float | None = None) -> float:
-    if key not in sect:
-        if default is not None:
-            return default
+def _field(sect: dict, key: str, where: str, default=None):
+    if key in sect:
+        return sect[key]
+    if default is None:
         raise ValueError(f"config field {where}.{key} is missing")
-    value = sect[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"config field {where}.{key} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"config field {where}.{key} must be a finite number")
-    return number
+    return default
 
 
-def _integer(sect: dict, key: str, where: str, default: int | None = None) -> int:
-    if key not in sect:
-        if default is not None:
-            return default
-        raise ValueError(f"config field {where}.{key} is missing")
-    value = sect[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config field {where}.{key} must be an integer, got {value!r}")
-    return value
+def _config_number(sect: dict, key: str, where: str, default: float | None = None) -> float:
+    return _number(f"config field {where}.{key}", _field(sect, key, where, default))
+
+
+def _config_integer(sect: dict, key: str, where: str, default: int | None = None) -> int:
+    return _integer(f"config field {where}.{key}", _field(sect, key, where, default))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -217,23 +207,16 @@ def load_scenario(path: str | Path) -> Scenario:
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
 
-    arrival = ArrivalModel(rate=_number(_section(cfg, "arrival"), "rate", "arrival"))
-    policy = PlatoonPolicy(threshold=_number(_section(cfg, "policy"), "threshold", "policy"))
+    arrival = ArrivalModel(rate=_config_number(_section(cfg, "arrival"), "rate", "arrival"))
+    policy = PlatoonPolicy(threshold=_config_number(_section(cfg, "policy"), "threshold", "policy"))
 
     cost = None
     if "cost" in cfg:
         sect = _section(cfg, "cost")
-        raw = RawCostConfig(
-            value_of_time_per_h=_number(sect, "value_of_time_per_h", "cost"),
-            fuel_price_per_l=_number(sect, "fuel_price_per_l", "cost"),
-            drag_fuel_coeff=_number(sect, "drag_fuel_coeff", "cost"),
-            fuel_per_100km=_number(sect, "fuel_per_100km", "cost"),
-            fuel_saving_fraction=_number(sect, "fuel_saving_fraction", "cost"),
-            cruise_speed_mph=_number(sect, "cruise_speed_mph", "cost"),
-            merge_zone_km=_number(sect, "merge_zone_km", "cost"),
-            cruise_zone_km=_number(sect, "cruise_zone_km", "cost"),
-            nominal_merge_time_s=_number(sect, "nominal_merge_time_s", "cost", default=0.0),
-        )
+        raw = RawCostConfig(**{
+            f.name: _config_number(sect, f.name, "cost", None if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(RawCostConfig)
+        })
         cost = normalize_units(raw)
 
     simulation = None
@@ -242,10 +225,10 @@ def load_scenario(path: str | Path) -> Scenario:
         simulation = SimulationConfig(
             arrival=arrival,
             policy=policy,
-            n_vehicles=_integer(sect, "n_vehicles", "simulation"),
-            n_replications=_integer(sect, "n_replications", "simulation", default=1),
-            seed=_integer(sect, "seed", "simulation"),
-            warmup_vehicles=_integer(sect, "warmup_vehicles", "simulation", default=0),
+            n_vehicles=_config_integer(sect, "n_vehicles", "simulation"),
+            n_replications=_config_integer(sect, "n_replications", "simulation", default=1),
+            seed=_config_integer(sect, "seed", "simulation"),
+            warmup_vehicles=_config_integer(sect, "warmup_vehicles", "simulation", default=0),
         )
 
     output = cfg.get("output", {})

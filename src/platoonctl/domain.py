@@ -18,23 +18,67 @@ METERS_PER_KM = 1000.0
 METERS_PER_100KM = 100_000.0
 
 
-def _check_finite(name: str, value: float) -> None:
+def _number(name: str, value) -> float:
+    """``value`` as a float, or a ``ValueError`` naming ``name`` if it is a
+    bool, not a number, NaN, infinite, or an int beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+    try:
+        number = float(value)
+    except OverflowError:
+        # Not formatted: str() refuses ints of more than 4300 digits.
+        raise ValueError(f"{name} must be a finite number, got an integer beyond the float range") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value}")
+    return number
 
 
-def _check_positive(name: str, value: float) -> None:
-    _check_finite(name, value)
-    if value <= 0:
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` if it is an int (not a bool) within the float range and at
+    least ``minimum``, or a ``ValueError`` naming ``name``."""
+    bound = "" if minimum is None else f" >= {minimum}"
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    _number(name, value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be an integer{bound}, got {value}")
+    return value
+
+
+def _positive(name: str, value) -> float:
+    number = _number(name, value)
+    if number <= 0:
         raise ValueError(f"{name} must be > 0, got {value}")
+    return number
 
 
-def _check_non_negative(name: str, value: float) -> None:
-    _check_finite(name, value)
-    if value < 0:
+def _non_negative(name: str, value) -> float:
+    number = _number(name, value)
+    if number < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+    return number
+
+
+def _fraction(name: str, value) -> float:
+    number = _number(name, value)
+    if not 0.0 < number < 1.0:
+        raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
+    return number
+
+
+# One row per cost field: its RawCostConfig name, its CostParameters name, the
+# conversion from planning units to SI, and the rule the SI value obeys.
+_COST_FIELDS = (
+    ("value_of_time_per_h", "value_of_time", lambda v: v / SECONDS_PER_HOUR, _non_negative),
+    ("fuel_price_per_l", "fuel_price", lambda v: v, _non_negative),
+    ("drag_fuel_coeff", "drag_fuel_coeff", lambda v: v, _non_negative),
+    ("fuel_per_100km", "fuel_per_meter", lambda v: v / METERS_PER_100KM, _non_negative),
+    ("fuel_saving_fraction", "fuel_saving_fraction", lambda v: v, _fraction),
+    ("cruise_speed_mph", "cruise_speed", lambda v: v * METERS_PER_MILE / SECONDS_PER_HOUR, _positive),
+    ("merge_zone_km", "merge_zone_len", lambda v: v * METERS_PER_KM, _positive),
+    ("cruise_zone_km", "cruise_zone_len", lambda v: v * METERS_PER_KM, _non_negative),
+    ("nominal_merge_time_s", "nominal_merge_time", lambda v: v, _non_negative),
+)
 
 
 @dataclass(frozen=True)
@@ -47,7 +91,7 @@ class ArrivalModel:
     rate: float  # mean arrivals per second
 
     def __post_init__(self) -> None:
-        _check_positive("rate", self.rate)
+        _positive("rate", self.rate)
 
     @property
     def mean_headway(self) -> float:
@@ -63,7 +107,7 @@ class PlatoonPolicy:
     threshold: float  # seconds
 
     def __post_init__(self) -> None:
-        _check_non_negative("threshold", self.threshold)
+        _non_negative("threshold", self.threshold)
 
 
 @dataclass(frozen=True)
@@ -91,20 +135,8 @@ class CostParameters:
     nominal_merge_time: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_non_negative("value_of_time", self.value_of_time)
-        _check_non_negative("fuel_price", self.fuel_price)
-        _check_non_negative("drag_fuel_coeff", self.drag_fuel_coeff)
-        _check_non_negative("fuel_per_meter", self.fuel_per_meter)
-        _check_finite("fuel_saving_fraction", self.fuel_saving_fraction)
-        if not 0.0 < self.fuel_saving_fraction < 1.0:
-            raise ValueError(
-                "fuel_saving_fraction must lie strictly between 0 and 1, "
-                f"got {self.fuel_saving_fraction}"
-            )
-        _check_positive("cruise_speed", self.cruise_speed)
-        _check_positive("merge_zone_len", self.merge_zone_len)
-        _check_non_negative("cruise_zone_len", self.cruise_zone_len)
-        _check_non_negative("nominal_merge_time", self.nominal_merge_time)
+        for _, name, _, rule in _COST_FIELDS:
+            rule(name, getattr(self, name))
 
     @property
     def drafting_value(self) -> float:
@@ -132,22 +164,11 @@ class RawCostConfig:
     nominal_merge_time_s: float = 0.0  # seconds
 
     def __post_init__(self) -> None:
-        # Conversion factors are positive, so the SI sign constraints can be
-        # enforced directly on the raw values.
-        _check_non_negative("value_of_time_per_h", self.value_of_time_per_h)
-        _check_non_negative("fuel_price_per_l", self.fuel_price_per_l)
-        _check_non_negative("drag_fuel_coeff", self.drag_fuel_coeff)
-        _check_non_negative("fuel_per_100km", self.fuel_per_100km)
-        _check_finite("fuel_saving_fraction", self.fuel_saving_fraction)
-        if not 0.0 < self.fuel_saving_fraction < 1.0:
-            raise ValueError(
-                "fuel_saving_fraction must lie strictly between 0 and 1, "
-                f"got {self.fuel_saving_fraction}"
-            )
-        _check_positive("cruise_speed_mph", self.cruise_speed_mph)
-        _check_positive("merge_zone_km", self.merge_zone_km)
-        _check_non_negative("cruise_zone_km", self.cruise_zone_km)
-        _check_non_negative("nominal_merge_time_s", self.nominal_merge_time_s)
+        for name, _, convert, rule in _COST_FIELDS:
+            value = rule(name, getattr(self, name))
+            # The factors are positive, so this differs from the check above
+            # only where the conversion overflows to inf or underflows to 0.
+            rule(f"{name} in SI units", convert(value))
 
 
 def normalize_units(raw: RawCostConfig) -> CostParameters:
@@ -156,24 +177,4 @@ def normalize_units(raw: RawCostConfig) -> CostParameters:
     Exact factors: 1 hour = 3600 s, 1 mile = 1609.344 m, 1 km = 1000 m,
     and L/100km divides by 100000 to give L/m.
     """
-    return CostParameters(
-        value_of_time=raw.value_of_time_per_h / SECONDS_PER_HOUR,
-        fuel_price=raw.fuel_price_per_l,
-        drag_fuel_coeff=raw.drag_fuel_coeff,
-        fuel_per_meter=raw.fuel_per_100km / METERS_PER_100KM,
-        fuel_saving_fraction=raw.fuel_saving_fraction,
-        cruise_speed=raw.cruise_speed_mph * METERS_PER_MILE / SECONDS_PER_HOUR,
-        merge_zone_len=raw.merge_zone_km * METERS_PER_KM,
-        cruise_zone_len=raw.cruise_zone_km * METERS_PER_KM,
-        nominal_merge_time=raw.nominal_merge_time_s,
-    )
-
-
-def validate_scenario(arrival: ArrivalModel, policy: PlatoonPolicy) -> None:
-    """Re-check the (arrival, policy) pair; raises ValueError on violation.
-
-    Both types validate at construction, so this only matters for objects
-    built through non-standard paths, but every consumer calls it anyway.
-    """
-    _check_positive("rate", arrival.rate)
-    _check_non_negative("threshold", policy.threshold)
+    return CostParameters(**{si: convert(getattr(raw, name)) for name, si, convert, _ in _COST_FIELDS})

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _check_scenario
-from .domain import ArrivalModel, PlatoonPolicy, validate_scenario
+from .analytic import _check_product
+from .domain import ArrivalModel, PlatoonPolicy, _integer, _positive
 
 # Two-sided 95% normal quantile used for all confidence half-widths.
 Z_95 = 1.96
@@ -51,15 +51,12 @@ class SimulationConfig:
     warmup_vehicles: int = 0  # leading vehicles excluded from shift statistics
 
     def __post_init__(self) -> None:
-        _check_scenario(self.arrival, self.policy)  # rate * threshold too, before any work
-        if not isinstance(self.n_vehicles, int) or isinstance(self.n_vehicles, bool) or self.n_vehicles < 2:
-            raise ValueError(f"n_vehicles must be an integer >= 2, got {self.n_vehicles!r}")
-        if not isinstance(self.n_replications, int) or isinstance(self.n_replications, bool) or self.n_replications < 1:
-            raise ValueError(f"n_replications must be an integer >= 1, got {self.n_replications!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed <= MAX_SEED:
-            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        if not isinstance(self.warmup_vehicles, int) or isinstance(self.warmup_vehicles, bool) or self.warmup_vehicles < 0:
-            raise ValueError(f"warmup_vehicles must be an integer >= 0, got {self.warmup_vehicles!r}")
+        _check_product(self.arrival.rate, self.policy.threshold)  # before any work
+        _integer("n_vehicles", self.n_vehicles, 2)
+        _integer("n_replications", self.n_replications, 1)
+        if _integer("seed", self.seed, 0) > MAX_SEED:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed}")
+        _integer("warmup_vehicles", self.warmup_vehicles, 0)
         if self.warmup_vehicles >= self.n_vehicles:
             raise ValueError(
                 f"n_vehicles ({self.n_vehicles}) must exceed warmup_vehicles "
@@ -130,8 +127,7 @@ class EmpiricalSummary:
 def headway_from_uniform(u, rate: float):
     """Inverse-CDF transform: map uniform draws U in (0, 1] to exponential
     headways X = -ln(U) / rate. U = 1 maps to X = 0, a valid zero gap."""
-    if not rate > 0:
-        raise ValueError(f"rate must be > 0, got {rate!r}")
+    _positive("rate", rate)
     arr = np.asarray(u, dtype=float)
     if arr.size and (np.any(arr <= 0.0) or np.any(arr > 1.0)):
         raise ValueError("u must lie in (0, 1]")
@@ -149,12 +145,9 @@ def sample_interarrivals(
     Deterministic in (seed, replication); distinct replication indices give
     statistically independent streams from the same master seed.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(replication, int) or isinstance(replication, bool) or replication < 0:
-        raise ValueError(f"replication must be a non-negative integer, got {replication!r}")
+    _integer("n", n, 1)
+    _integer("seed", seed, 0)
+    _integer("replication", replication, 0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, replication)))
     u = 1.0 - rng.random(n)  # rng.random is [0, 1), so u covers (0, 1]
     return headway_from_uniform(u, arrival.rate)
@@ -247,7 +240,6 @@ def run_simulation(
     replication: int = 0,
 ) -> SimulationRun:
     """Sample one seeded replication and assemble its run record."""
-    validate_scenario(arrival, policy)
     gaps = sample_interarrivals(seed, n_vehicles, arrival, replication=replication)
     return run_from_interarrivals(gaps, policy)
 
@@ -261,8 +253,7 @@ def _extract_samples(
     it) and is dropped from the size sample; vehicles 1..warmup are dropped
     from the shift sample.
     """
-    if not isinstance(warmup_vehicles, int) or isinstance(warmup_vehicles, bool) or warmup_vehicles < 0:
-        raise ValueError(f"warmup_vehicles must be an integer >= 0, got {warmup_vehicles!r}")
+    _integer("warmup_vehicles", warmup_vehicles, 0)
     sizes = run.platoon_sizes[:-1]
     headways = run.leader_headways
     shifts = run.time_shifts[warmup_vehicles:]
@@ -280,15 +271,10 @@ def _estimate(values: np.ndarray, statistic: str) -> StatEstimate:
     return StatEstimate(mean=mean, ci_half_width=half_width, count=int(values.size))
 
 
-def _check_pmf_cutoff(pmf_cutoff: int) -> None:
-    if not isinstance(pmf_cutoff, int) or isinstance(pmf_cutoff, bool) or pmf_cutoff < 1:
-        raise ValueError(f"pmf_cutoff must be an integer >= 1, got {pmf_cutoff!r}")
-
-
 def _summarize_samples(
     sizes: np.ndarray, headways: np.ndarray, shifts: np.ndarray, pmf_cutoff: int
 ) -> EmpiricalSummary:
-    _check_pmf_cutoff(pmf_cutoff)
+    _integer("pmf_cutoff", pmf_cutoff, 1)
     size_est = _estimate(sizes, "platoon-size (all platoons censored)")
     headway_est = _estimate(headways, "leader-headway (fewer than two platoons)")
     shift_est = _estimate(shifts, "time-shift (post-warmup)")
@@ -458,7 +444,7 @@ def run_replications(
     :func:`summarize` on the full in-memory runs (pooled across
     replications), up to float rounding.
     """
-    _check_pmf_cutoff(pmf_cutoff)
+    _integer("pmf_cutoff", pmf_cutoff, 1)
     total: _ReplicationStats | None = None
     per_replication: list[EmpiricalSummary] = []
     for rep in range(config.n_replications):

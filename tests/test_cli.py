@@ -121,6 +121,13 @@ class TestExitCodes:
         assert main(["simulate", "--config", path]) == 2
         assert "n_vehicles" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("merge_zone_km", 1e306), ("cruise_speed_mph", 5e-324)])
+    def test_field_out_of_range_in_si_units_exits_2_naming_it(self, write_config, capsys, field, value):
+        # Valid in planning units, but inf or 0 once converted to SI.
+        path = write_config({"cost": {field: value}})
+        assert main(["analytic", "--config", path]) == 2
+        assert f"error: {field} in SI units must be" in capsys.readouterr().err
+
     def test_integer_beyond_float_range_exits_2(self, write_config, capsys):
         # float() of this JSON integer raises OverflowError, not ValueError.
         path = write_config({"policy": {"threshold": 10**400}})
