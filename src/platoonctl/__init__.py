@@ -1,6 +1,11 @@
 """Threshold-based highway platooning: closed-form statistics, cost-optimal
 threshold selection, and a seeded Monte Carlo simulator that cross-validates
-every closed form."""
+every closed form.
+
+The closed forms and the optimizers need only ``math``. The simulator's
+functions are imported on first access, and numpy with them, so importing
+the package does not load numpy.
+"""
 
 from .analytic import (
     MAX_RATE_THRESHOLD_PRODUCT,
@@ -26,24 +31,40 @@ from .analytic import (
 from .domain import (
     ArrivalModel,
     CostParameters,
+    EmpiricalSummary,
     PlatoonPolicy,
     RawCostConfig,
-    normalize_units,
-)
-from .simulator import (
-    EmpiricalSummary,
     SimulationConfig,
-    SimulationRun,
     StatEstimate,
-    compute_time_shifts,
-    form_platoons,
-    headway_from_uniform,
-    platoon_leader_headways,
-    run_from_interarrivals,
-    run_replications,
-    run_simulation,
-    sample_interarrivals,
-    summarize,
+    normalize_units,
 )
 
 __version__ = "0.1.0"
+
+# Names of platoonctl.simulator, resolved by __getattr__ on first access.
+_SIMULATOR_NAMES = frozenset({
+    "SimulationRun",
+    "compute_time_shifts",
+    "form_platoons",
+    "headway_from_uniform",
+    "platoon_leader_headways",
+    "run_from_interarrivals",
+    "run_replications",
+    "run_simulation",
+    "sample_interarrivals",
+    "summarize",
+})
+
+
+def __getattr__(name: str):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+
+        value = getattr(simulator, name)
+        globals()[name] = value  # later lookups skip __getattr__
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SIMULATOR_NAMES)

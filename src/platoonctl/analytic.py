@@ -12,21 +12,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .domain import (
+from .domain import (  # MAX_RATE_THRESHOLD_PRODUCT and _check_product are re-exported
+    MAX_RATE_THRESHOLD_PRODUCT,
     ArrivalModel,
     CostParameters,
     PlatoonPolicy,
+    _check_product,
     _fraction,
     _integer,
     _non_negative,
+    _number,
     _positive,
 )
 
-# Upper bound on rate * threshold accepted by every operation here.
-MAX_RATE_THRESHOLD_PRODUCT = 50.0
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ThresholdRegime(str, Enum):
@@ -70,19 +72,6 @@ class ThresholdCurves:
     expected_total_cost: np.ndarray  # currency per vehicle
 
 
-def _check_product(rate: float, threshold: float) -> None:
-    # repr, not a rounded format: a 6-digit format prints a product such as
-    # 50.00002 as the limit itself.
-    product = rate * threshold
-    if product > MAX_RATE_THRESHOLD_PRODUCT:
-        raise ValueError(
-            f"rate * threshold = {rate!r} * {threshold!r} = {product!r} exceeds "
-            f"{MAX_RATE_THRESHOLD_PRODUCT:g}; the supported range is rate * threshold "
-            f"<= {MAX_RATE_THRESHOLD_PRODUCT:g} (beyond it the expected platoon size "
-            "would exceed e^50)"
-        )
-
-
 def _threshold_arg(name: str, value, rule, arrival: ArrivalModel) -> float:
     """``value`` as a float threshold that obeys ``rule`` and the product limit."""
     threshold = rule(name, value)
@@ -91,7 +80,8 @@ def _threshold_arg(name: str, value, rule, arrival: ArrivalModel) -> float:
 
 
 # The closed forms below are written once, in terms of x = rate * threshold,
-# and take either numbers or numpy arrays of thresholds.
+# and take either numbers or the numpy arrays of thresholds that
+# threshold_curves passes in. Numbers never touch numpy.
 
 
 def _libm(fn, x):
@@ -99,9 +89,11 @@ def _libm(fn, x):
     is an array. numpy's own exp and expm1 differ from libm in the last bit at
     some arguments, so arrays go through ``math`` as well and every element
     equals the scalar result at that threshold."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
-    return fn(x)
+    if isinstance(x, (int, float)):
+        return fn(x)
+    import numpy as np  # x is an array, so numpy is already loaded
+
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
 
 def _merge_probability(x):
@@ -114,9 +106,10 @@ def _platoon_size(x):
 
 def _time_reduction(rate, threshold, x):
     value = _libm(math.expm1, x) / rate - threshold
-    if isinstance(value, np.ndarray):
-        return np.where(value > 0.0, value, 0.0)  # max(0.0, value) elementwise
-    return max(0.0, value)
+    if isinstance(value, float):
+        return max(0.0, value)
+    value[~(value > 0.0)] = 0.0  # max(0.0, value) elementwise, on a fresh array
+    return value
 
 
 def _fuel_increase(params: CostParameters, time_reduction):
@@ -195,12 +188,26 @@ def threshold_curves(
     one array pass.
 
     Each element is bit-identical to the scalar function at that threshold
-    (``expected_platoon_size``, ``expected_total_cost`` and so on). The grid
-    is checked once, on its largest threshold, before anything is evaluated.
+    (``expected_platoon_size``, ``expected_total_cost`` and so on). An int or
+    float ndarray grid is checked as a whole; any other grid element by
+    element, like every other number. The product limit is checked once, on
+    the largest threshold, before anything is evaluated.
     """
-    threshold = np.asarray(thresholds, dtype=float)
+    import numpy as np
+
+    malformed = "thresholds must be a non-empty 1-D grid of finite numbers >= 0"
+    if isinstance(thresholds, np.ndarray) and thresholds.dtype.kind in "fiu":
+        threshold = np.asarray(thresholds, dtype=float)
+    else:
+        if isinstance(thresholds, np.ndarray):
+            thresholds = thresholds.tolist()
+        try:
+            elements = list(thresholds)
+        except TypeError:
+            raise ValueError(malformed) from None
+        threshold = np.array([_number("thresholds", t) for t in elements], dtype=float)
     if threshold.ndim != 1 or not threshold.size or not 0.0 <= threshold.min() <= threshold.max() < math.inf:
-        raise ValueError("thresholds must be a non-empty 1-D grid of finite numbers >= 0")
+        raise ValueError(malformed)
     _check_product(arrival.rate, float(threshold.max()))
     x = arrival.rate * threshold
     merge = _merge_probability(x)

@@ -11,7 +11,10 @@ Input is a single JSON config with sections ``arrival``, ``policy``,
 README for the schema. All file outputs are deterministic for a fixed
 config and seed. Exit codes: 0 success (for ``simulate``: every statistic
 consistent with the closed forms), 1 statistical comparison failure,
-2 usage or configuration error.
+2 usage or configuration error, 3 out of memory.
+
+numpy is imported only by ``simulate`` and ``sweep``, which build arrays;
+``analytic``, ``optimize`` and every configuration error run without it.
 """
 
 from __future__ import annotations
@@ -25,14 +28,9 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .analytic import (
     expected_fuel_increase_linearized,
     expected_fuel_saving_cruise,
-    expected_platoon_headway,
-    expected_platoon_size,
-    expected_time_reduction,
     expected_total_cost,
     numeric_optimal_threshold,
     optimal_threshold,
@@ -41,17 +39,19 @@ from .analytic import (
     threshold_curves,
 )
 from .domain import (
+    Z_95,
     ArrivalModel,
     CostParameters,
+    EmpiricalSummary,
     PlatoonPolicy,
     RawCostConfig,
+    SimulationConfig,
     _integer,
     _non_negative,
     _number,
     _positive,
     normalize_units,
 )
-from .simulator import EmpiricalSummary, SimulationConfig, Z_95, run_replications
 
 # Denominator floor for relative errors against near-zero analytic values.
 REL_ERROR_FLOOR = 1e-12
@@ -72,7 +72,13 @@ class SweepSpec:
         _integer("n_points", self.n_points, 2)
 
     def grid(self) -> list[float]:
-        return np.linspace(self.r_min, self.r_max, self.n_points).tolist()
+        return self.thresholds().tolist()
+
+    def thresholds(self):
+        """The grid as a numpy array."""
+        import numpy as np
+
+        return np.linspace(self.r_min, self.r_max, self.n_points)
 
 
 @dataclass(frozen=True)
@@ -121,13 +127,14 @@ def build_comparison(
 ) -> ComparisonReport:
     """Compare a pooled empirical summary against the closed forms."""
     sigma = _positive("sigma", sigma)
+    stats = platoon_statistics(arrival, policy)
     singleton_freq = summary.size_pmf.get(1, 0.0)
     n_platoons = summary.platoon_size.count
     singleton_hw = Z_95 * math.sqrt(singleton_freq * (1.0 - singleton_freq) / n_platoons)
     rows = (
         _comparison_row(
             "mean_platoon_size",
-            expected_platoon_size(arrival, policy),
+            stats.expected_platoon_size,
             summary.platoon_size.mean,
             summary.platoon_size.ci_half_width,
             summary.platoon_size.count,
@@ -135,7 +142,7 @@ def build_comparison(
         ),
         _comparison_row(
             "mean_leader_headway",
-            expected_platoon_headway(arrival, policy),
+            stats.expected_platoon_headway,
             summary.leader_headway.mean,
             summary.leader_headway.ci_half_width,
             summary.leader_headway.count,
@@ -143,7 +150,7 @@ def build_comparison(
         ),
         _comparison_row(
             "mean_time_shift",
-            expected_time_reduction(arrival, policy),
+            stats.expected_time_reduction,
             summary.time_shift.mean,
             summary.time_shift.ci_half_width,
             summary.time_shift.count,
@@ -320,6 +327,8 @@ def comparison_csv_rows(report: ComparisonReport) -> tuple[list[str], list[list]
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     sim = _require_simulation(scenario)
+    from .simulator import run_replications
+
     aggregate, _ = run_replications(sim)
     report = build_comparison(scenario.arrival, scenario.policy, aggregate, sigma=args.sigma)
 
@@ -378,8 +387,10 @@ def sweep_rows(
     rejects an out-of-range ``r_max`` before anything is evaluated or
     simulated; each row equals ``analytic_quantities`` at its threshold.
     """
+    import numpy as np
+
     header = list(SWEEP_HEADER) + (list(SWEEP_SIM_HEADER) if sim is not None else [])
-    curves = threshold_curves(params, arrival, spec.grid())
+    curves = threshold_curves(params, arrival, spec.thresholds())
     table = np.column_stack([
         curves.threshold,
         curves.expected_platoon_size,
@@ -392,6 +403,8 @@ def sweep_rows(
     del curves  # the rows of Python floats are the peak; free the arrays first
     rows = table.tolist()
     if sim is not None:
+        from .simulator import run_replications
+
         for row in rows:
             aggregate, _ = run_replications(replace(sim, policy=PlatoonPolicy(threshold=row[0])))
             row += [
@@ -484,6 +497,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: out of memory in '{args.command}'; try fewer vehicles or grid points", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

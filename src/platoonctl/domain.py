@@ -1,5 +1,9 @@
 """Domain types shared by the analytic engine, the simulator, and the CLI.
 
+This module and :mod:`.analytic` need only the standard library; numpy is
+imported by the code that builds arrays (:mod:`.simulator`, the threshold
+grid of ``sweep``), so the scalar commands start without it.
+
 Everything downstream of this module works in SI-normalized units (seconds,
 meters, liters, plain currency units). Mixed planning units (currency/hour,
 miles/hour, L/100km, kilometers) enter only through ``RawCostConfig`` and are
@@ -16,6 +20,15 @@ SECONDS_PER_HOUR = 3600.0
 METERS_PER_MILE = 1609.344
 METERS_PER_KM = 1000.0
 METERS_PER_100KM = 100_000.0
+
+# Upper bound on rate * threshold accepted by every analytic operation and
+# by SimulationConfig.
+MAX_RATE_THRESHOLD_PRODUCT = 50.0
+
+# Two-sided 95% normal quantile used for all confidence half-widths.
+Z_95 = 1.96
+
+MAX_SEED = 2**64 - 1
 
 
 def _number(name: str, value) -> float:
@@ -43,6 +56,19 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be an integer{bound}, got {value}")
     return value
+
+
+def _check_product(rate: float, threshold: float) -> None:
+    # repr, not a rounded format: a 6-digit format prints a product such as
+    # 50.00002 as the limit itself.
+    product = rate * threshold
+    if product > MAX_RATE_THRESHOLD_PRODUCT:
+        raise ValueError(
+            f"rate * threshold = {rate!r} * {threshold!r} = {product!r} exceeds "
+            f"{MAX_RATE_THRESHOLD_PRODUCT:g}; the supported range is rate * threshold "
+            f"<= {MAX_RATE_THRESHOLD_PRODUCT:g} (beyond it the expected platoon size "
+            "would exceed e^50)"
+        )
 
 
 def _positive(name: str, value) -> float:
@@ -178,3 +204,51 @@ def normalize_units(raw: RawCostConfig) -> CostParameters:
     and L/100km divides by 100000 to give L/m.
     """
     return CostParameters(**{si: convert(getattr(raw, name)) for name, si, convert, _ in _COST_FIELDS})
+
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    """One reproducible simulation campaign."""
+
+    arrival: ArrivalModel
+    policy: PlatoonPolicy
+    n_vehicles: int
+    n_replications: int = 1
+    seed: int = 0
+    warmup_vehicles: int = 0  # leading vehicles excluded from shift statistics
+
+    def __post_init__(self) -> None:
+        _check_product(self.arrival.rate, self.policy.threshold)  # before any work
+        _integer("n_vehicles", self.n_vehicles, 2)
+        _integer("n_replications", self.n_replications, 1)
+        if _integer("seed", self.seed, 0) > MAX_SEED:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed}")
+        _integer("warmup_vehicles", self.warmup_vehicles, 0)
+        if self.warmup_vehicles >= self.n_vehicles:
+            raise ValueError(
+                f"n_vehicles ({self.n_vehicles}) must exceed warmup_vehicles "
+                f"({self.warmup_vehicles})"
+            )
+
+
+@dataclass(frozen=True)
+class StatEstimate:
+    """Sample mean with a 95% normal-approximation confidence half-width."""
+
+    mean: float
+    ci_half_width: float
+    count: int
+
+
+@dataclass(frozen=True)
+class EmpiricalSummary:
+    """Empirical platoon statistics for one run or a pooled campaign.
+
+    ``size_pmf`` maps platoon size y (1..cutoff) to its empirical frequency;
+    mass beyond the cutoff is simply absent, so values sum to at most 1.
+    """
+
+    platoon_size: StatEstimate
+    leader_headway: StatEstimate
+    time_shift: StatEstimate
+    size_pmf: dict[int, float]

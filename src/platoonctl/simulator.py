@@ -26,42 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _check_product
-from .domain import ArrivalModel, PlatoonPolicy, _integer, _positive
-
-# Two-sided 95% normal quantile used for all confidence half-widths.
-Z_95 = 1.96
-
-MAX_SEED = 2**64 - 1
+from .domain import (  # re-exported: the simulator's types live in domain, which needs no numpy
+    MAX_SEED,
+    Z_95,
+    ArrivalModel,
+    EmpiricalSummary,
+    PlatoonPolicy,
+    SimulationConfig,
+    StatEstimate,
+    _integer,
+    _positive,
+)
 
 # Vehicles drawn and folded per step of ``run_replications``; its working
 # memory is a few arrays of this length, whatever the number of vehicles.
 CHUNK_VEHICLES = 1 << 16
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """One reproducible simulation campaign."""
-
-    arrival: ArrivalModel
-    policy: PlatoonPolicy
-    n_vehicles: int
-    n_replications: int = 1
-    seed: int = 0
-    warmup_vehicles: int = 0  # leading vehicles excluded from shift statistics
-
-    def __post_init__(self) -> None:
-        _check_product(self.arrival.rate, self.policy.threshold)  # before any work
-        _integer("n_vehicles", self.n_vehicles, 2)
-        _integer("n_replications", self.n_replications, 1)
-        if _integer("seed", self.seed, 0) > MAX_SEED:
-            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed}")
-        _integer("warmup_vehicles", self.warmup_vehicles, 0)
-        if self.warmup_vehicles >= self.n_vehicles:
-            raise ValueError(
-                f"n_vehicles ({self.n_vehicles}) must exceed warmup_vehicles "
-                f"({self.warmup_vehicles})"
-            )
 
 
 @dataclass(frozen=True)
@@ -99,29 +78,6 @@ class SimulationRun:
     @property
     def n_vehicles(self) -> int:
         return int(self.interarrivals.size)
-
-
-@dataclass(frozen=True)
-class StatEstimate:
-    """Sample mean with a 95% normal-approximation confidence half-width."""
-
-    mean: float
-    ci_half_width: float
-    count: int
-
-
-@dataclass(frozen=True)
-class EmpiricalSummary:
-    """Empirical platoon statistics for one run or a pooled campaign.
-
-    ``size_pmf`` maps platoon size y (1..cutoff) to its empirical frequency;
-    mass beyond the cutoff is simply absent, so values sum to at most 1.
-    """
-
-    platoon_size: StatEstimate
-    leader_headway: StatEstimate
-    time_shift: StatEstimate
-    size_pmf: dict[int, float]
 
 
 def headway_from_uniform(u, rate: float):
@@ -240,6 +196,7 @@ def run_simulation(
     replication: int = 0,
 ) -> SimulationRun:
     """Sample one seeded replication and assemble its run record."""
+    _integer("n_vehicles", n_vehicles, 1)
     gaps = sample_interarrivals(seed, n_vehicles, arrival, replication=replication)
     return run_from_interarrivals(gaps, policy)
 

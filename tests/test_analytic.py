@@ -25,6 +25,7 @@ from platoonctl import (
     total_cost_derivative,
     truncation_cutoff,
 )
+from platoonctl import analytic
 from platoonctl.analytic import threshold_curves
 
 
@@ -455,12 +456,34 @@ class TestThresholdCurves:
 
     @pytest.mark.parametrize(
         "grid",
-        [[], [[0.0, 1.0]], [0.0, -1.0], [0.0, math.nan], [0.0, math.inf]],
-        ids=["empty", "2d", "negative", "nan", "inf"],
+        [
+            [], [[0.0, 1.0]], [0.0, -1.0], [0.0, math.nan], [0.0, math.inf],
+            ["1", True], [10**400], 5.0,
+            np.array([[0.0, 1.0]]), np.array([0.0, np.nan]), np.array([True, False]), np.array(["1"]),
+        ],
+        ids=[
+            "empty", "2d", "negative", "nan", "inf",
+            "str-and-bool", "int-beyond-float", "scalar",
+            "2d-array", "nan-array", "bool-array", "str-array",
+        ],
     )
     def test_rejects_malformed_grids(self, nominal_params, nominal_arrival, grid):
-        with pytest.raises(ValueError, match="thresholds"):
+        with pytest.raises(ValueError, match="^thresholds must be"):
             threshold_curves(nominal_params, nominal_arrival, grid)
+
+    def test_numeric_array_grid_is_checked_without_a_per_point_call(
+        self, nominal_params, nominal_arrival, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(analytic, "_number", lambda name, value: calls.append(value) or float(value))
+        for grid in (np.linspace(0.0, 100.0, 1001), np.arange(0, 101)):
+            curves = threshold_curves(nominal_params, nominal_arrival, grid)
+            assert curves.threshold.tolist() == [float(r) for r in grid.tolist()]
+        assert calls == []
+        # A list is checked element by element and gives the same curves.
+        listed = threshold_curves(nominal_params, nominal_arrival, list(range(101)))
+        assert len(calls) == 101
+        assert listed.expected_total_cost.tolist() == curves.expected_total_cost.tolist()
 
     def test_rejects_a_grid_past_the_product_limit(self, nominal_params, nominal_arrival):
         with pytest.raises(ValueError, match="rate \\* threshold"):

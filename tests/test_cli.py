@@ -6,6 +6,7 @@ import pytest
 from platoonctl import (
     ArrivalModel,
     PlatoonPolicy,
+    SimulationConfig,
     expected_fuel_increase_linearized,
     expected_fuel_saving_cruise,
     expected_platoon_headway,
@@ -13,8 +14,9 @@ from platoonctl import (
     expected_time_reduction,
     expected_total_cost,
     optimal_threshold,
+    platoon_size_pmf,
 )
-from platoonctl import cli
+from platoonctl import simulator
 from platoonctl.cli import (
     SweepSpec,
     _write_csv,
@@ -140,12 +142,22 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("simulate sampled an out-of-range scenario")
 
-        monkeypatch.setattr(cli, "run_replications", never)
+        monkeypatch.setattr(simulator, "run_replications", never)
         path = write_config(
             {"arrival": {"rate": 1.0}, "policy": {"threshold": 51.0}, "simulation": {"n_vehicles": 10**12}}
         )
         assert main(["simulate", "--config", path]) == 2
         assert "the supported range is rate * threshold <= 50" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_3_with_a_message(self, write_config, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(simulator, "run_replications", exhausted)
+        assert main(["simulate", "--config", write_config()]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory in 'simulate'")
+        assert "Traceback" not in err
 
     def test_simulate_pass_exits_0(self, write_config):
         assert main(["simulate", "--config", write_config()]) == 0
@@ -231,6 +243,20 @@ class TestSimulateCommand:
         ]
         for row in report.rows:
             assert row.relative_error < 0.02
+
+    @pytest.mark.parametrize("rate, threshold", [(0.02, 50.0), (0.05, 60.0), (0.5, 10.0), (0.3, 0.0)])
+    def test_analytic_column_equals_the_scalar_closed_forms(self, rate, threshold):
+        arrival, policy = ArrivalModel(rate=rate), PlatoonPolicy(threshold=threshold)
+        summary = run_replications(
+            SimulationConfig(arrival=arrival, policy=policy, n_vehicles=2000, seed=3)
+        )[0]
+        report = build_comparison(arrival, policy, summary)
+        assert [row.analytic.hex() for row in report.rows] == [
+            expected_platoon_size(arrival, policy).hex(),
+            expected_platoon_headway(arrival, policy).hex(),
+            expected_time_reduction(arrival, policy).hex(),
+            platoon_size_pmf(arrival, policy, 1).hex(),
+        ]
 
 
 DOCUMENTED_SWEEP_HEADER = [

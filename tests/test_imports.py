@@ -1,0 +1,141 @@
+"""numpy loads only where arrays are computed, and the package's public names
+are the objects their defining modules hold.
+
+Each numpy check runs in a fresh interpreter, because this test process has
+already imported numpy."""
+
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import platoonctl
+from platoonctl import analytic, domain, simulator
+
+ROOT = Path(__file__).resolve().parents[1]
+NOMINAL = ROOT / "scenarios" / "nominal.json"
+SRC = str(Path(platoonctl.__file__).resolve().parents[1])
+
+
+def _loads_numpy(body: str) -> bool:
+    """Run ``body`` in a fresh interpreter; True if it left numpy imported."""
+    script = f"import sys\n{body}\nprint('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=ROOT, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return {"True": True, "False": False}[done.stdout.splitlines()[-1]]
+
+
+def _main(args: list, exit_code: int) -> str:
+    return f"from platoonctl import cli\nassert cli.main({[str(a) for a in args]!r}) == {exit_code}"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "import platoonctl",
+        "import platoonctl.cli",
+        "from platoonctl import SimulationConfig, StatEstimate, EmpiricalSummary, optimal_threshold",
+        _main(["analytic", "--config", NOMINAL], 0),
+        _main(["optimize", "--config", NOMINAL, "--r-max", "500"], 0),
+    ],
+    ids=["import-package", "import-cli", "import-domain-types", "analytic", "optimize"],
+)
+def test_scalar_paths_do_not_load_numpy(body):
+    assert not _loads_numpy(body)
+
+
+# Config overrides that each make every command exit 2; None deletes a field.
+BAD_CONFIGS = {
+    "bad-rate": {"arrival": {"rate": -1.0}},
+    "missing-cost-field": {"cost": {"merge_zone_km": None}},
+    "out-of-range-simulation": {"arrival": {"rate": 1.0}, "policy": {"threshold": 51.0}},
+    "too-few-vehicles": {"simulation": {"n_vehicles": 1}},
+}
+
+
+def _commands(config: Path, csv: Path) -> list[list]:
+    return [
+        ["analytic", "--config", config],
+        ["optimize", "--config", config, "--r-max", "500"],
+        ["simulate", "--config", config],
+        ["sweep", "--config", config, "--r-min", "0", "--r-max", "10", "--points", "3", "--csv", csv],
+    ]
+
+
+@pytest.mark.parametrize("label", sorted(BAD_CONFIGS))
+def test_config_errors_exit_2_without_loading_numpy(tmp_path, label):
+    cfg = json.loads(NOMINAL.read_text(encoding="utf-8"))
+    for section, values in BAD_CONFIGS[label].items():
+        for key, value in values.items():
+            if value is None:
+                del cfg[section][key]
+            else:
+                cfg[section][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    body = "\n".join(_main(args, 2) for args in _commands(path, tmp_path / "out.csv"))
+    assert not _loads_numpy(body)
+
+
+def test_array_paths_load_numpy(tmp_path):
+    # The control for the checks above: the probe does see numpy when it loads.
+    assert _loads_numpy("import platoonctl\nplatoonctl.run_replications")
+    assert _loads_numpy(_main(_commands(NOMINAL, tmp_path / "out.csv")[3], 0))
+
+
+def _readme_library_names() -> list[str]:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("## Library"):]
+    block = re.search(r"from platoonctl import \((.*?)\)", library, re.S).group(1)
+    return [name.strip() for name in block.replace("\n", " ").split(",") if name.strip()]
+
+
+# Every name the package exported before its simulator names became lazy.
+PACKAGE_NAMES = [
+    "MAX_RATE_THRESHOLD_PRODUCT", "OptimalThreshold", "PlatoonStatistics", "ThresholdRegime",
+    "exact_fuel_increase", "expected_fuel_increase_linearized", "expected_fuel_saving_cruise",
+    "expected_platoon_headway", "expected_platoon_size", "expected_time_reduction", "expected_total_cost",
+    "merge_probability", "merge_time_cost_rate", "numeric_optimal_threshold", "optimal_threshold",
+    "platoon_size_pmf", "platoon_statistics", "total_cost_derivative", "truncation_cutoff",
+    "ArrivalModel", "CostParameters", "PlatoonPolicy", "RawCostConfig", "normalize_units",
+    "EmpiricalSummary", "SimulationConfig", "SimulationRun", "StatEstimate", "compute_time_shifts",
+    "form_platoons", "headway_from_uniform", "platoon_leader_headways", "run_from_interarrivals",
+    "run_replications", "run_simulation", "sample_interarrivals", "summarize",
+]
+
+
+def test_readme_library_names_are_documented_package_names():
+    names = _readme_library_names()
+    assert "run_replications" in names and "SimulationConfig" in names
+    assert set(names) <= set(PACKAGE_NAMES)
+
+
+@pytest.mark.parametrize("name", PACKAGE_NAMES)
+def test_package_name_is_the_defining_modules_object(name):
+    obj = getattr(platoonctl, name)
+    home = importlib.import_module(getattr(obj, "__module__", "platoonctl.domain"))
+    assert getattr(home, name) is obj
+    assert name in dir(platoonctl)
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        platoonctl.no_such_name  # noqa: B018
+
+
+@pytest.mark.parametrize("name", ["SimulationConfig", "StatEstimate", "EmpiricalSummary", "Z_95", "MAX_SEED"])
+def test_simulator_reexports_the_domain_objects(name):
+    assert getattr(simulator, name) is getattr(domain, name)
+
+
+@pytest.mark.parametrize("name", ["_check_product", "MAX_RATE_THRESHOLD_PRODUCT"])
+def test_analytic_reexports_the_domain_objects(name):
+    assert getattr(analytic, name) is getattr(domain, name)

@@ -75,6 +75,7 @@ INTEGER_ARGS = [
         ("SimulationConfig", name, lambda v, name=name: SimulationConfig(**{**SIMULATION, name: v}))
         for name in ("n_vehicles", "n_replications", "seed", "warmup_vehicles")
     ],
+    ("run_simulation", "n_vehicles", lambda v: run_simulation(ARRIVAL, POLICY, v, seed=1)),
     ("sample_interarrivals", "n", lambda v: sample_interarrivals(1, v, ARRIVAL)),
     ("sample_interarrivals", "seed", lambda v: sample_interarrivals(v, 10, ARRIVAL)),
     ("sample_interarrivals", "replication", lambda v: sample_interarrivals(1, 10, ARRIVAL, replication=v)),
