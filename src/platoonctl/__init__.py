@@ -44,10 +44,7 @@ __version__ = "0.1.0"
 # Names of platoonctl.simulator, resolved by __getattr__ on first access.
 _SIMULATOR_NAMES = frozenset({
     "SimulationRun",
-    "compute_time_shifts",
-    "form_platoons",
     "headway_from_uniform",
-    "platoon_leader_headways",
     "run_from_interarrivals",
     "run_replications",
     "run_simulation",

@@ -46,6 +46,7 @@ from .domain import (
     PlatoonPolicy,
     RawCostConfig,
     SimulationConfig,
+    _check_product,
     _integer,
     _non_negative,
     _number,
@@ -241,6 +242,9 @@ def load_scenario(path: str | Path) -> Scenario:
     output = cfg.get("output", {})
     if not isinstance(output, dict):
         raise ValueError("config section 'output' must be an object")
+    for key in ("json", "csv"):
+        if key in output and not (isinstance(output[key], str) and output[key]):
+            raise ValueError(f"config field output.{key} must be a non-empty file path string")
     return Scenario(arrival=arrival, policy=policy, cost=cost, simulation=simulation, output=output)
 
 
@@ -327,6 +331,7 @@ def comparison_csv_rows(report: ComparisonReport) -> tuple[list[str], list[list]
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     sim = _require_simulation(scenario)
+    _positive("sigma", args.sigma)  # before the simulation, not after it
     from .simulator import run_replications
 
     aggregate, _ = run_replications(sim)
@@ -387,6 +392,7 @@ def sweep_rows(
     rejects an out-of-range ``r_max`` before anything is evaluated or
     simulated; each row equals ``analytic_quantities`` at its threshold.
     """
+    _check_product(arrival.rate, float(spec.r_max))  # before the grid is built
     import numpy as np
 
     header = list(SWEEP_HEADER) + (list(SWEEP_SIM_HEADER) if sim is not None else [])

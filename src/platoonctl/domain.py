@@ -30,6 +30,9 @@ Z_95 = 1.96
 
 MAX_SEED = 2**64 - 1
 
+# The largest -ln(U) the simulator draws: U = 1 - rng.random() >= 2^-53.
+MAX_UNIT_GAP = 53 * math.log(2)
+
 
 def _number(name: str, value) -> float:
     """``value`` as a float, or a ``ValueError`` naming ``name`` if it is a
@@ -228,6 +231,15 @@ class SimulationConfig:
             raise ValueError(
                 f"n_vehicles ({self.n_vehicles}) must exceed warmup_vehicles "
                 f"({self.warmup_vehicles})"
+            )
+        # The horizon bounds every arrival time, headway and shift of a run, so
+        # while this product is finite every sum of their squares is too.
+        horizon = self.n_vehicles * MAX_UNIT_GAP / self.arrival.rate
+        if not math.isfinite(horizon * horizon * self.n_vehicles * self.n_replications):
+            raise ValueError(
+                f"arrival.rate = {self.arrival.rate!r} is too small for n_vehicles = {self.n_vehicles} "
+                f"and n_replications = {self.n_replications}: arrival times of up to n_vehicles * "
+                "53 ln 2 / rate seconds would overflow the float range in sums of their squares"
             )
 
 

@@ -12,11 +12,13 @@ bit-for-bit, and replications own disjoint streams that could execute in any
 order (or in parallel) without changing the aggregate. Aggregation merges
 per-replication statistics in index order, which keeps it order-independent.
 
-``run_replications`` streams each replication in chunks of ``CHUNK_VEHICLES``
-gaps and folds every chunk into mergeable statistics, so its memory is
-O(CHUNK_VEHICLES) whatever ``n_vehicles`` and ``n_replications`` are.
-``run_simulation``, ``SimulationRun`` and ``summarize`` keep a whole run in
-memory (O(n)); they are the small-n reference the streaming kernel matches.
+Every gap comes from ``_gap_chunks``, which draws a replication's stream in
+chunks of ``CHUNK_VEHICLES``. ``run_replications`` folds each chunk into
+mergeable statistics, so its memory is O(CHUNK_VEHICLES) whatever
+``n_vehicles`` and ``n_replications`` are. ``sample_interarrivals`` joins the
+chunks into one array, and ``run_from_interarrivals`` forms a whole run in
+memory (O(n)) by a different algorithm: the small-n reference the streaming
+kernel matches. ``summarize`` and the kernel share one estimator.
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ class SimulationRun:
         return int(self.interarrivals.size)
 
 
+def _gaps_from_uniform(u, rate: float):
+    """The transform of ``headway_from_uniform``, unchecked."""
+    return -np.log(u) / rate
+
+
 def headway_from_uniform(u, rate: float):
     """Inverse-CDF transform: map uniform draws U in (0, 1] to exponential
     headways X = -ln(U) / rate. U = 1 maps to X = 0, a valid zero gap."""
@@ -87,10 +94,20 @@ def headway_from_uniform(u, rate: float):
     arr = np.asarray(u, dtype=float)
     if arr.size and (np.any(arr <= 0.0) or np.any(arr > 1.0)):
         raise ValueError("u must lie in (0, 1]")
-    result = -np.log(arr) / rate
+    result = _gaps_from_uniform(arr, rate)
     if result.ndim == 0:
         return float(result)
     return result
+
+
+def _gap_chunks(seed: int, replication: int, n: int, rate: float):
+    """Yield the ``n`` gaps of replication stream (seed, replication) in
+    chunks of ``CHUNK_VEHICLES``. PCG64 draws split into chunks equal one
+    long draw, so the chunk size never changes a gap. ``1 - rng.random``
+    lies in (0, 1] by construction, so the transform needs no check."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, replication)))
+    for start in range(0, n, CHUNK_VEHICLES):
+        yield _gaps_from_uniform(1.0 - rng.random(min(CHUNK_VEHICLES, n - start)), rate)
 
 
 def sample_interarrivals(
@@ -99,92 +116,43 @@ def sample_interarrivals(
     """Draw ``n`` exponential interarrival gaps for one replication stream.
 
     Deterministic in (seed, replication); distinct replication indices give
-    statistically independent streams from the same master seed.
+    statistically independent streams from the same master seed. These are
+    the gaps ``run_replications`` draws chunk by chunk, joined.
     """
     _integer("n", n, 1)
     _integer("seed", seed, 0)
     _integer("replication", replication, 0)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, replication)))
-    u = 1.0 - rng.random(n)  # rng.random is [0, 1), so u covers (0, 1]
-    return headway_from_uniform(u, arrival.rate)
-
-
-def _as_gap_array(interarrivals) -> np.ndarray:
-    gaps = np.asarray(interarrivals, dtype=float)
-    if gaps.ndim != 1 or gaps.size == 0:
-        raise ValueError("interarrivals must be a non-empty 1-d sequence")
-    if np.any(~np.isfinite(gaps)) or np.any(gaps < 0):
-        raise ValueError("interarrivals must be finite and >= 0")
-    return gaps
-
-
-def _merge_mask(gaps: np.ndarray, threshold: float) -> np.ndarray:
-    merged = gaps <= threshold
-    merged[0] = False  # vehicle 1 opens the first platoon; nothing ahead to join
-    return merged
-
-
-def form_platoons(interarrivals, policy: PlatoonPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Group vehicles into platoons under the inclusive threshold rule.
-
-    Returns (platoon_sizes, leader_indices) where leader indices are 1-based
-    vehicle numbers; vehicle k (k >= 2) joins the current platoon iff its gap
-    is <= threshold, otherwise it leads a new one.
-    """
-    gaps = _as_gap_array(interarrivals)
-    merged = _merge_mask(gaps, policy.threshold)
-    leaders0 = np.flatnonzero(~merged)
-    sizes = np.diff(np.append(leaders0, gaps.size))
-    return sizes.astype(np.int64), (leaders0 + 1).astype(np.int64)
-
-
-def compute_time_shifts(interarrivals, policy: PlatoonPolicy) -> np.ndarray:
-    """Per-vehicle catch-up time shifts, seconds.
-
-    Leaders shift by 0; a vehicle that merges inherits its predecessor's
-    shift plus its own gap (it closes the gap onto a predecessor that already
-    moved forward, ending at zero headway inside the platoon). Equivalent
-    recursion: shift[k] = gap[k] + shift[k-1] if gap[k] <= threshold else 0.
-    """
-    gaps = _as_gap_array(interarrivals)
-    merged = _merge_mask(gaps, policy.threshold)
-    gained = np.where(merged, gaps, 0.0)
-    running = np.cumsum(gained)
-    # Index of the most recent leader at or before each vehicle; subtracting
-    # the running sum there resets the accumulation at every platoon start.
-    last_leader = np.maximum.accumulate(np.where(~merged, np.arange(gaps.size), -1))
-    return running - running[last_leader]
-
-
-def platoon_leader_headways(interarrivals, leader_indices) -> np.ndarray:
-    """Leader-to-leader gaps between consecutive platoons, seconds.
-
-    Element n is the arrival-time difference between the leaders of platoons
-    n and n+1, i.e. the sum of the gaps strictly after the first leader up to
-    and including the second. Fewer than two platoons give an empty result.
-    """
-    gaps = _as_gap_array(interarrivals)
-    leaders = np.asarray(leader_indices, dtype=np.int64)
-    if leaders.size == 0 or leaders[0] != 1 or np.any(np.diff(leaders) <= 0):
-        raise ValueError("leader_indices must be strictly increasing and start at 1")
-    if leaders[-1] > gaps.size:
-        raise ValueError("leader index beyond the number of vehicles")
-    if leaders.size < 2:
-        return np.empty(0, dtype=float)
-    arrival_times = np.cumsum(gaps)
-    return np.diff(arrival_times[leaders - 1])
+    return np.concatenate(list(_gap_chunks(seed, replication, n, arrival.rate)))
 
 
 def run_from_interarrivals(interarrivals, policy: PlatoonPolicy) -> SimulationRun:
-    """Assemble the full run record for a given gap sequence."""
-    gaps = _as_gap_array(interarrivals)
-    sizes, leaders = form_platoons(gaps, policy)
+    """Group vehicles into platoons under the inclusive threshold rule and
+    assemble the full run record for a given gap sequence.
+
+    Vehicle k (k >= 2) joins the current platoon iff its gap is <= threshold,
+    otherwise it leads a new one. A leader's headway is the arrival-time
+    difference to the next leader. A merging vehicle's shift follows the
+    recursion shift[k] = gap[k] + shift[k-1] (0 at leaders): it closes its
+    gap onto a predecessor that already moved forward.
+    """
+    gaps = np.asarray(interarrivals, dtype=float)
+    if gaps.ndim != 1 or gaps.size == 0:
+        raise ValueError("interarrivals must be a non-empty 1-d sequence")
+    if not (gaps.min() >= 0.0 and gaps.max() < math.inf):  # NaN fails the first test
+        raise ValueError("interarrivals must be finite and >= 0")
+    merged = gaps <= policy.threshold
+    merged[0] = False  # vehicle 1 opens the first platoon; nothing ahead to join
+    leaders = np.flatnonzero(~merged)
+    sizes = np.diff(np.append(leaders, gaps.size))
+    # The recursion unrolled: the running sum of merged gaps minus its value
+    # at the vehicle's platoon leader.
+    running = np.cumsum(np.where(merged, gaps, 0.0))
     return SimulationRun(
         interarrivals=gaps,
-        platoon_sizes=sizes,
-        leader_indices=leaders,
-        leader_headways=platoon_leader_headways(gaps, leaders),
-        time_shifts=compute_time_shifts(gaps, policy),
+        platoon_sizes=sizes.astype(np.int64),
+        leader_indices=(leaders + 1).astype(np.int64),
+        leader_headways=np.diff(np.cumsum(gaps)[leaders]),
+        time_shifts=running - np.repeat(running[leaders], sizes),
     )
 
 
@@ -201,54 +169,19 @@ def run_simulation(
     return run_from_interarrivals(gaps, policy)
 
 
-def _extract_samples(
-    run: SimulationRun, warmup_vehicles: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Statistic samples for one run.
+def summarize(run: SimulationRun, warmup_vehicles: int = 0, pmf_cutoff: int = 10) -> EmpiricalSummary:
+    """Empirical means, 95% CI half-widths, and the size PMF for one run.
 
     The final platoon is right-censored (no gap > threshold ever terminated
     it) and is dropped from the size sample; vehicles 1..warmup are dropped
     from the shift sample.
     """
     _integer("warmup_vehicles", warmup_vehicles, 0)
-    sizes = run.platoon_sizes[:-1]
-    headways = run.leader_headways
-    shifts = run.time_shifts[warmup_vehicles:]
-    return sizes, headways, shifts
-
-
-def _estimate(values: np.ndarray, statistic: str) -> StatEstimate:
-    if values.size == 0:
-        raise ValueError(f"no {statistic} samples to summarize")
-    mean = float(np.mean(values))
-    if values.size < 2:
-        half_width = 0.0
-    else:
-        half_width = Z_95 * float(np.std(values, ddof=1)) / float(np.sqrt(values.size))
-    return StatEstimate(mean=mean, ci_half_width=half_width, count=int(values.size))
-
-
-def _summarize_samples(
-    sizes: np.ndarray, headways: np.ndarray, shifts: np.ndarray, pmf_cutoff: int
-) -> EmpiricalSummary:
     _integer("pmf_cutoff", pmf_cutoff, 1)
-    size_est = _estimate(sizes, "platoon-size (all platoons censored)")
-    headway_est = _estimate(headways, "leader-headway (fewer than two platoons)")
-    shift_est = _estimate(shifts, "time-shift (post-warmup)")
-    counts = np.bincount(sizes, minlength=pmf_cutoff + 1)
-    pmf = {y: float(counts[y] / sizes.size) for y in range(1, pmf_cutoff + 1)}
-    return EmpiricalSummary(
-        platoon_size=size_est,
-        leader_headway=headway_est,
-        time_shift=shift_est,
-        size_pmf=pmf,
+    stats = _ReplicationStats.of(
+        run.platoon_sizes[:-1], run.leader_headways, run.time_shifts[warmup_vehicles:], pmf_cutoff
     )
-
-
-def summarize(run: SimulationRun, warmup_vehicles: int = 0, pmf_cutoff: int = 10) -> EmpiricalSummary:
-    """Empirical means, 95% CI half-widths, and the size PMF for one run."""
-    sizes, headways, shifts = _extract_samples(run, warmup_vehicles)
-    return _summarize_samples(sizes, headways, shifts, pmf_cutoff)
+    return stats.summary(pmf_cutoff)
 
 
 @dataclass(frozen=True)
@@ -306,6 +239,23 @@ class _ReplicationStats:
     headway: _Moments
     shift: _Moments
 
+    @classmethod
+    def of(cls, sizes: np.ndarray, headways: np.ndarray, shifts: np.ndarray, pmf_cutoff: int):
+        """The statistics of closed platoon ``sizes`` (int64), leader
+        ``headways`` and vehicle ``shifts``; any of them may be empty."""
+        # Only the first size may exceed the vehicles these arrays cover (in
+        # the kernel it can span any number of chunks), so the squares of the
+        # rest sum within int64.
+        sum_sq = int(sizes[0]) ** 2 + int(np.dot(sizes[1:], sizes[1:])) if sizes.size else 0
+        return cls(
+            int(sizes.size),
+            int(sizes.sum()),
+            sum_sq,
+            np.bincount(np.minimum(sizes, pmf_cutoff + 1), minlength=pmf_cutoff + 2),
+            _Moments.of(headways),
+            _Moments.of(shifts),
+        )
+
     def merge(self, other: _ReplicationStats) -> _ReplicationStats:
         return _ReplicationStats(
             self.size_count + other.size_count,
@@ -330,16 +280,6 @@ class _ReplicationStats:
         )
 
 
-def _gap_chunks(seed: int, replication: int, n: int, rate: float):
-    """Yield ``sample_interarrivals(seed, n, arrival, replication)`` in chunks
-    of ``CHUNK_VEHICLES``, bit for bit: PCG64 draws split into chunks equal
-    one long draw, and each chunk goes through the same transform."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, replication)))
-    for start in range(0, n, CHUNK_VEHICLES):
-        u = 1.0 - rng.random(min(CHUNK_VEHICLES, n - start))  # rng.random is [0, 1), so u covers (0, 1]
-        yield _as_gap_array(headway_from_uniform(u, rate))
-
-
 def _replication_stats(config: SimulationConfig, replication: int, pmf_cutoff: int) -> _ReplicationStats:
     """Fold one replication's gaps, chunk by chunk, into its sufficient
     statistics; memory is O(CHUNK_VEHICLES) whatever n is.
@@ -351,9 +291,7 @@ def _replication_stats(config: SimulationConfig, replication: int, pmf_cutoff: i
     ``-since_leader``.
     """
     threshold = config.policy.threshold
-    size_hist = np.zeros(pmf_cutoff + 2, dtype=np.int64)
-    size_count = size_sum = size_sum_sq = 0
-    headway = shift = _Moments()
+    stats = None
     open_size = 0  # 0 only before the first chunk: vehicle 1 always leads
     since_leader = 0.0
     warmup_left = config.warmup_vehicles
@@ -368,16 +306,6 @@ def _replication_stats(config: SimulationConfig, replication: int, pmf_cutoff: i
             leaders = np.concatenate(([-open_size], leaders))
             leader_times = np.concatenate(([-since_leader], leader_times))
 
-        sizes = np.diff(leaders)
-        if sizes.size:
-            # Every size but the first lies inside this chunk, so their squares
-            # sum within int64; the first may span any number of chunks.
-            size_count += int(sizes.size)
-            size_sum += int(sizes.sum())
-            size_sum_sq += int(sizes[0]) ** 2 + int(np.dot(sizes[1:], sizes[1:]))
-            size_hist += np.bincount(np.minimum(sizes, pmf_cutoff + 1), minlength=pmf_cutoff + 2)
-            headway = headway.merge(_Moments.of(np.diff(leader_times)))
-
         # Each vehicle's shift is its arrival minus its platoon leader's;
         # members counts each platoon's vehicles that fall in this chunk.
         members = np.diff(np.append(np.maximum(leaders, 0), gaps.size))
@@ -386,8 +314,9 @@ def _replication_stats(config: SimulationConfig, replication: int, pmf_cutoff: i
         since_leader = float(shifts[-1])
         skip = min(warmup_left, gaps.size)
         warmup_left -= skip
-        shift = shift.merge(_Moments.of(shifts[skip:]))
-    return _ReplicationStats(size_count, size_sum, size_sum_sq, size_hist, headway, shift)
+        chunk = _ReplicationStats.of(np.diff(leaders), np.diff(leader_times), shifts[skip:], pmf_cutoff)
+        stats = chunk if stats is None else stats.merge(chunk)
+    return stats
 
 
 def run_replications(

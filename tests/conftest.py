@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from platoonctl import ArrivalModel, PlatoonPolicy, RawCostConfig, normalize_units, run_simulation
-from platoonctl.simulator import _extract_samples, _summarize_samples
+from platoonctl import (
+    ArrivalModel,
+    EmpiricalSummary,
+    PlatoonPolicy,
+    RawCostConfig,
+    StatEstimate,
+    normalize_units,
+    run_simulation,
+)
+from platoonctl.domain import Z_95
 
 # Nominal planning values used throughout the suite (mixed units).
 NOMINAL_RAW = dict(
@@ -40,6 +48,33 @@ def nominal_policy():
     return PlatoonPolicy(threshold=50.0)
 
 
+def reference_estimate(values, statistic):
+    """Mean and 95% half-width by numpy's ``mean`` and ``std(ddof=1)``,
+    independent of the simulator's mergeable moments."""
+    if values.size == 0:
+        raise ValueError(f"no {statistic} samples to summarize")
+    half_width = Z_95 * float(np.std(values, ddof=1)) / math.sqrt(values.size) if values.size >= 2 else 0.0
+    return StatEstimate(mean=float(np.mean(values)), ci_half_width=half_width, count=int(values.size))
+
+
+def run_samples(run, warmup_vehicles=0):
+    """The (sizes, headways, shifts) samples ``summarize`` takes from a run:
+    the censored last platoon and the warm-up vehicles left out."""
+    return run.platoon_sizes[:-1], run.leader_headways, run.time_shifts[warmup_vehicles:]
+
+
+def reference_summary(sizes, headways, shifts, pmf_cutoff=10):
+    """The ``EmpiricalSummary`` of raw samples, with the simulator's error
+    messages, computed by the reference estimator."""
+    counts = np.bincount(sizes, minlength=pmf_cutoff + 1)
+    return EmpiricalSummary(
+        platoon_size=reference_estimate(sizes, "platoon-size (all platoons censored)"),
+        leader_headway=reference_estimate(headways, "leader-headway (fewer than two platoons)"),
+        time_shift=reference_estimate(shifts, "time-shift (post-warmup)"),
+        size_pmf={y: float(counts[y] / sizes.size) for y in range(1, pmf_cutoff + 1)},
+    )
+
+
 def pooled_reference(config, pmf_cutoff=10):
     """``run_replications`` as the in-memory reference computes it: every
     replication as a full ``SimulationRun`` and summarized on its own, raw
@@ -49,11 +84,11 @@ def pooled_reference(config, pmf_cutoff=10):
     for rep in range(config.n_replications):
         try:
             run = run_simulation(config.arrival, config.policy, config.n_vehicles, config.seed, replication=rep)
-            parts.append(_extract_samples(run, config.warmup_vehicles))
-            per_replication.append(_summarize_samples(*parts[-1], pmf_cutoff))
+            parts.append(run_samples(run, config.warmup_vehicles))
+            per_replication.append(reference_summary(*parts[-1], pmf_cutoff))
         except ValueError as exc:
             raise ValueError(f"replication {rep}: {exc}") from exc
-    aggregate = _summarize_samples(*(np.concatenate([p[i] for p in parts]) for i in range(3)), pmf_cutoff)
+    aggregate = reference_summary(*(np.concatenate([p[i] for p in parts]) for i in range(3)), pmf_cutoff)
     return aggregate, per_replication
 
 

@@ -101,6 +101,15 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match="simulation.seed"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("key", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "value", [1, 5, True, ["a"], "", {}], ids=["1", "5", "true", "list", "empty", "object"]
+    )
+    def test_output_paths_must_be_non_empty_strings(self, write_config, key, value):
+        # open() would take 1 as a file descriptor: stdout, closed after writing.
+        with pytest.raises(ValueError, match=rf"^config field output\.{key} must be a non-empty"):
+            load_scenario(write_config({"output": {key: value}}))
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -148,6 +157,38 @@ class TestExitCodes:
         )
         assert main(["simulate", "--config", path]) == 2
         assert "the supported range is rate * threshold <= 50" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate,threshold", [(1e-305, 50.0), (1e-200, 1e200), (1e-310, 50.0)])
+    def test_times_beyond_the_float_range_exit_2_before_sampling(
+        self, write_config, capsys, monkeypatch, rate, threshold
+    ):
+        # At these rates 1e5 vehicles' arrival times (or their squares)
+        # overflow, which would give NaN rows or infinite half-widths that
+        # pass every comparison.
+        monkeypatch.setattr(simulator, "run_replications", self._never)
+        path = write_config({"arrival": {"rate": rate}, "policy": {"threshold": threshold}})
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"error: arrival.rate = {rate!r} is too small for n_vehicles = 100000" in err
+
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+    def test_bad_sigma_exits_2_before_simulating(self, write_config, capsys, monkeypatch, sigma):
+        monkeypatch.setattr(simulator, "run_replications", self._never)
+        assert main(["simulate", "--config", write_config(), "--sigma", sigma]) == 2
+        assert "error: sigma must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    def test_output_path_not_a_string_exits_2_before_any_work(
+        self, write_config, capsys, monkeypatch, command
+    ):
+        monkeypatch.setattr(simulator, "run_replications", self._never)
+        path = write_config({"output": {"json": True, "csv": ["a"]}})
+        assert main([command, "--config", path]) == 2
+        assert "error: config field output.json must be a non-empty" in capsys.readouterr().err
+
+    @staticmethod
+    def _never(*args, **kwargs):
+        raise AssertionError("the command simulated before rejecting its input")
 
     def test_out_of_memory_exits_3_with_a_message(self, write_config, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -345,9 +386,15 @@ class TestSweepCommand:
                 assert repr(results[column]) == row[column], (threshold, column)
 
     @pytest.mark.parametrize("r_max", ["3000", "2500.001"])
-    def test_out_of_range_r_max_exits_2_before_any_work(self, write_config, tmp_path, capsys, r_max):
+    def test_out_of_range_r_max_exits_2_before_any_work(
+        self, write_config, tmp_path, capsys, monkeypatch, r_max
+    ):
         # At 2500.001 the product is 50.00002..., which the message must show
         # above the limit rather than rounded to "50".
+        def never(self):
+            raise AssertionError("sweep built the grid before checking r_max")
+
+        monkeypatch.setattr(SweepSpec, "thresholds", never)
         out = tmp_path / "sweep.csv"
         assert main([
             "sweep", "--config", write_config(), "--r-min", "0", "--r-max", r_max,

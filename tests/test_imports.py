@@ -58,6 +58,8 @@ BAD_CONFIGS = {
     "missing-cost-field": {"cost": {"merge_zone_km": None}},
     "out-of-range-simulation": {"arrival": {"rate": 1.0}, "policy": {"threshold": 51.0}},
     "too-few-vehicles": {"simulation": {"n_vehicles": 1}},
+    "times-beyond-float-range": {"arrival": {"rate": 1e-305}},
+    "output-csv-not-a-path": {"output": {"csv": 1}},
 }
 
 
@@ -70,8 +72,20 @@ def _commands(config: Path, csv: Path) -> list[list]:
     ]
 
 
-@pytest.mark.parametrize("label", sorted(BAD_CONFIGS))
+# Arguments that make one command exit 2 on the nominal config; it writes no file.
+BAD_ARGUMENTS = {
+    "sweep-r-max-out-of-range": [
+        "sweep", "--config", NOMINAL, "--r-min", "0", "--r-max", "2600", "--points", "5000000", "--csv", "out.csv",
+    ],
+    "simulate-sigma-0": ["simulate", "--config", NOMINAL, "--sigma", "0"],
+}
+
+
+@pytest.mark.parametrize("label", sorted(BAD_CONFIGS) + sorted(BAD_ARGUMENTS))
 def test_config_errors_exit_2_without_loading_numpy(tmp_path, label):
+    if label in BAD_ARGUMENTS:
+        assert not _loads_numpy(_main(BAD_ARGUMENTS[label], 2))
+        return
     cfg = json.loads(NOMINAL.read_text(encoding="utf-8"))
     for section, values in BAD_CONFIGS[label].items():
         for key, value in values.items():
@@ -98,7 +112,7 @@ def _readme_library_names() -> list[str]:
     return [name.strip() for name in block.replace("\n", " ").split(",") if name.strip()]
 
 
-# Every name the package exported before its simulator names became lazy.
+# Every name the package exports.
 PACKAGE_NAMES = [
     "MAX_RATE_THRESHOLD_PRODUCT", "OptimalThreshold", "PlatoonStatistics", "ThresholdRegime",
     "exact_fuel_increase", "expected_fuel_increase_linearized", "expected_fuel_saving_cruise",
@@ -106,9 +120,8 @@ PACKAGE_NAMES = [
     "merge_probability", "merge_time_cost_rate", "numeric_optimal_threshold", "optimal_threshold",
     "platoon_size_pmf", "platoon_statistics", "total_cost_derivative", "truncation_cutoff",
     "ArrivalModel", "CostParameters", "PlatoonPolicy", "RawCostConfig", "normalize_units",
-    "EmpiricalSummary", "SimulationConfig", "SimulationRun", "StatEstimate", "compute_time_shifts",
-    "form_platoons", "headway_from_uniform", "platoon_leader_headways", "run_from_interarrivals",
-    "run_replications", "run_simulation", "sample_interarrivals", "summarize",
+    "EmpiricalSummary", "SimulationConfig", "SimulationRun", "StatEstimate", "headway_from_uniform",
+    "run_from_interarrivals", "run_replications", "run_simulation", "sample_interarrivals", "summarize",
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,10 +12,7 @@ from platoonctl import (
     PlatoonPolicy,
     SimulationConfig,
     SimulationRun,
-    compute_time_shifts,
-    form_platoons,
     headway_from_uniform,
-    platoon_leader_headways,
     run_from_interarrivals,
     run_replications,
     run_simulation,
@@ -22,9 +20,10 @@ from platoonctl import (
     summarize,
 )
 from platoonctl import simulator
+from platoonctl.domain import MAX_UNIT_GAP
 from platoonctl.simulator import CHUNK_VEHICLES, _gap_chunks, _replication_stats
 
-from conftest import pooled_reference, summary_mismatches
+from conftest import pooled_reference, reference_summary, run_samples, summary_mismatches
 
 SEED = 20260810
 
@@ -88,58 +87,55 @@ class TestSampleInterarrivals:
             sample_interarrivals(SEED, 10, arrival, replication=-2)
 
 
-class TestFormPlatoons:
-    def test_hand_worked_sequence(self):
-        sizes, leaders = form_platoons([5.0, 3.0, 1.0, 8.0, 2.0, 2.0, 9.0], PlatoonPolicy(threshold=4.0))
-        assert sizes.tolist() == [3, 3, 1]
-        assert leaders.tolist() == [1, 4, 7]
-
+class TestFormation:
     def test_tie_gap_merges(self):
-        sizes, leaders = form_platoons([5.0, 4.0, 4.0], PlatoonPolicy(threshold=4.0))
-        assert sizes.tolist() == [3]
-        assert leaders.tolist() == [1]
+        run = run_from_interarrivals([5.0, 4.0, 4.0], PlatoonPolicy(threshold=4.0))
+        assert run.platoon_sizes.tolist() == [3]
+        assert run.leader_indices.tolist() == [1]
 
     def test_zero_threshold_gives_singletons(self):
         gaps = sample_interarrivals(SEED, 500, ArrivalModel(rate=0.1))
-        sizes, leaders = form_platoons(gaps, PlatoonPolicy(threshold=0.0))
-        assert sizes.tolist() == [1] * 500
-        assert leaders.tolist() == list(range(1, 501))
+        run = run_from_interarrivals(gaps, PlatoonPolicy(threshold=0.0))
+        assert run.platoon_sizes.tolist() == [1] * 500
+        assert run.leader_indices.tolist() == list(range(1, 501))
 
     def test_first_vehicle_always_leads(self):
         # A small first gap must not merge vehicle 1 backwards in time.
-        sizes, leaders = form_platoons([0.5, 9.0], PlatoonPolicy(threshold=4.0))
-        assert sizes.tolist() == [1, 1]
-        assert leaders.tolist() == [1, 2]
+        run = run_from_interarrivals([0.5, 9.0], PlatoonPolicy(threshold=4.0))
+        assert run.platoon_sizes.tolist() == [1, 1]
+        assert run.leader_indices.tolist() == [1, 2]
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="non-empty"):
-            form_platoons([], PlatoonPolicy(threshold=4.0))
+            run_from_interarrivals([], PlatoonPolicy(threshold=4.0))
+
+    @pytest.mark.parametrize(
+        "bad", [[[1.0, 2.0]], [1.0, -0.5], [1.0, math.nan], [math.inf, 1.0], [-math.inf]]
+    )
+    def test_rejects_malformed_gaps(self, bad):
+        with pytest.raises(ValueError, match="interarrivals must be"):
+            run_from_interarrivals(bad, PlatoonPolicy(threshold=4.0))
 
     @given(gaps=gap_lists, threshold=thresholds)
     def test_sizes_conserve_vehicles(self, gaps, threshold):
-        sizes, leaders = form_platoons(gaps, PlatoonPolicy(threshold=threshold))
-        assert int(sizes.sum()) == len(gaps)
-        assert leaders[0] == 1
-        assert np.all(np.diff(leaders) > 0)
-        assert np.all(sizes >= 1)
+        run = run_from_interarrivals(gaps, PlatoonPolicy(threshold=threshold))
+        assert int(run.platoon_sizes.sum()) == len(gaps)
+        assert run.leader_indices[0] == 1
+        assert np.all(np.diff(run.leader_indices) > 0)
+        assert np.all(run.platoon_sizes >= 1)
 
 
-class TestComputeTimeShifts:
-    def test_hand_worked_sequence(self):
-        shifts = compute_time_shifts([5.0, 3.0, 1.0, 8.0, 2.0, 2.0, 9.0], PlatoonPolicy(threshold=4.0))
-        assert shifts.tolist() == [0.0, 3.0, 4.0, 0.0, 2.0, 4.0, 0.0]
-
+class TestTimeShifts:
     def test_all_gaps_above_threshold_means_no_shift(self):
-        shifts = compute_time_shifts([10.0, 20.0, 30.0], PlatoonPolicy(threshold=5.0))
-        assert shifts.tolist() == [0.0, 0.0, 0.0]
+        run = run_from_interarrivals([10.0, 20.0, 30.0], PlatoonPolicy(threshold=5.0))
+        assert run.time_shifts.tolist() == [0.0, 0.0, 0.0]
 
     @given(gaps=gap_lists, threshold=thresholds)
     def test_shift_recursion_invariants(self, gaps, threshold):
-        policy = PlatoonPolicy(threshold=threshold)
-        shifts = compute_time_shifts(gaps, policy)
-        _, leaders = form_platoons(gaps, policy)
+        run = run_from_interarrivals(gaps, PlatoonPolicy(threshold=threshold))
+        shifts = run.time_shifts
         is_leader = np.zeros(len(gaps), dtype=bool)
-        is_leader[leaders - 1] = True
+        is_leader[run.leader_indices - 1] = True
         assert np.all(shifts[is_leader] == 0.0)
         assert np.all(shifts[~is_leader] > 0.0)
         # matches the per-vehicle recursion
@@ -149,31 +145,24 @@ class TestComputeTimeShifts:
         assert shifts == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
 
-class TestPlatoonLeaderHeadways:
-    def test_hand_worked_sequence(self):
-        gaps = [5.0, 3.0, 1.0, 8.0, 2.0, 2.0, 9.0]
-        headways = platoon_leader_headways(gaps, [1, 4, 7])
-        assert headways.tolist() == [12.0, 13.0]
-
+class TestLeaderHeadways:
     def test_single_platoon_gives_empty(self):
-        assert platoon_leader_headways([5.0, 1.0, 1.0], [1]).size == 0
-
-    def test_rejects_bad_leader_list(self):
-        with pytest.raises(ValueError, match="leader_indices"):
-            platoon_leader_headways([5.0, 9.0], [2])
-        with pytest.raises(ValueError, match="beyond"):
-            platoon_leader_headways([5.0, 9.0], [1, 5])
+        assert run_from_interarrivals([5.0, 1.0, 1.0], PlatoonPolicy(threshold=4.0)).leader_headways.size == 0
 
     @given(gaps=gap_lists, threshold=thresholds)
     def test_every_headway_exceeds_threshold(self, gaps, threshold):
-        policy = PlatoonPolicy(threshold=threshold)
-        _, leaders = form_platoons(gaps, policy)
-        headways = platoon_leader_headways(gaps, leaders)
-        assert np.all(headways > threshold)
+        run = run_from_interarrivals(gaps, PlatoonPolicy(threshold=threshold))
+        assert np.all(run.leader_headways > threshold)
+        # Each headway is the sum of the gaps after one leader up to and
+        # including the next.
+        bounds = run.leader_indices - 1
+        expected = [sum(gaps[a + 1 : b + 1]) for a, b in zip(bounds[:-1], bounds[1:])]
+        assert run.leader_headways == pytest.approx(expected, rel=1e-12)
 
 
 class TestRunAssembly:
     def test_run_matches_component_operations(self):
+        # Worked by hand: platoons {1,2,3}, {4,5,6}, {7}.
         gaps = [5.0, 3.0, 1.0, 8.0, 2.0, 2.0, 9.0]
         run = run_from_interarrivals(gaps, PlatoonPolicy(threshold=4.0))
         assert run.platoon_sizes.tolist() == [3, 3, 1]
@@ -182,24 +171,33 @@ class TestRunAssembly:
         assert run.time_shifts.tolist() == [0.0, 3.0, 4.0, 0.0, 2.0, 4.0, 0.0]
         assert run.n_vehicles == 7
 
-    def test_run_validation_rejects_inconsistent_fields(self):
-        gaps = np.array([5.0, 3.0])
-        with pytest.raises(ValueError, match="sum"):
-            SimulationRun(
-                interarrivals=gaps,
-                platoon_sizes=np.array([3]),
-                leader_indices=np.array([1]),
-                leader_headways=np.empty(0),
-                time_shifts=np.zeros(2),
-            )
-        with pytest.raises(ValueError, match="start at 1"):
-            SimulationRun(
-                interarrivals=gaps,
-                platoon_sizes=np.array([1, 1]),
-                leader_indices=np.array([2, 3]),
-                leader_headways=np.array([3.0]),
-                time_shifts=np.zeros(2),
-            )
+    # A valid record of gaps [5, 3, 9] at threshold 4, and one field replaced
+    # per case to break each invariant SimulationRun checks.
+    VALID_RUN = dict(
+        interarrivals=np.array([5.0, 3.0, 9.0]),
+        platoon_sizes=np.array([2, 1]),
+        leader_indices=np.array([1, 3]),
+        leader_headways=np.array([12.0]),
+        time_shifts=np.array([0.0, 3.0, 0.0]),
+    )
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("interarrivals", np.empty(0), "non-empty"),
+            ("platoon_sizes", np.array([3, 1]), "sum"),
+            ("platoon_sizes", np.array([1, 1, 1]), "one leader index per platoon"),
+            ("leader_indices", np.array([2, 3]), "start at 1"),
+            ("leader_indices", np.array([1, 1]), "strictly increasing"),
+            ("leader_headways", np.empty(0), "one leader headway"),
+            ("time_shifts", np.zeros(2), "one time shift per vehicle"),
+            ("time_shifts", np.array([0.0, 3.0, 1.0]), "exactly 0 at platoon leaders"),
+        ],
+    )
+    def test_run_validation_rejects_inconsistent_fields(self, field, value, message):
+        assert SimulationRun(**self.VALID_RUN).n_vehicles == 3
+        with pytest.raises(ValueError, match=message):
+            SimulationRun(**{**self.VALID_RUN, field: value})
 
     def test_seeded_run_is_reproducible(self):
         arrival = ArrivalModel(rate=0.02)
@@ -267,6 +265,14 @@ class TestSummarize:
         assert sum(summary.size_pmf.values()) == 0.5  # the size-4 platoon is tail mass
 
 
+    @pytest.mark.parametrize("warmup,cutoff", [(0, 10), (1, 1), (137, 4)])
+    def test_matches_the_reference_estimator(self, warmup, cutoff):
+        # summarize() shares the kernel's mergeable estimator; the reference
+        # is numpy's mean and std(ddof=1) on the same samples.
+        run = run_simulation(ArrivalModel(rate=0.02), PlatoonPolicy(threshold=50.0), 5_000, SEED)
+        reference = reference_summary(*run_samples(run, warmup), cutoff)
+        assert summary_mismatches(summarize(run, warmup_vehicles=warmup, pmf_cutoff=cutoff), reference) == []
+
 class TestRunReplications:
     def _config(self, **overrides):
         defaults = dict(
@@ -281,12 +287,14 @@ class TestRunReplications:
         return SimulationConfig(**defaults)
 
     def test_single_replication_equals_plain_summary(self):
-        # The streaming kernel against summarize() on the full in-memory run:
-        # integer statistics exactly, float ones to rel 1e-12.
+        # The streaming kernel against summarize() on the full in-memory run
+        # and against the reference estimator: integer statistics exactly,
+        # float ones to rel 1e-12.
         config = self._config(n_replications=1)
         aggregate, per_rep = run_replications(config)
-        direct = summarize(run_simulation(config.arrival, config.policy, config.n_vehicles, config.seed))
-        assert summary_mismatches(aggregate, direct) == []
+        run = run_simulation(config.arrival, config.policy, config.n_vehicles, config.seed)
+        assert summary_mismatches(aggregate, summarize(run)) == []
+        assert summary_mismatches(aggregate, reference_summary(*run_samples(run))) == []
         assert per_rep == [aggregate]
 
     def test_aggregate_is_deterministic(self):
@@ -342,6 +350,27 @@ class TestRunReplications:
         with pytest.raises(ValueError, match="supported range is rate \\* threshold <= 50"):
             self._config(policy=PlatoonPolicy(threshold=2500.0001))
 
+    def test_rejects_times_beyond_the_float_range(self):
+        # The bound n * reps * H^2 < float max, with the horizon
+        # H = n * 53 ln 2 / rate, at 1% either side of its limit rate.
+        n, reps = 20_000, 4
+        limit = n * MAX_UNIT_GAP * math.sqrt(n * reps / sys.float_info.max)
+        singletons = PlatoonPolicy(threshold=0.0)
+        with pytest.raises(ValueError, match=r"^arrival\.rate = \S+ is too small for n_vehicles = 20000 "):
+            self._config(arrival=ArrivalModel(rate=0.99 * limit), policy=singletons)
+        config = self._config(arrival=ArrivalModel(rate=1.01 * limit), policy=singletons)
+        aggregate, _ = run_replications(config)
+        for name in ("platoon_size", "leader_headway", "time_shift"):
+            estimate = getattr(aggregate, name)
+            assert math.isfinite(estimate.mean) and math.isfinite(estimate.ci_half_width)
+
+    @pytest.mark.parametrize(
+        "n,reps", [(10**300, 1), (2, 10**306), (10**200, 10**200)], ids=["n", "replications", "both"]
+    )
+    def test_horizon_check_takes_any_size_in_float_range(self, n, reps):
+        with pytest.raises(ValueError, match="too small for n_vehicles"):
+            self._config(n_vehicles=n, n_replications=reps)
+
     def test_rejects_bad_pmf_cutoff_before_sampling(self):
         with pytest.raises(ValueError, match="^pmf_cutoff must be"):
             run_replications(self._config(n_vehicles=10**12), pmf_cutoff=0)
@@ -366,11 +395,36 @@ class TestStreamingKernel:
         return SimulationConfig(**defaults)
 
     def test_chunks_equal_one_shot_draw(self):
+        # The randomness contract, written out: one PCG64 draw of n uniforms
+        # from SeedSequence((seed, replication)), mapped by -ln(1 - v) / rate.
         arrival = ArrivalModel(rate=0.02)
         n = 3 * C + 7
-        chunks = [gaps.copy() for gaps in _gap_chunks(SEED, 3, n, arrival.rate)]
+        chunks = list(_gap_chunks(SEED, 3, n, arrival.rate))
         assert [c.size for c in chunks] == [C, C, C, 7]
-        assert np.array_equal(np.concatenate(chunks), sample_interarrivals(SEED, n, arrival, replication=3))
+        v = np.random.default_rng(np.random.SeedSequence((SEED, 3))).random(n)
+        one_shot = -np.log(1.0 - v) / arrival.rate
+        assert np.array_equal(np.concatenate(chunks), one_shot)
+        assert np.array_equal(sample_interarrivals(SEED, n, arrival, replication=3), one_shot)
+
+    def test_chunks_are_not_validated_again(self, monkeypatch):
+        # The per-chunk work runs no argument check: the number of checks is
+        # the same at one chunk and at five.
+        calls = {}
+        for name in ("_positive", "_integer"):
+            check = getattr(simulator, name)
+
+            def counted(*args, _name=name, _check=check):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _check(*args)
+
+            monkeypatch.setattr(simulator, name, counted)
+        counts = []
+        for n in (C, 5 * C):
+            calls.clear()
+            config = self._config(n_vehicles=n)
+            run_replications(config)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("n", [2, C - 1, C, C + 1, 3 * C + 7])
     def test_matches_reference_at_chunk_boundaries(self, n):
@@ -384,7 +438,7 @@ class TestStreamingKernel:
         run = run_simulation(config.arrival, config.policy, config.n_vehicles, config.seed)
         assert int(run.platoon_sizes[:-1].max()) > 2 * C
         summary, _ = run_replications(config)
-        assert summary_mismatches(summary, summarize(run)) == []
+        assert summary_mismatches(summary, reference_summary(*run_samples(run))) == []
 
     def test_warmup_longer_than_a_chunk(self):
         config = self._config(n_vehicles=3 * C + 7, warmup_vehicles=C + 100, n_replications=2)
