@@ -20,7 +20,6 @@ numpy is imported only by ``simulate`` and ``sweep``, which build arrays;
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -260,11 +259,25 @@ def _require_simulation(scenario: Scenario) -> SimulationConfig:
     return scenario.simulation
 
 
-def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
+# Rows formatted and written per write call by ``_write_csv``; the text of one
+# block is the only text held in memory.
+CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(path: str | Path, header: list[str], rows: list) -> None:
+    """Write ``header`` and ``rows`` as LF-terminated CSV.
+
+    The bytes are those of ``csv.writer(fh, lineterminator="\\n")``: a field
+    is its ``str``, which for a float is the shortest round-trip ``repr``.
+    No field is ever quoted; no header, statistic name, number or bool holds
+    a comma, quote or line break. Each row is formatted with one ``%``
+    operation.
+    """
+    line = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            fh.write("".join([line % tuple(row) for row in rows[start : start + CSV_BLOCK_ROWS]]))
 
 
 def analytic_quantities(params: CostParameters, arrival: ArrivalModel, policy: PlatoonPolicy) -> dict[str, float]:
@@ -384,44 +397,48 @@ def sweep_rows(
     arrival: ArrivalModel,
     spec: SweepSpec,
     sim: SimulationConfig | None = None,
-) -> tuple[list[str], list[list]]:
+) -> tuple[list[str], list[tuple]]:
     """Analytic sweep rows over the threshold grid, optionally with pooled
     empirical columns (same seed at every grid point, so runs share draws).
 
     The closed-form columns come from one array pass over the grid, which
     rejects an out-of-range ``r_max`` before anything is evaluated or
     simulated; each row equals ``analytic_quantities`` at its threshold.
+    Rows are tuples zipped from the columns as lists of Python floats.
     """
     _check_product(arrival.rate, float(spec.r_max))  # before the grid is built
-    import numpy as np
-
-    header = list(SWEEP_HEADER) + (list(SWEEP_SIM_HEADER) if sim is not None else [])
     curves = threshold_curves(params, arrival, spec.thresholds())
-    table = np.column_stack([
-        curves.threshold,
-        curves.expected_platoon_size,
-        curves.expected_platoon_headway,
-        curves.expected_time_reduction,
-        curves.expected_fuel_increase,
-        curves.expected_fuel_saving,
-        curves.expected_total_cost,
-    ])
-    del curves  # the rows of Python floats are the peak; free the arrays first
-    rows = table.tolist()
+    columns = [
+        column.tolist()
+        for column in (
+            curves.threshold,
+            curves.expected_platoon_size,
+            curves.expected_platoon_headway,
+            curves.expected_time_reduction,
+            curves.expected_fuel_increase,
+            curves.expected_fuel_saving,
+            curves.expected_total_cost,
+        )
+    ]
+    del curves  # the lists and rows of Python floats are the peak; free the arrays first
+    header = list(SWEEP_HEADER)
     if sim is not None:
         from .simulator import run_replications
 
-        for row in rows:
-            aggregate, _ = run_replications(replace(sim, policy=PlatoonPolicy(threshold=row[0])))
-            row += [
+        header += SWEEP_SIM_HEADER
+        simulated = []
+        for threshold in columns[0]:
+            aggregate, _ = run_replications(replace(sim, policy=PlatoonPolicy(threshold=threshold)))
+            simulated.append((
                 aggregate.platoon_size.mean,
                 aggregate.platoon_size.ci_half_width,
                 aggregate.leader_headway.mean,
                 aggregate.leader_headway.ci_half_width,
                 aggregate.time_shift.mean,
                 aggregate.time_shift.ci_half_width,
-            ]
-    return header, rows
+            ))
+        columns += zip(*simulated)
+    return header, list(zip(*columns))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -30,6 +30,7 @@ import numpy as np
 
 from .domain import (  # re-exported: the simulator's types live in domain, which needs no numpy
     MAX_SEED,
+    MAX_UNIT_GAP,
     Z_95,
     ArrivalModel,
     EmpiricalSummary,
@@ -94,7 +95,10 @@ def headway_from_uniform(u, rate: float):
     arr = np.asarray(u, dtype=float)
     if arr.size and (np.any(arr <= 0.0) or np.any(arr > 1.0)):
         raise ValueError("u must lie in (0, 1]")
-    result = _gaps_from_uniform(arr, rate)
+    with np.errstate(over="ignore"):
+        result = _gaps_from_uniform(arr, rate)
+    if not np.isfinite(result).all():
+        raise ValueError(f"rate = {rate!r} is too small: -ln(u) / rate overflows the float range")
     if result.ndim == 0:
         return float(result)
     return result
@@ -122,6 +126,11 @@ def sample_interarrivals(
     _integer("n", n, 1)
     _integer("seed", seed, 0)
     _integer("replication", replication, 0)
+    if not math.isfinite(MAX_UNIT_GAP / arrival.rate):
+        raise ValueError(
+            f"rate = {arrival.rate!r} is too small: gaps of up to 53 ln 2 / rate seconds "
+            "overflow the float range"
+        )
     return np.concatenate(list(_gap_chunks(seed, replication, n, arrival.rate)))
 
 

@@ -1,4 +1,6 @@
+import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +20,11 @@ from platoonctl import (
 )
 from platoonctl import simulator
 from platoonctl.cli import (
+    CSV_BLOCK_ROWS,
     SweepSpec,
     _write_csv,
     build_comparison,
+    comparison_csv_rows,
     load_scenario,
     main,
     sweep_rows,
@@ -300,6 +304,61 @@ class TestSimulateCommand:
         ]
 
 
+def csv_writer_bytes(tmp_path, header, rows) -> bytes:
+    """The bytes the standard library's CSV writer gives for these rows."""
+    path = tmp_path / "csv_writer_reference.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+class TestWriteCsv:
+    EDGE_FLOATS = [
+        -0.0, 5e-324, 1e-5, 1e-4, 1e16, 0.1 + 0.2, 1.7976931348623157e308, float("inf"), float("nan"),
+    ]
+
+    def assert_same_bytes_as_csv_writer(self, tmp_path, header, rows):
+        out = tmp_path / "written.csv"
+        _write_csv(out, header, rows)
+        assert out.read_bytes() == csv_writer_bytes(tmp_path, header, rows)
+
+    def test_edge_floats(self, tmp_path):
+        rows = [[value, -value] for value in self.EDGE_FLOATS]
+        self.assert_same_bytes_as_csv_writer(tmp_path, ["value", "negated"], rows)
+
+    def test_ints_and_bools(self, tmp_path):
+        rows = [(0, True), (-7, False), (2**63, True), (10**30, False)]
+        self.assert_same_bytes_as_csv_writer(tmp_path, ["n_samples", "passed"], rows)
+
+    def test_simulate_comparison_table(self, tmp_path):
+        arrival, policy = ArrivalModel(rate=0.05), PlatoonPolicy(threshold=60.0)
+        summary = run_replications(SimulationConfig(arrival=arrival, policy=policy, n_vehicles=2000, seed=3))[0]
+        for sigma in (3.0, 1e-9):  # every row passes, then every row fails
+            header, rows = comparison_csv_rows(build_comparison(arrival, policy, summary, sigma=sigma))
+            self.assert_same_bytes_as_csv_writer(tmp_path, header, rows)
+
+    @pytest.mark.parametrize("count", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+    def test_row_counts_around_the_block_size(self, tmp_path, count):
+        rows = [(i / 7.0, i, i % 3 == 0, -i * 1e-300) for i in range(count)]
+        self.assert_same_bytes_as_csv_writer(tmp_path, ["a", "b", "c", "d"], rows)
+
+    def test_memory_is_one_block_of_text_not_the_file(self, tmp_path, nominal_params, nominal_arrival):
+        header, rows = sweep_rows(nominal_params, nominal_arrival, SweepSpec(0.0, 400.0, 200_000))
+        out = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            _write_csv(out, header, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        block_text = size / len(rows) * CSV_BLOCK_ROWS
+        assert peak < 4 * block_text
+        assert peak < size / 10
+
+
 DOCUMENTED_SWEEP_HEADER = [
     "threshold_s",
     "expected_platoon_size",
@@ -355,13 +414,12 @@ class TestSweepCommand:
             "--points", str(points), "--csv", str(out),
         ]) == 0
         scenario = load_scenario(path)
-        reference = tmp_path / "reference.csv"
-        _write_csv(
-            reference,
+        reference = csv_writer_bytes(
+            tmp_path,
             DOCUMENTED_SWEEP_HEADER,
             reference_sweep_rows(scenario.cost, scenario.arrival, r_min, r_max, points),
         )
-        assert out.read_bytes() == reference.read_bytes()
+        assert out.read_bytes() == reference
 
     @pytest.mark.parametrize("grid", ["x50_boundary", "cruise_30km", "unbounded_decreasing"])
     def test_sweep_row_equals_analytic_json_bit_for_bit(self, write_config, tmp_path, grid):

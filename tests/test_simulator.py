@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,17 @@ class TestHeadwayFromUniform:
         with pytest.raises(ValueError, match="u must lie"):
             headway_from_uniform(bad, rate=1.0)
 
+    @pytest.mark.parametrize("u", [0.5, np.array([1.0, 0.5])])
+    def test_rate_whose_gaps_overflow_is_rejected(self, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rate = 1e-310 is too small"):
+                headway_from_uniform(u, rate=1e-310)
+
+    def test_tiny_rate_with_finite_gaps_is_accepted(self):
+        assert headway_from_uniform(1.0, rate=1e-310) == 0.0
+        assert headway_from_uniform(0.5, rate=1e-300) == math.log(2) / 1e-300
+
 
 class TestSampleInterarrivals:
     def test_deterministic_for_fixed_seed(self):
@@ -85,6 +97,19 @@ class TestSampleInterarrivals:
             sample_interarrivals(-1, 10, arrival)
         with pytest.raises(ValueError, match="replication"):
             sample_interarrivals(SEED, 10, arrival, replication=-2)
+
+    def test_rate_whose_gaps_overflow_is_rejected_before_drawing(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("drew gaps before checking the rate")
+
+        monkeypatch.setattr(simulator, "_gap_chunks", never)
+        with pytest.raises(ValueError, match="rate = 1e-310 is too small"):
+            sample_interarrivals(1, 3, ArrivalModel(rate=1e-310))
+
+    def test_rate_near_the_overflow_limit_is_accepted(self):
+        rate = MAX_UNIT_GAP / sys.float_info.max * 2
+        gaps = sample_interarrivals(1, 3, ArrivalModel(rate=rate))
+        assert np.isfinite(gaps).all()
 
 
 class TestFormation:
