@@ -24,6 +24,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -264,7 +265,7 @@ def _require_simulation(scenario: Scenario) -> SimulationConfig:
 CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: str | Path, header: list[str], rows: list) -> None:
+def _write_csv(path: str | Path, header: list[str], rows: Sequence) -> None:
     """Write ``header`` and ``rows`` as LF-terminated CSV.
 
     The bytes are those of ``csv.writer(fh, lineterminator="\\n")``: a field
@@ -392,53 +393,69 @@ SWEEP_SIM_HEADER = [
 ]
 
 
+class _ColumnRows(Sequence):
+    """Rows zipped from equal-length numpy columns on demand: only the rows
+    indexed or sliced become Python floats, so ``_write_csv`` holds one
+    block of them at a time."""
+
+    def __init__(self, columns: list) -> None:
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(zip(*[column[index].tolist() for column in self._columns]))
+        return tuple(column[index].item() for column in self._columns)
+
+
 def sweep_rows(
     params: CostParameters,
     arrival: ArrivalModel,
     spec: SweepSpec,
     sim: SimulationConfig | None = None,
-) -> tuple[list[str], list[tuple]]:
+) -> tuple[list[str], Sequence[tuple]]:
     """Analytic sweep rows over the threshold grid, optionally with pooled
     empirical columns (same seed at every grid point, so runs share draws).
 
     The closed-form columns come from one array pass over the grid, which
     rejects an out-of-range ``r_max`` before anything is evaluated or
     simulated; each row equals ``analytic_quantities`` at its threshold.
-    Rows are tuples zipped from the columns as lists of Python floats.
+    The columns stay numpy arrays; the returned sequence of row tuples
+    converts them to Python floats one indexed row or slice at a time.
     """
     _check_product(arrival.rate, float(spec.r_max))  # before the grid is built
     curves = threshold_curves(params, arrival, spec.thresholds())
     columns = [
-        column.tolist()
-        for column in (
-            curves.threshold,
-            curves.expected_platoon_size,
-            curves.expected_platoon_headway,
-            curves.expected_time_reduction,
-            curves.expected_fuel_increase,
-            curves.expected_fuel_saving,
-            curves.expected_total_cost,
-        )
+        curves.threshold,
+        curves.expected_platoon_size,
+        curves.expected_platoon_headway,
+        curves.expected_time_reduction,
+        curves.expected_fuel_increase,
+        curves.expected_fuel_saving,
+        curves.expected_total_cost,
     ]
-    del curves  # the lists and rows of Python floats are the peak; free the arrays first
     header = list(SWEEP_HEADER)
     if sim is not None:
+        import numpy as np
+
         from .simulator import run_replications
 
         header += SWEEP_SIM_HEADER
-        simulated = []
-        for threshold in columns[0]:
+        simulated = np.empty((len(SWEEP_SIM_HEADER), spec.n_points))
+        for point, threshold in enumerate(curves.threshold.tolist()):
             aggregate, _ = run_replications(replace(sim, policy=PlatoonPolicy(threshold=threshold)))
-            simulated.append((
+            simulated[:, point] = (
                 aggregate.platoon_size.mean,
                 aggregate.platoon_size.ci_half_width,
                 aggregate.leader_headway.mean,
                 aggregate.leader_headway.ci_half_width,
                 aggregate.time_shift.mean,
                 aggregate.time_shift.ci_half_width,
-            ))
-        columns += zip(*simulated)
-    return header, list(zip(*columns))
+            )
+        columns += list(simulated)
+    return header, _ColumnRows(columns)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

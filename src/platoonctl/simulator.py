@@ -19,6 +19,12 @@ mergeable statistics, so its memory is O(CHUNK_VEHICLES) whatever
 chunks into one array, and ``run_from_interarrivals`` forms a whole run in
 memory (O(n)) by a different algorithm: the small-n reference the streaming
 kernel matches. ``summarize`` and the kernel share one estimator.
+
+Each replication allocates its chunk buffers once: the gap buffer in
+``_gap_chunks``, and the leader mask and the arrival times in the kernel.
+Every chunk's steps write into them, so a chunk ``_gap_chunks`` yields is
+valid only until the next one is drawn; a caller that keeps chunks copies
+them.
 """
 
 from __future__ import annotations
@@ -83,20 +89,15 @@ class SimulationRun:
         return int(self.interarrivals.size)
 
 
-def _gaps_from_uniform(u, rate: float):
-    """The transform of ``headway_from_uniform``, unchecked."""
-    return -np.log(u) / rate
-
-
 def headway_from_uniform(u, rate: float):
     """Inverse-CDF transform: map uniform draws U in (0, 1] to exponential
     headways X = -ln(U) / rate. U = 1 maps to X = 0, a valid zero gap."""
     _positive("rate", rate)
     arr = np.asarray(u, dtype=float)
-    if arr.size and (np.any(arr <= 0.0) or np.any(arr > 1.0)):
+    if not ((arr > 0.0) & (arr <= 1.0)).all():  # NaN fails both tests
         raise ValueError("u must lie in (0, 1]")
     with np.errstate(over="ignore"):
-        result = _gaps_from_uniform(arr, rate)
+        result = -np.log(arr) / rate
     if not np.isfinite(result).all():
         raise ValueError(f"rate = {rate!r} is too small: -ln(u) / rate overflows the float range")
     if result.ndim == 0:
@@ -108,10 +109,18 @@ def _gap_chunks(seed: int, replication: int, n: int, rate: float):
     """Yield the ``n`` gaps of replication stream (seed, replication) in
     chunks of ``CHUNK_VEHICLES``. PCG64 draws split into chunks equal one
     long draw, so the chunk size never changes a gap. ``1 - rng.random``
-    lies in (0, 1] by construction, so the transform needs no check."""
+    lies in (0, 1] by construction, so the transform needs no check.
+
+    Every chunk is a view of one buffer, transformed in place (-ln(1 - U) /
+    rate as ln(1 - U) / -rate, bit for bit): a chunk is valid only until the
+    next one is drawn, and the caller may overwrite it."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, replication)))
+    buffer = np.empty(min(CHUNK_VEHICLES, n))
     for start in range(0, n, CHUNK_VEHICLES):
-        yield _gaps_from_uniform(1.0 - rng.random(min(CHUNK_VEHICLES, n - start)), rate)
+        u = rng.random(out=buffer[: min(CHUNK_VEHICLES, n - start)])
+        np.subtract(1.0, u, out=u)
+        np.log(u, out=u)
+        yield np.divide(u, -rate, out=u)
 
 
 def sample_interarrivals(
@@ -131,7 +140,12 @@ def sample_interarrivals(
             f"rate = {arrival.rate!r} is too small: gaps of up to 53 ln 2 / rate seconds "
             "overflow the float range"
         )
-    return np.concatenate(list(_gap_chunks(seed, replication, n, arrival.rate)))
+    gaps = np.empty(n)
+    start = 0
+    for chunk in _gap_chunks(seed, replication, n, arrival.rate):
+        gaps[start : start + chunk.size] = chunk
+        start += chunk.size
+    return gaps
 
 
 def run_from_interarrivals(interarrivals, policy: PlatoonPolicy) -> SimulationRun:
@@ -188,7 +202,10 @@ def summarize(run: SimulationRun, warmup_vehicles: int = 0, pmf_cutoff: int = 10
     _integer("warmup_vehicles", warmup_vehicles, 0)
     _integer("pmf_cutoff", pmf_cutoff, 1)
     stats = _ReplicationStats.of(
-        run.platoon_sizes[:-1], run.leader_headways, run.time_shifts[warmup_vehicles:], pmf_cutoff
+        run.platoon_sizes[:-1],
+        run.leader_headways.copy(),
+        run.time_shifts[warmup_vehicles:].copy(),
+        pmf_cutoff,
     )
     return stats.summary(pmf_cutoff)
 
@@ -204,10 +221,12 @@ class _Moments:
 
     @classmethod
     def of(cls, values: np.ndarray) -> _Moments:
+        """The moments of ``values``, which it overwrites with their
+        deviations from the mean."""
         if values.size == 0:
             return cls()
         mean = float(np.mean(values))
-        deviations = values - mean
+        deviations = np.subtract(values, mean, out=values)
         return cls(int(values.size), mean, float(np.dot(deviations, deviations)))
 
     def merge(self, other: _Moments) -> _Moments:
@@ -251,7 +270,8 @@ class _ReplicationStats:
     @classmethod
     def of(cls, sizes: np.ndarray, headways: np.ndarray, shifts: np.ndarray, pmf_cutoff: int):
         """The statistics of closed platoon ``sizes`` (int64), leader
-        ``headways`` and vehicle ``shifts``; any of them may be empty."""
+        ``headways`` and vehicle ``shifts``; any of them may be empty.
+        ``headways`` and ``shifts`` are overwritten."""
         # Only the first size may exceed the vehicles these arrays cover (in
         # the kernel it can span any number of chunks), so the squares of the
         # rest sum within int64.
@@ -297,33 +317,43 @@ def _replication_stats(config: SimulationConfig, replication: int, pmf_cutoff: i
     platoon: its size and the time since its leader arrived, which is also
     the shift of its last vehicle. Times inside a chunk count from the last
     vehicle of the previous chunk, so the open platoon's leader sits at
-    ``-since_leader``.
+    ``-since_leader``. The leader mask and the arrival times (which become
+    the shifts, then the shifts' deviations) are written into two buffers
+    allocated once per replication.
     """
     threshold = config.policy.threshold
     stats = None
     open_size = 0  # 0 only before the first chunk: vehicle 1 always leads
     since_leader = 0.0
     warmup_left = config.warmup_vehicles
+    width = min(CHUNK_VEHICLES, config.n_vehicles)
+    leads_buffer = np.empty(width, dtype=bool)
+    arrivals_buffer = np.empty(width)
     for gaps in _gap_chunks(config.seed, replication, config.n_vehicles, config.arrival.rate):
-        leads = gaps > threshold  # the inverse of the merge mask
+        size = gaps.size
+        leads = np.greater(gaps, threshold, out=leads_buffer[:size])  # the inverse of the merge mask
         if not open_size:
             leads[0] = True
         leaders = np.flatnonzero(leads)
-        arrivals = np.cumsum(gaps)
+        arrivals = np.cumsum(gaps, out=arrivals_buffer[:size])
         leader_times = arrivals[leaders]
         if open_size:
             leaders = np.concatenate(([-open_size], leaders))
             leader_times = np.concatenate(([-since_leader], leader_times))
 
         # Each vehicle's shift is its arrival minus its platoon leader's;
-        # members counts each platoon's vehicles that fall in this chunk.
-        members = np.diff(np.append(np.maximum(leaders, 0), gaps.size))
+        # members counts each platoon's vehicles that fall in this chunk:
+        # the closed sizes, less the open platoon's earlier vehicles, and the
+        # last platoon's vehicles up to the chunk's end.
+        sizes = np.diff(leaders)
+        members = np.append(sizes, size - leaders[-1])
+        members[0] -= open_size
         shifts = np.subtract(arrivals, np.repeat(leader_times, members), out=arrivals)
-        open_size = gaps.size - int(leaders[-1])
+        open_size = size - int(leaders[-1])
         since_leader = float(shifts[-1])
-        skip = min(warmup_left, gaps.size)
+        skip = min(warmup_left, size)
         warmup_left -= skip
-        chunk = _ReplicationStats.of(np.diff(leaders), np.diff(leader_times), shifts[skip:], pmf_cutoff)
+        chunk = _ReplicationStats.of(sizes, np.diff(leader_times), shifts[skip:], pmf_cutoff)
         stats = chunk if stats is None else stats.merge(chunk)
     return stats
 

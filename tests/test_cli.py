@@ -535,6 +535,26 @@ class TestSweepCommand:
         assert len(rows) == 5
         assert rows[0][0] == 0.0 and rows[0][-1] == 0.0  # zero threshold, zero cost
 
+    def test_rows_index_and_slice_alike(self, nominal_params, nominal_arrival):
+        _, rows = sweep_rows(nominal_params, nominal_arrival, SweepSpec(0.0, 100.0, 9))
+        listed = rows[:]
+        assert len(listed) == 9 and list(rows) == listed
+        assert rows[-1] == listed[-1] and rows[2:5] == listed[2:5]
+        assert all(type(field) is float for row in listed for field in row)
+
+    def test_memory_is_the_columns_not_the_rows(self, tmp_path, nominal_params, nominal_arrival):
+        # The seven closed-form columns are 56 B per grid point as float64;
+        # a list of row tuples of Python floats would be about 330 B.
+        points = 100_000
+        tracemalloc.start()
+        try:
+            header, rows = sweep_rows(nominal_params, nominal_arrival, SweepSpec(0.0, 400.0, points))
+            _write_csv(tmp_path / "sweep.csv", header, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / points < 128
+
 
 class TestOptimizeCommand:
     def test_reports_interior_optimum(self, write_config, capsys):

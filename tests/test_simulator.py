@@ -22,7 +22,7 @@ from platoonctl import (
 )
 from platoonctl import simulator
 from platoonctl.domain import MAX_UNIT_GAP
-from platoonctl.simulator import CHUNK_VEHICLES, _gap_chunks, _replication_stats
+from platoonctl.simulator import CHUNK_VEHICLES, _gap_chunks, _Moments, _replication_stats
 
 from conftest import pooled_reference, reference_summary, run_samples, summary_mismatches
 
@@ -54,6 +54,13 @@ class TestHeadwayFromUniform:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError, match="u must lie"):
             headway_from_uniform(bad, rate=1.0)
+
+    @pytest.mark.parametrize("nan", [math.nan, [0.5, math.nan], np.array([0.5, np.nan])])
+    def test_rejects_nan_as_out_of_range(self, nan):
+        # NaN fails every comparison, so it must fail the range test, not
+        # reach the overflow check and be blamed on the rate.
+        with pytest.raises(ValueError, match=r"^u must lie in \(0, 1\]$"):
+            headway_from_uniform(nan, rate=0.02)
 
     @pytest.mark.parametrize("u", [0.5, np.array([1.0, 0.5])])
     def test_rate_whose_gaps_overflow_is_rejected(self, u):
@@ -298,6 +305,27 @@ class TestSummarize:
         reference = reference_summary(*run_samples(run, warmup), cutoff)
         assert summary_mismatches(summarize(run, warmup_vehicles=warmup, pmf_cutoff=cutoff), reference) == []
 
+    def test_leaves_the_run_unmodified(self):
+        # The estimator computes deviations in its input's memory, so
+        # summarize must hand it copies.
+        run = run_simulation(ArrivalModel(rate=0.02), PlatoonPolicy(threshold=50.0), 5000, SEED)
+        before = {name: getattr(run, name).copy() for name in run.__dataclass_fields__}
+        summarize(run, warmup_vehicles=10)
+        for name, array in before.items():
+            assert np.array_equal(getattr(run, name), array), name
+
+
+class TestMoments:
+    def test_deviations_in_place_equal_a_copy(self):
+        values = np.random.default_rng(SEED).exponential(30.0, size=10_001)
+        copy = values.copy()
+        mean = float(np.mean(copy))
+        deviations = copy - mean
+        moments = _Moments.of(values)
+        assert (moments.count, moments.mean, moments.m2) == (10_001, mean, float(np.dot(deviations, deviations)))
+        assert np.array_equal(values, deviations)  # the input now holds the deviations
+
+
 class TestRunReplications:
     def _config(self, **overrides):
         defaults = dict(
@@ -424,7 +452,8 @@ class TestStreamingKernel:
         # from SeedSequence((seed, replication)), mapped by -ln(1 - v) / rate.
         arrival = ArrivalModel(rate=0.02)
         n = 3 * C + 7
-        chunks = list(_gap_chunks(SEED, 3, n, arrival.rate))
+        # Chunks share one buffer, so each is copied before the next is drawn.
+        chunks = [chunk.copy() for chunk in _gap_chunks(SEED, 3, n, arrival.rate)]
         assert [c.size for c in chunks] == [C, C, C, 7]
         v = np.random.default_rng(np.random.SeedSequence((SEED, 3))).random(n)
         one_shot = -np.log(1.0 - v) / arrival.rate
@@ -512,6 +541,32 @@ class TestStreamingKernel:
         assert summary_mismatches(summary, reference[0]) == []
         for got, want in zip(per_rep, reference[1], strict=True):
             assert summary_mismatches(got, want) == []
+
+    def test_stale_buffers_do_not_change_the_summary(self, monkeypatch):
+        # Every buffer allocated during the run starts as garbage (NaN floats,
+        # all-True masks), so a step that reads what it did not write this
+        # chunk changes the result.
+        config = self._config(n_vehicles=3 * C + 7, n_replications=2, warmup_vehicles=5)
+        fresh = run_replications(config)
+        empty = np.empty
+        allocated = []
+
+        def stale(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill(True if out.dtype == bool else math.nan if out.dtype.kind == "f" else -1)
+            allocated.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(np, "empty", stale)
+        assert run_replications(config) == fresh
+        assert {np.dtype(bool), np.dtype(float)} <= set(allocated)
+
+    def test_same_summary_after_another_config(self):
+        config = self._config(n_vehicles=C + 5, warmup_vehicles=3)
+        first = run_replications(config)
+        run_replications(self._config(policy=PlatoonPolicy(threshold=150.0), n_vehicles=2 * C + 1, seed=SEED + 1))
+        assert run_replications(config) == first
+        assert summary_mismatches(first[0], pooled_reference(config)[0]) == []
 
     def test_memory_is_flat_in_n(self):
         peaks = {}
