@@ -344,7 +344,8 @@ def numeric_optimal_threshold(
     params: CostParameters, arrival: ArrivalModel, r_max: float, tol: float = 1e-3
 ) -> float:
     """Golden-section minimizer of expected_total_cost over [0, r_max],
-    refined until the bracket is narrower than ``tol`` seconds.
+    refined until the bracket is narrower than ``tol`` seconds, or until a
+    step no longer narrows it (a ``tol`` below the floats' spacing there).
 
     The cost derivative changes sign at most once on [0, r_max], so the cost
     is unimodal there and golden-section search is valid; it serves as the
@@ -362,7 +363,9 @@ def numeric_optimal_threshold(
     right = lo + inv_phi * (hi - lo)
     f_left = cost(left)
     f_right = cost(right)
-    while hi - lo > tol:
+    width = math.inf
+    while tol < hi - lo < width:
+        width = hi - lo
         if f_left < f_right:
             hi, right, f_right = right, left, f_left
             left = hi - inv_phi * (hi - lo)

@@ -8,10 +8,11 @@ Subcommands:
 
 Input is a single JSON config with sections ``arrival``, ``policy``,
 ``cost`` (mixed planning units), ``simulation``, and ``output``; see the
-README for the schema. All file outputs are deterministic for a fixed
-config and seed. Exit codes: 0 success (for ``simulate``: every statistic
-consistent with the closed forms), 1 statistical comparison failure,
-2 usage or configuration error, 3 out of memory.
+README for the schema, outside which any section or key is an error. All
+file outputs are deterministic for a fixed config and seed. Exit codes:
+0 success (for ``simulate``: every statistic consistent with the closed
+forms), 1 statistical comparison failure, 2 usage or configuration error,
+3 out of memory.
 
 numpy is imported only by ``simulate`` and ``sweep``, which build arrays;
 ``analytic``, ``optimize`` and every configuration error run without it.
@@ -46,6 +47,7 @@ from .domain import (
     PlatoonPolicy,
     RawCostConfig,
     SimulationConfig,
+    StatEstimate,
     _check_product,
     _integer,
     _non_negative,
@@ -108,65 +110,34 @@ class ComparisonReport:
         return all(row.passed for row in self.rows)
 
 
-def _comparison_row(
-    statistic: str, analytic: float, empirical: float, half_width: float, count: int, sigma: float
-) -> ComparisonRow:
-    gap = abs(empirical - analytic)
-    return ComparisonRow(
-        statistic=statistic,
-        analytic=analytic,
-        empirical=empirical,
-        ci_half_width=half_width,
-        relative_error=gap / max(abs(analytic), REL_ERROR_FLOOR),
-        n_samples=count,
-        passed=gap <= sigma * half_width,
-    )
-
-
 def build_comparison(
     arrival: ArrivalModel, policy: PlatoonPolicy, summary: EmpiricalSummary, sigma: float = 3.0
 ) -> ComparisonReport:
     """Compare a pooled empirical summary against the closed forms."""
     sigma = _positive("sigma", sigma)
     stats = platoon_statistics(arrival, policy)
-    singleton_freq = summary.size_pmf.get(1, 0.0)
+    freq = summary.size_pmf.get(1, 0.0)
     n_platoons = summary.platoon_size.count
-    singleton_hw = Z_95 * math.sqrt(singleton_freq * (1.0 - singleton_freq) / n_platoons)
-    rows = (
-        _comparison_row(
-            "mean_platoon_size",
-            stats.expected_platoon_size,
-            summary.platoon_size.mean,
-            summary.platoon_size.ci_half_width,
-            summary.platoon_size.count,
-            sigma,
-        ),
-        _comparison_row(
-            "mean_leader_headway",
-            stats.expected_platoon_headway,
-            summary.leader_headway.mean,
-            summary.leader_headway.ci_half_width,
-            summary.leader_headway.count,
-            sigma,
-        ),
-        _comparison_row(
-            "mean_time_shift",
-            stats.expected_time_reduction,
-            summary.time_shift.mean,
-            summary.time_shift.ci_half_width,
-            summary.time_shift.count,
-            sigma,
-        ),
-        _comparison_row(
-            "singleton_probability",
-            platoon_size_pmf(arrival, policy, 1),
-            singleton_freq,
-            singleton_hw,
-            n_platoons,
-            sigma,
-        ),
+    singleton = StatEstimate(freq, Z_95 * math.sqrt(freq * (1.0 - freq) / n_platoons), n_platoons)
+    table = (
+        ("mean_platoon_size", stats.expected_platoon_size, summary.platoon_size),
+        ("mean_leader_headway", stats.expected_platoon_headway, summary.leader_headway),
+        ("mean_time_shift", stats.expected_time_reduction, summary.time_shift),
+        ("singleton_probability", platoon_size_pmf(arrival, policy, 1), singleton),
     )
-    return ComparisonReport(rows=rows, sigma=sigma)
+    rows = []
+    for statistic, analytic, estimate in table:
+        gap = abs(estimate.mean - analytic)
+        rows.append(ComparisonRow(
+            statistic=statistic,
+            analytic=analytic,
+            empirical=estimate.mean,
+            ci_half_width=estimate.ci_half_width,
+            relative_error=gap / max(abs(analytic), REL_ERROR_FLOOR),
+            n_samples=estimate.count,
+            passed=gap <= sigma * estimate.ci_half_width,
+        ))
+    return ComparisonReport(rows=tuple(rows), sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -180,13 +151,32 @@ class Scenario:
     output: dict
 
 
+# The keys of every config section; any other section or key is an error.
+_SECTION_KEYS = {
+    "arrival": ("rate",),
+    "policy": ("threshold",),
+    "cost": tuple(f.name for f in dataclasses.fields(RawCostConfig)),
+    "simulation": ("n_vehicles", "n_replications", "seed"),
+    "output": ("json", "csv"),
+}
+
+
+def _known_keys(sect: dict, name: str) -> dict:
+    unknown = [key for key in sect if key not in _SECTION_KEYS[name]]
+    if unknown:
+        raise ValueError(
+            f"config field {name}.{unknown[0]} is not a known key; '{name}' takes {', '.join(_SECTION_KEYS[name])}"
+        )
+    return sect
+
+
 def _section(cfg: dict, name: str) -> dict:
     sect = cfg.get(name)
     if sect is None:
         raise ValueError(f"config section '{name}' is missing")
     if not isinstance(sect, dict):
         raise ValueError(f"config section '{name}' must be an object")
-    return sect
+    return _known_keys(sect, name)
 
 
 def _field(sect: dict, key: str, where: str, default=None):
@@ -214,6 +204,19 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
+    unknown = [name for name in cfg if name not in _SECTION_KEYS]
+    if unknown:
+        raise ValueError(
+            f"config section '{unknown[0]}' is not a known section; the sections are {', '.join(_SECTION_KEYS)}"
+        )
+    # A removed option, still read at 0, its old default, as the no-op it was.
+    sect = cfg.get("simulation")
+    removed = sect.pop("warmup_vehicles", 0) if isinstance(sect, dict) else 0
+    if type(removed) is not int or removed != 0:
+        raise ValueError(
+            "config field simulation.warmup_vehicles was removed and only its old default 0 is accepted: vehicle 1 "
+            "always leads, so every run starts at a regeneration point and has no start-up bias to discard"
+        )
 
     arrival = ArrivalModel(rate=_config_number(_section(cfg, "arrival"), "rate", "arrival"))
     policy = PlatoonPolicy(threshold=_config_number(_section(cfg, "policy"), "threshold", "policy"))
@@ -236,12 +239,12 @@ def load_scenario(path: str | Path) -> Scenario:
             n_vehicles=_config_integer(sect, "n_vehicles", "simulation"),
             n_replications=_config_integer(sect, "n_replications", "simulation", default=1),
             seed=_config_integer(sect, "seed", "simulation"),
-            warmup_vehicles=_config_integer(sect, "warmup_vehicles", "simulation", default=0),
         )
 
     output = cfg.get("output", {})
     if not isinstance(output, dict):
         raise ValueError("config section 'output' must be an object")
+    _known_keys(output, "output")
     for key in ("json", "csv"):
         if key in output and not (isinstance(output[key], str) and output[key]):
             raise ValueError(f"config field output.{key} must be a non-empty file path string")
@@ -318,28 +321,10 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def comparison_csv_rows(report: ComparisonReport) -> tuple[list[str], list[list]]:
-    header = [
-        "statistic",
-        "analytic",
-        "empirical",
-        "ci_half_width",
-        "relative_error",
-        "n_samples",
-        "passed",
-    ]
-    rows = [
-        [
-            row.statistic,
-            row.analytic,
-            row.empirical,
-            row.ci_half_width,
-            row.relative_error,
-            row.n_samples,
-            row.passed,
-        ]
-        for row in report.rows
-    ]
-    return header, rows
+    """The comparison table as CSV: one column per ``ComparisonRow`` field,
+    in field order."""
+    header = [field.name for field in dataclasses.fields(ComparisonRow)]
+    return header, [[getattr(row, name) for name in header] for row in report.rows]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -218,7 +218,6 @@ class SimulationConfig:
     n_vehicles: int
     n_replications: int = 1
     seed: int = 0
-    warmup_vehicles: int = 0  # leading vehicles excluded from shift statistics
 
     def __post_init__(self) -> None:
         _check_product(self.arrival.rate, self.policy.threshold)  # before any work
@@ -226,12 +225,6 @@ class SimulationConfig:
         _integer("n_replications", self.n_replications, 1)
         if _integer("seed", self.seed, 0) > MAX_SEED:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed}")
-        _integer("warmup_vehicles", self.warmup_vehicles, 0)
-        if self.warmup_vehicles >= self.n_vehicles:
-            raise ValueError(
-                f"n_vehicles ({self.n_vehicles}) must exceed warmup_vehicles "
-                f"({self.warmup_vehicles})"
-            )
         # The horizon bounds every arrival time, headway and shift of a run, so
         # while this product is finite every sum of their squares is too.
         horizon = self.n_vehicles * MAX_UNIT_GAP / self.arrival.rate
@@ -256,8 +249,9 @@ class StatEstimate:
 class EmpiricalSummary:
     """Empirical platoon statistics for one run or a pooled campaign.
 
-    ``size_pmf`` maps platoon size y (1..cutoff) to its empirical frequency;
-    mass beyond the cutoff is simply absent, so values sum to at most 1.
+    ``size_pmf`` maps platoon size y (1..``simulator.PMF_CUTOFF``) to its
+    empirical frequency; mass beyond the cutoff is simply absent, so values
+    sum to at most 1.
     """
 
     platoon_size: StatEstimate

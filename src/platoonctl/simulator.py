@@ -5,6 +5,10 @@ draws exponential interarrival gaps, applies the inclusive threshold rule,
 and reports platoon sizes, leader-to-leader headways, and per-vehicle
 catch-up time shifts with normal-approximation confidence intervals.
 
+Vehicle 1 always leads, so every run starts at a regeneration point: each
+closed platoon is an independent renewal cycle from the first vehicle on, and
+no leading vehicles are discarded as warm-up.
+
 Randomness contract: gaps come from numpy's PCG64 generator (period 2^128)
 seeded with ``SeedSequence((seed, replication))``. The master seed plus the
 replication index fully determines every draw, so runs reproduce
@@ -50,6 +54,9 @@ from .domain import (  # re-exported: the simulator's types live in domain, whic
 # Vehicles drawn and folded per step of ``run_replications``; its working
 # memory is a few arrays of this length, whatever the number of vehicles.
 CHUNK_VEHICLES = 1 << 16
+
+# Sizes 1..PMF_CUTOFF get their own entry in a summary's ``size_pmf``.
+PMF_CUTOFF = 10
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,7 @@ def headway_from_uniform(u, rate: float):
     if not ((arr > 0.0) & (arr <= 1.0)).all():  # NaN fails both tests
         raise ValueError("u must lie in (0, 1]")
     with np.errstate(over="ignore"):
-        result = -np.log(arr) / rate
+        result = -np.log(arr) / rate + 0.0  # + 0.0 turns -ln(1) = -0.0 into +0.0
     if not np.isfinite(result).all():
         raise ValueError(f"rate = {rate!r} is too small: -ln(u) / rate overflows the float range")
     if result.ndim == 0:
@@ -192,22 +199,14 @@ def run_simulation(
     return run_from_interarrivals(gaps, policy)
 
 
-def summarize(run: SimulationRun, warmup_vehicles: int = 0, pmf_cutoff: int = 10) -> EmpiricalSummary:
+def summarize(run: SimulationRun) -> EmpiricalSummary:
     """Empirical means, 95% CI half-widths, and the size PMF for one run.
 
     The final platoon is right-censored (no gap > threshold ever terminated
-    it) and is dropped from the size sample; vehicles 1..warmup are dropped
-    from the shift sample.
+    it) and is dropped from the size sample.
     """
-    _integer("warmup_vehicles", warmup_vehicles, 0)
-    _integer("pmf_cutoff", pmf_cutoff, 1)
-    stats = _ReplicationStats.of(
-        run.platoon_sizes[:-1],
-        run.leader_headways.copy(),
-        run.time_shifts[warmup_vehicles:].copy(),
-        pmf_cutoff,
-    )
-    return stats.summary(pmf_cutoff)
+    stats = _ReplicationStats.of(run.platoon_sizes[:-1], run.leader_headways.copy(), run.time_shifts.copy())
+    return stats.summary()
 
 
 @dataclass(frozen=True)
@@ -256,8 +255,8 @@ class _ReplicationStats:
     """Mergeable sufficient statistics of one replication or of several.
 
     Closed platoon sizes are kept as exact integers: their count, sum, sum of
-    squares and a histogram whose last bin holds every size above the PMF
-    cutoff.
+    squares and a histogram whose last bin holds every size above
+    ``PMF_CUTOFF``.
     """
 
     size_count: int
@@ -268,7 +267,7 @@ class _ReplicationStats:
     shift: _Moments
 
     @classmethod
-    def of(cls, sizes: np.ndarray, headways: np.ndarray, shifts: np.ndarray, pmf_cutoff: int):
+    def of(cls, sizes: np.ndarray, headways: np.ndarray, shifts: np.ndarray):
         """The statistics of closed platoon ``sizes`` (int64), leader
         ``headways`` and vehicle ``shifts``; any of them may be empty.
         ``headways`` and ``shifts`` are overwritten."""
@@ -280,7 +279,7 @@ class _ReplicationStats:
             int(sizes.size),
             int(sizes.sum()),
             sum_sq,
-            np.bincount(np.minimum(sizes, pmf_cutoff + 1), minlength=pmf_cutoff + 2),
+            np.bincount(np.minimum(sizes, PMF_CUTOFF + 1), minlength=PMF_CUTOFF + 2),
             _Moments.of(headways),
             _Moments.of(shifts),
         )
@@ -295,7 +294,7 @@ class _ReplicationStats:
             self.shift.merge(other.shift),
         )
 
-    def summary(self, pmf_cutoff: int) -> EmpiricalSummary:
+    def summary(self) -> EmpiricalSummary:
         n = self.size_count
         sizes = _Moments()
         if n:
@@ -304,12 +303,12 @@ class _ReplicationStats:
         return EmpiricalSummary(
             platoon_size=sizes.estimate("platoon-size (all platoons censored)"),
             leader_headway=self.headway.estimate("leader-headway (fewer than two platoons)"),
-            time_shift=self.shift.estimate("time-shift (post-warmup)"),
-            size_pmf={y: float(self.size_hist[y] / n) for y in range(1, pmf_cutoff + 1)},
+            time_shift=self.shift.estimate("time-shift"),
+            size_pmf={y: float(self.size_hist[y] / n) for y in range(1, PMF_CUTOFF + 1)},
         )
 
 
-def _replication_stats(config: SimulationConfig, replication: int, pmf_cutoff: int) -> _ReplicationStats:
+def _replication_stats(config: SimulationConfig, replication: int) -> _ReplicationStats:
     """Fold one replication's gaps, chunk by chunk, into its sufficient
     statistics; memory is O(CHUNK_VEHICLES) whatever n is.
 
@@ -325,7 +324,6 @@ def _replication_stats(config: SimulationConfig, replication: int, pmf_cutoff: i
     stats = None
     open_size = 0  # 0 only before the first chunk: vehicle 1 always leads
     since_leader = 0.0
-    warmup_left = config.warmup_vehicles
     width = min(CHUNK_VEHICLES, config.n_vehicles)
     leads_buffer = np.empty(width, dtype=bool)
     arrivals_buffer = np.empty(width)
@@ -351,16 +349,12 @@ def _replication_stats(config: SimulationConfig, replication: int, pmf_cutoff: i
         shifts = np.subtract(arrivals, np.repeat(leader_times, members), out=arrivals)
         open_size = size - int(leaders[-1])
         since_leader = float(shifts[-1])
-        skip = min(warmup_left, size)
-        warmup_left -= skip
-        chunk = _ReplicationStats.of(sizes, np.diff(leader_times), shifts[skip:], pmf_cutoff)
+        chunk = _ReplicationStats.of(sizes, np.diff(leader_times), shifts)
         stats = chunk if stats is None else stats.merge(chunk)
     return stats
 
 
-def run_replications(
-    config: SimulationConfig, pmf_cutoff: int = 10
-) -> tuple[EmpiricalSummary, list[EmpiricalSummary]]:
+def run_replications(config: SimulationConfig) -> tuple[EmpiricalSummary, list[EmpiricalSummary]]:
     """Run every replication of ``config`` in one streaming pass each.
 
     Returns (aggregate, per_replication). The aggregate merges the
@@ -369,14 +363,13 @@ def run_replications(
     :func:`summarize` on the full in-memory runs (pooled across
     replications), up to float rounding.
     """
-    _integer("pmf_cutoff", pmf_cutoff, 1)
     total: _ReplicationStats | None = None
     per_replication: list[EmpiricalSummary] = []
     for rep in range(config.n_replications):
         try:
-            stats = _replication_stats(config, rep, pmf_cutoff)
-            per_replication.append(stats.summary(pmf_cutoff))
+            stats = _replication_stats(config, rep)
+            per_replication.append(stats.summary())
         except ValueError as exc:
             raise ValueError(f"replication {rep}: {exc}") from exc
         total = stats if total is None else total.merge(stats)
-    return total.summary(pmf_cutoff), per_replication
+    return total.summary(), per_replication

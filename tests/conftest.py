@@ -57,25 +57,26 @@ def reference_estimate(values, statistic):
     return StatEstimate(mean=float(np.mean(values)), ci_half_width=half_width, count=int(values.size))
 
 
-def run_samples(run, warmup_vehicles=0):
+def run_samples(run):
     """The (sizes, headways, shifts) samples ``summarize`` takes from a run:
-    the censored last platoon and the warm-up vehicles left out."""
-    return run.platoon_sizes[:-1], run.leader_headways, run.time_shifts[warmup_vehicles:]
+    the censored last platoon left out."""
+    return run.platoon_sizes[:-1], run.leader_headways, run.time_shifts
 
 
-def reference_summary(sizes, headways, shifts, pmf_cutoff=10):
+def reference_summary(sizes, headways, shifts):
     """The ``EmpiricalSummary`` of raw samples, with the simulator's error
-    messages, computed by the reference estimator."""
-    counts = np.bincount(sizes, minlength=pmf_cutoff + 1)
+    messages, computed by the reference estimator; the PMF covers sizes
+    1..10."""
+    counts = np.bincount(sizes, minlength=11)
     return EmpiricalSummary(
         platoon_size=reference_estimate(sizes, "platoon-size (all platoons censored)"),
         leader_headway=reference_estimate(headways, "leader-headway (fewer than two platoons)"),
-        time_shift=reference_estimate(shifts, "time-shift (post-warmup)"),
-        size_pmf={y: float(counts[y] / sizes.size) for y in range(1, pmf_cutoff + 1)},
+        time_shift=reference_estimate(shifts, "time-shift"),
+        size_pmf={y: float(counts[y] / sizes.size) for y in range(1, 11)},
     )
 
 
-def pooled_reference(config, pmf_cutoff=10):
+def pooled_reference(config):
     """``run_replications`` as the in-memory reference computes it: every
     replication as a full ``SimulationRun`` and summarized on its own, raw
     samples concatenated in replication-index order for the aggregate.
@@ -84,11 +85,11 @@ def pooled_reference(config, pmf_cutoff=10):
     for rep in range(config.n_replications):
         try:
             run = run_simulation(config.arrival, config.policy, config.n_vehicles, config.seed, replication=rep)
-            parts.append(run_samples(run, config.warmup_vehicles))
-            per_replication.append(reference_summary(*parts[-1], pmf_cutoff))
+            parts.append(run_samples(run))
+            per_replication.append(reference_summary(*parts[-1]))
         except ValueError as exc:
             raise ValueError(f"replication {rep}: {exc}") from exc
-    aggregate = reference_summary(*(np.concatenate([p[i] for p in parts]) for i in range(3)), pmf_cutoff)
+    aggregate = reference_summary(*(np.concatenate([p[i] for p in parts]) for i in range(3)))
     return aggregate, per_replication
 
 

@@ -313,7 +313,7 @@ def test_criterion_10_determinism(tmp_path):
         "arrival": {"rate": 0.02},
         "policy": {"threshold": 50.0},
         "cost": dict(NOMINAL_RAW),
-        "simulation": {"n_vehicles": 100_000, "n_replications": 2, "seed": 12345, "warmup_vehicles": 0},
+        "simulation": {"n_vehicles": 100_000, "n_replications": 2, "seed": 12345},
     }
     config_path = tmp_path / "scenario.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
@@ -338,11 +338,11 @@ def test_criterion_10_determinism(tmp_path):
         seed=MAIN_SEED,
     )
     aggregate, _ = run_replications(sim)
-    collected = {rep: _replication_stats(sim, rep, 10) for rep in reversed(range(sim.n_replications))}
+    collected = {rep: _replication_stats(sim, rep) for rep in reversed(range(sim.n_replications))}
     merged = collected[0]
     for rep in range(1, sim.n_replications):
         merged = merged.merge(collected[rep])
-    if merged.summary(10) != aggregate:
+    if merged.summary() != aggregate:
         failures.append("aggregate depends on replication execution order")
     failures.extend(summary_mismatches(aggregate, pooled_reference(sim)[0]))
     conclude(10, "byte-identical CSV output and order-independent aggregation", failures)

@@ -428,6 +428,25 @@ class TestNumericOptimalThreshold:
         got = numeric_optimal_threshold(params, nominal_arrival, 300.0, tol=1e-3)
         assert got >= 300.0 - 1e-3
 
+    @pytest.mark.parametrize("km", [0.0, 5.0, 30.0, 80.0])
+    def test_tolerance_below_the_float_spacing_ends(self, nominal_params, nominal_arrival, km, monkeypatch):
+        # Near the optimum no bracket gets narrower than a few ulps, so the
+        # search ends when a step stops narrowing it; a loop without that
+        # stop would evaluate the cost forever.
+        evaluations = 0
+
+        def counted(*args):
+            nonlocal evaluations
+            evaluations += 1
+            assert evaluations < 10_000, "the golden-section search does not end"
+            return expected_total_cost(*args)
+
+        params = with_cruise_km(nominal_params, km)
+        closed = optimal_threshold(params, nominal_arrival, 500.0).threshold
+        monkeypatch.setattr(analytic, "expected_total_cost", counted)
+        numeric = numeric_optimal_threshold(params, nominal_arrival, 500.0, tol=1e-300)
+        assert abs(closed - numeric) <= 1e-6
+
     def test_rejects_bad_tolerance(self, nominal_params, nominal_arrival):
         with pytest.raises(ValueError, match="tol"):
             numeric_optimal_threshold(nominal_params, nominal_arrival, 100.0, tol=0.0)

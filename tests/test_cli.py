@@ -41,7 +41,6 @@ BASE_CONFIG = {
         "n_vehicles": 100_000,
         "n_replications": 1,
         "seed": 12345,
-        "warmup_vehicles": 0,
     },
     "output": {},
 }
@@ -113,6 +112,29 @@ class TestConfigLoading:
         # open() would take 1 as a file descriptor: stdout, closed after writing.
         with pytest.raises(ValueError, match=rf"^config field output\.{key} must be a non-empty"):
             load_scenario(write_config({"output": {key: value}}))
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [("arrival", "rates"), ("policy", "threshold_s"), ("cost", "fuel_price"), ("simulation", "n_replication"),
+         ("output", "jsn")],
+    )
+    def test_unknown_key_names_it(self, write_config, section, key):
+        with pytest.raises(ValueError, match=rf"^config field {section}\.{key} is not a known key"):
+            load_scenario(write_config({section: {key: 1}}))
+
+    def test_unknown_section_names_it(self, write_config):
+        with pytest.raises(ValueError, match="^config section 'simulations' is not a known section"):
+            load_scenario(write_config({"simulations": {"n_vehicles": 10}}))
+
+    def test_removed_warmup_key_is_accepted_at_zero(self, write_config):
+        # The old default, as configs written before its removal hold it.
+        scenario = load_scenario(write_config({"simulation": {"warmup_vehicles": 0}}))
+        assert scenario.simulation == load_scenario(write_config()).simulation
+
+    @pytest.mark.parametrize("value", [1, 1000, -1, 0.0, False, "0"])
+    def test_removed_warmup_key_is_rejected_at_any_other_value(self, write_config, value):
+        with pytest.raises(ValueError, match=r"^config field simulation\.warmup_vehicles was removed"):
+            load_scenario(write_config({"simulation": {"warmup_vehicles": value}}))
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -203,6 +225,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory in 'simulate'")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("warmup_vehicles", 5, "was removed"),
+            # A misspelt n_replications once ran one replication and exited 0.
+            ("n_replication", 50, "is not a known key"),
+        ],
+    )
+    def test_bad_simulation_key_exits_2_before_sampling(
+        self, write_config, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        monkeypatch.setattr(simulator, "run_replications", self._never)
+        out = tmp_path / "report.csv"
+        path = write_config({"simulation": {key: value}})
+        assert main(["simulate", "--config", path, "--csv", str(out)]) == 2
+        assert f"error: config field simulation.{key} {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_pass_exits_0(self, write_config):
         assert main(["simulate", "--config", write_config()]) == 0

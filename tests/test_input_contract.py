@@ -23,7 +23,6 @@ from platoonctl import (
     run_replications,
     run_simulation,
     sample_interarrivals,
-    summarize,
     total_cost_derivative,
     truncation_cutoff,
 )
@@ -34,15 +33,11 @@ from conftest import NOMINAL_RAW
 ARRIVAL = ArrivalModel(rate=0.02)
 POLICY = PlatoonPolicy(threshold=50.0)
 PARAMS = normalize_units(RawCostConfig(**NOMINAL_RAW))
-SIMULATION = dict(arrival=ARRIVAL, policy=POLICY, n_vehicles=1000, n_replications=1, seed=1, warmup_vehicles=0)
+SIMULATION = dict(arrival=ARRIVAL, policy=POLICY, n_vehicles=1000, n_replications=1, seed=1)
 
 
 def _summary():
     return run_replications(SimulationConfig(**SIMULATION))[0]
-
-
-def _run():
-    return run_simulation(ARRIVAL, POLICY, 1000, seed=1)
 
 
 # (entry point, argument name, call with the bad value as that argument)
@@ -73,15 +68,12 @@ INTEGER_ARGS = [
     ("platoon_size_pmf", "y", lambda v: platoon_size_pmf(ARRIVAL, POLICY, y=v)),
     *[
         ("SimulationConfig", name, lambda v, name=name: SimulationConfig(**{**SIMULATION, name: v}))
-        for name in ("n_vehicles", "n_replications", "seed", "warmup_vehicles")
+        for name in ("n_vehicles", "n_replications", "seed")
     ],
     ("run_simulation", "n_vehicles", lambda v: run_simulation(ARRIVAL, POLICY, v, seed=1)),
     ("sample_interarrivals", "n", lambda v: sample_interarrivals(1, v, ARRIVAL)),
     ("sample_interarrivals", "seed", lambda v: sample_interarrivals(v, 10, ARRIVAL)),
     ("sample_interarrivals", "replication", lambda v: sample_interarrivals(1, 10, ARRIVAL, replication=v)),
-    ("run_replications", "pmf_cutoff", lambda v: run_replications(SimulationConfig(**SIMULATION), pmf_cutoff=v)),
-    ("summarize", "pmf_cutoff", lambda v: summarize(_run(), pmf_cutoff=v)),
-    ("summarize", "warmup_vehicles", lambda v: summarize(_run(), warmup_vehicles=v)),
     ("SweepSpec", "n_points", lambda v: SweepSpec(r_min=0.0, r_max=100.0, n_points=v)),
 ]
 BAD_INTEGERS = {"bool": True, "str": "1", "float": 1.5, "beyond-float": 10**400, "4301-digits": -(10**4300)}

@@ -40,14 +40,16 @@ thresholds = st.integers(min_value=0, max_value=1_000_000).map(lambda m: m / 100
 
 class TestHeadwayFromUniform:
     def test_boundary_u_one_gives_zero_gap(self):
-        assert headway_from_uniform(1.0, rate=0.02) == 0.0
+        gap = headway_from_uniform(1.0, rate=0.02)
+        assert gap == 0.0
+        assert math.copysign(1.0, gap) == 1.0  # +0.0: -ln(1) is -0.0, which prints as "-0.0"
 
     def test_known_value(self):
         assert headway_from_uniform(math.exp(-1.0), rate=1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_array_input(self):
         gaps = headway_from_uniform(np.array([1.0, 0.5, 0.1]), rate=1.0)
-        assert gaps[0] == 0.0
+        assert gaps[0] == 0.0 and math.copysign(1.0, gaps[0]) == 1.0
         assert np.all(np.diff(gaps) > 0)
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.0001])
@@ -270,47 +272,31 @@ class TestSummarize:
         assert summary.time_shift.mean == 0.0
         assert summary.time_shift.ci_half_width == 0.0
 
-    def test_warmup_excludes_leading_vehicles(self):
-        run = run_from_interarrivals([5.0, 3.0, 1.0, 8.0, 2.0, 2.0, 9.0], PlatoonPolicy(threshold=4.0))
-        full = summarize(run, warmup_vehicles=0)
-        trimmed = summarize(run, warmup_vehicles=3)
-        assert full.time_shift.count == 7
-        assert trimmed.time_shift.count == 4
-        assert trimmed.time_shift.mean == pytest.approx(np.mean([0.0, 2.0, 4.0, 0.0]))
-
-    def test_no_post_warmup_samples_is_an_error(self):
-        run = run_from_interarrivals([5.0, 9.0], PlatoonPolicy(threshold=4.0))
-        with pytest.raises(ValueError, match="time-shift"):
-            summarize(run, warmup_vehicles=2)
-
     def test_single_platoon_is_an_error(self):
         run = run_from_interarrivals([5.0, 3.0, 2.0], PlatoonPolicy(threshold=4.0))
         with pytest.raises(ValueError, match="platoon-size|leader-headway"):
             summarize(run)
 
     def test_pmf_tail_beyond_cutoff_excluded(self):
-        run = run_from_interarrivals([5.0, 1.0, 1.0, 1.0, 9.0, 1.0, 9.0], PlatoonPolicy(threshold=4.0))
-        # sizes [4, 2, 1], censored sample [4, 2]
-        summary = summarize(run, pmf_cutoff=3)
-        assert set(summary.size_pmf) == {1, 2, 3}
+        run = run_from_interarrivals([5.0] + [1.0] * 11 + [9.0, 1.0, 9.0], PlatoonPolicy(threshold=4.0))
+        # sizes [12, 2, 1], censored sample [12, 2]
+        summary = summarize(run)
+        assert set(summary.size_pmf) == set(range(1, 11))
         assert summary.size_pmf[2] == 0.5
-        assert sum(summary.size_pmf.values()) == 0.5  # the size-4 platoon is tail mass
+        assert sum(summary.size_pmf.values()) == 0.5  # the size-12 platoon is tail mass
 
-
-    @pytest.mark.parametrize("warmup,cutoff", [(0, 10), (1, 1), (137, 4)])
-    def test_matches_the_reference_estimator(self, warmup, cutoff):
+    def test_matches_the_reference_estimator(self):
         # summarize() shares the kernel's mergeable estimator; the reference
         # is numpy's mean and std(ddof=1) on the same samples.
         run = run_simulation(ArrivalModel(rate=0.02), PlatoonPolicy(threshold=50.0), 5_000, SEED)
-        reference = reference_summary(*run_samples(run, warmup), cutoff)
-        assert summary_mismatches(summarize(run, warmup_vehicles=warmup, pmf_cutoff=cutoff), reference) == []
+        assert summary_mismatches(summarize(run), reference_summary(*run_samples(run))) == []
 
     def test_leaves_the_run_unmodified(self):
         # The estimator computes deviations in its input's memory, so
         # summarize must hand it copies.
         run = run_simulation(ArrivalModel(rate=0.02), PlatoonPolicy(threshold=50.0), 5000, SEED)
         before = {name: getattr(run, name).copy() for name in run.__dataclass_fields__}
-        summarize(run, warmup_vehicles=10)
+        summarize(run)
         for name, array in before.items():
             assert np.array_equal(getattr(run, name), array), name
 
@@ -334,7 +320,6 @@ class TestRunReplications:
             n_vehicles=20_000,
             n_replications=4,
             seed=SEED,
-            warmup_vehicles=0,
         )
         defaults.update(overrides)
         return SimulationConfig(**defaults)
@@ -362,12 +347,12 @@ class TestRunReplications:
         # must reproduce the library aggregate bit for bit.
         config = self._config()
         aggregate, per_rep = run_replications(config)
-        stats = {rep: _replication_stats(config, rep, 10) for rep in reversed(range(config.n_replications))}
+        stats = {rep: _replication_stats(config, rep) for rep in reversed(range(config.n_replications))}
         merged = stats[0]
         for rep in range(1, config.n_replications):
             merged = merged.merge(stats[rep])
-        assert merged.summary(10) == aggregate
-        assert [stats[rep].summary(10) for rep in range(config.n_replications)] == per_rep
+        assert merged.summary() == aggregate
+        assert [stats[rep].summary() for rep in range(config.n_replications)] == per_rep
         assert summary_mismatches(aggregate, pooled_reference(config)[0]) == []
 
     def test_split_replications_consistent_with_single_run(self):
@@ -396,10 +381,6 @@ class TestRunReplications:
             self._config(seed=-1)
         with pytest.raises(ValueError, match="seed"):
             self._config(seed=2**64)
-        with pytest.raises(ValueError, match="warmup"):
-            self._config(warmup_vehicles=-1)
-        with pytest.raises(ValueError, match="exceed warmup"):
-            self._config(n_vehicles=100, warmup_vehicles=100)
         with pytest.raises(ValueError, match="supported range is rate \\* threshold <= 50"):
             self._config(policy=PlatoonPolicy(threshold=2500.0001))
 
@@ -423,10 +404,6 @@ class TestRunReplications:
     def test_horizon_check_takes_any_size_in_float_range(self, n, reps):
         with pytest.raises(ValueError, match="too small for n_vehicles"):
             self._config(n_vehicles=n, n_replications=reps)
-
-    def test_rejects_bad_pmf_cutoff_before_sampling(self):
-        with pytest.raises(ValueError, match="^pmf_cutoff must be"):
-            run_replications(self._config(n_vehicles=10**12), pmf_cutoff=0)
 
 
 C = CHUNK_VEHICLES
@@ -494,14 +471,14 @@ class TestStreamingKernel:
         summary, _ = run_replications(config)
         assert summary_mismatches(summary, reference_summary(*run_samples(run))) == []
 
-    def test_warmup_longer_than_a_chunk(self):
-        config = self._config(n_vehicles=3 * C + 7, warmup_vehicles=C + 100, n_replications=2)
+    def test_replications_of_several_chunks(self):
+        config = self._config(n_vehicles=3 * C + 7, n_replications=2)
         summary, _ = run_replications(config)
-        assert summary.time_shift.count == 2 * (2 * C - 93)
+        assert summary.time_shift.count == 2 * (3 * C + 7)
         assert summary_mismatches(summary, pooled_reference(config)[0]) == []
 
     def test_several_replications(self):
-        config = self._config(n_vehicles=C + 1, n_replications=4, warmup_vehicles=3)
+        config = self._config(n_vehicles=C + 1, n_replications=4)
         summary, per_rep = run_replications(config)
         reference, reference_per_rep = pooled_reference(config)
         assert summary_mismatches(summary, reference) == []
@@ -515,16 +492,14 @@ class TestStreamingKernel:
         n=st.integers(min_value=2, max_value=80),
         x=st.integers(min_value=0, max_value=40).map(lambda k: k / 10.0),
         reps=st.integers(min_value=1, max_value=3),
-        warmup_share=st.floats(min_value=0.0, max_value=0.9),
         seed=st.integers(min_value=0, max_value=2**32),
     )
-    def test_tiny_chunks_match_reference(self, chunk, n, x, reps, warmup_share, seed):
+    def test_tiny_chunks_match_reference(self, chunk, n, x, reps, seed):
         # Chunks of a few vehicles put a boundary inside almost every platoon.
         config = self._config(
             policy=PlatoonPolicy(threshold=x / 0.02),
             n_vehicles=n,
             n_replications=reps,
-            warmup_vehicles=int(warmup_share * n),
             seed=seed,
         )
         try:
@@ -546,7 +521,7 @@ class TestStreamingKernel:
         # Every buffer allocated during the run starts as garbage (NaN floats,
         # all-True masks), so a step that reads what it did not write this
         # chunk changes the result.
-        config = self._config(n_vehicles=3 * C + 7, n_replications=2, warmup_vehicles=5)
+        config = self._config(n_vehicles=3 * C + 7, n_replications=2)
         fresh = run_replications(config)
         empty = np.empty
         allocated = []
@@ -562,7 +537,7 @@ class TestStreamingKernel:
         assert {np.dtype(bool), np.dtype(float)} <= set(allocated)
 
     def test_same_summary_after_another_config(self):
-        config = self._config(n_vehicles=C + 5, warmup_vehicles=3)
+        config = self._config(n_vehicles=C + 5)
         first = run_replications(config)
         run_replications(self._config(policy=PlatoonPolicy(threshold=150.0), n_vehicles=2 * C + 1, seed=SEED + 1))
         assert run_replications(config) == first
