@@ -447,6 +447,32 @@ class TestNumericOptimalThreshold:
         numeric = numeric_optimal_threshold(params, nominal_arrival, 500.0, tol=1e-300)
         assert abs(closed - numeric) <= 1e-6
 
+    @pytest.mark.parametrize("tol", [1e-1, 1e-3, 1e-9])
+    @pytest.mark.parametrize("km", [5.0, 30.0])
+    def test_stop_on_no_progress_leaves_ordinary_tolerances_alone(self, nominal_params, nominal_arrival, km, tol):
+        # The plain golden-section loop, stopped by the tolerance alone: where
+        # the bracket still narrows, the result must not change by a bit.
+        params = with_cruise_km(nominal_params, km)
+
+        def cost(r):
+            return expected_total_cost(params, nominal_arrival, PlatoonPolicy(threshold=r))
+
+        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+        lo, hi = 0.0, 500.0
+        left, right = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+        f_left, f_right = cost(left), cost(right)
+        while hi - lo > tol:
+            if f_left < f_right:
+                hi, right, f_right = right, left, f_left
+                left = hi - inv_phi * (hi - lo)
+                f_left = cost(left)
+            else:
+                lo, left, f_left = left, right, f_right
+                right = lo + inv_phi * (hi - lo)
+                f_right = cost(right)
+        got = numeric_optimal_threshold(params, nominal_arrival, 500.0, tol=tol)
+        assert got.hex() == (0.5 * (lo + hi)).hex()
+
     def test_rejects_bad_tolerance(self, nominal_params, nominal_arrival):
         with pytest.raises(ValueError, match="tol"):
             numeric_optimal_threshold(nominal_params, nominal_arrival, 100.0, tol=0.0)

@@ -244,6 +244,25 @@ class TestExitCodes:
         assert f"error: config field simulation.{key} {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("analytic", ["--json", "out.json"]),
+            ("optimize", ["--r-max", "500"]),
+            ("sweep", ["--r-min", "0", "--r-max", "100", "--points", "3", "--csv", "out.csv"]),
+        ],
+    )
+    def test_unknown_key_exits_2_in_every_command(self, write_config, tmp_path, capsys, monkeypatch, command, extra):
+        # Every command parses its config through load_scenario, so none of
+        # them may ignore a misspelt key.
+        monkeypatch.chdir(tmp_path)
+        path = write_config({"cost": {"fuel_prices": 1.0}})
+        assert main([command, "--config", path, *extra]) == 2
+        captured = capsys.readouterr()
+        assert "error: config field cost.fuel_prices is not a known key" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out.json").exists() and not (tmp_path / "out.csv").exists()
+
     def test_simulate_pass_exits_0(self, write_config):
         assert main(["simulate", "--config", write_config()]) == 0
 
@@ -296,6 +315,16 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", path, "--csv", str(csv1)]) == 0
         assert main(["simulate", "--config", path, "--csv", str(csv2)]) == 0
         assert csv1.read_bytes() == csv2.read_bytes()
+
+    def test_warmup_key_at_zero_changes_no_output_byte(self, write_config, tmp_path, capsys):
+        # Configs written before the option was removed hold it at 0.
+        out = tmp_path / "report.csv"  # stdout names it
+        outputs = []
+        for name, overrides in (("plain", None), ("warmup", {"simulation": {"warmup_vehicles": 0}})):
+            path = write_config(overrides, name=f"{name}.json")
+            assert main(["simulate", "--config", path, "--csv", str(out)]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_csv_schema(self, write_config, tmp_path):
         out = tmp_path / "report.csv"

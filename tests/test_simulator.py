@@ -285,10 +285,12 @@ class TestSummarize:
         assert summary.size_pmf[2] == 0.5
         assert sum(summary.size_pmf.values()) == 0.5  # the size-12 platoon is tail mass
 
-    def test_matches_the_reference_estimator(self):
+    @pytest.mark.parametrize("x", [0.1, 1.0, 3.0])
+    def test_matches_the_reference_estimator(self, x):
         # summarize() shares the kernel's mergeable estimator; the reference
-        # is numpy's mean and std(ddof=1) on the same samples.
-        run = run_simulation(ArrivalModel(rate=0.02), PlatoonPolicy(threshold=50.0), 5_000, SEED)
+        # is numpy's mean and std(ddof=1) on the same samples. At x = 0.1
+        # most platoons are singletons; at x = 3 many exceed the PMF cutoff.
+        run = run_simulation(ArrivalModel(rate=0.02), PlatoonPolicy(threshold=x / 0.02), 5_000, SEED)
         assert summary_mismatches(summarize(run), reference_summary(*run_samples(run))) == []
 
     def test_leaves_the_run_unmodified(self):
