@@ -44,10 +44,8 @@ __version__ = "0.1.0"
 # Names of platoonctl.simulator, resolved by __getattr__ on first access.
 _SIMULATOR_NAMES = frozenset({
     "SimulationRun",
-    "headway_from_uniform",
     "run_from_interarrivals",
     "run_replications",
-    "run_simulation",
     "sample_interarrivals",
     "summarize",
 })

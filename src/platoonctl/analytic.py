@@ -340,19 +340,21 @@ def optimal_threshold(
     return OptimalThreshold(regime=regime, threshold=best, cost_at_threshold=cost, clamped=clamped)
 
 
-def numeric_optimal_threshold(
-    params: CostParameters, arrival: ArrivalModel, r_max: float, tol: float = 1e-3
-) -> float:
+# Golden-section search stops once its bracket is this narrow, seconds.
+GOLDEN_TOL = 1e-3
+
+
+def numeric_optimal_threshold(params: CostParameters, arrival: ArrivalModel, r_max: float) -> float:
     """Golden-section minimizer of expected_total_cost over [0, r_max],
-    refined until the bracket is narrower than ``tol`` seconds, or until a
-    step no longer narrows it (a ``tol`` below the floats' spacing there).
+    refined until the bracket is narrower than ``GOLDEN_TOL`` seconds, or
+    until a step no longer narrows it: with a huge ``r_max`` and a
+    near-flat cost the bracket can stall wider than ``GOLDEN_TOL``.
 
     The cost derivative changes sign at most once on [0, r_max], so the cost
     is unimodal there and golden-section search is valid; it serves as the
     independent cross-check for :func:`optimal_threshold`.
     """
     r_max = _threshold_arg("r_max", r_max, _positive, arrival)
-    tol = _positive("tol", tol)
 
     def cost(r: float) -> float:
         return expected_total_cost(params, arrival, PlatoonPolicy(threshold=r))
@@ -364,7 +366,7 @@ def numeric_optimal_threshold(
     f_left = cost(left)
     f_right = cost(right)
     width = math.inf
-    while tol < hi - lo < width:
+    while GOLDEN_TOL < hi - lo < width:
         width = hi - lo
         if f_left < f_right:
             hi, right, f_right = right, left, f_left

@@ -8,11 +8,11 @@ Subcommands:
 
 Input is a single JSON config with sections ``arrival``, ``policy``,
 ``cost`` (mixed planning units), ``simulation``, and ``output``; see the
-README for the schema, outside which any section or key is an error. All
-file outputs are deterministic for a fixed config and seed. Exit codes:
-0 success (for ``simulate``: every statistic consistent with the closed
-forms), 1 statistical comparison failure, 2 usage or configuration error,
-3 out of memory.
+README for the schema, outside which any section or key, and any key given
+twice, is an error. All file outputs are deterministic for a fixed config
+and seed. Exit codes: 0 success (for ``simulate``: every statistic within
+``PASS_HALF_WIDTHS`` CI half-widths of its closed form), 1 statistical
+comparison failure, 2 usage or configuration error, 3 out of memory.
 
 numpy is imported only by ``simulate`` and ``sweep``, which build arrays;
 ``analytic``, ``optimize`` and every configuration error run without it.
@@ -52,12 +52,15 @@ from .domain import (
     _integer,
     _non_negative,
     _number,
-    _positive,
     normalize_units,
 )
 
 # Denominator floor for relative errors against near-zero analytic values.
 REL_ERROR_FLOOR = 1e-12
+
+# A comparison row passes when |empirical - analytic| is at most this many
+# 95% CI half-widths.
+PASS_HALF_WIDTHS = 3.0
 
 
 @dataclass(frozen=True)
@@ -100,21 +103,17 @@ class ComparisonRow:
 @dataclass(frozen=True)
 class ComparisonReport:
     """Comparison of a pooled simulation against the closed forms; a row
-    passes when |empirical - analytic| <= sigma * ci_half_width."""
+    passes when |empirical - analytic| <= PASS_HALF_WIDTHS * ci_half_width."""
 
     rows: tuple[ComparisonRow, ...]
-    sigma: float
 
     @property
     def all_passed(self) -> bool:
         return all(row.passed for row in self.rows)
 
 
-def build_comparison(
-    arrival: ArrivalModel, policy: PlatoonPolicy, summary: EmpiricalSummary, sigma: float = 3.0
-) -> ComparisonReport:
+def build_comparison(arrival: ArrivalModel, policy: PlatoonPolicy, summary: EmpiricalSummary) -> ComparisonReport:
     """Compare a pooled empirical summary against the closed forms."""
-    sigma = _positive("sigma", sigma)
     stats = platoon_statistics(arrival, policy)
     freq = summary.size_pmf.get(1, 0.0)
     n_platoons = summary.platoon_size.count
@@ -135,9 +134,9 @@ def build_comparison(
             ci_half_width=estimate.ci_half_width,
             relative_error=gap / max(abs(analytic), REL_ERROR_FLOOR),
             n_samples=estimate.count,
-            passed=gap <= sigma * estimate.ci_half_width,
+            passed=gap <= PASS_HALF_WIDTHS * estimate.ci_half_width,
         ))
-    return ComparisonReport(rows=tuple(rows), sigma=sigma)
+    return ComparisonReport(rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -171,9 +170,9 @@ def _known_keys(sect: dict, name: str) -> dict:
 
 
 def _section(cfg: dict, name: str) -> dict:
-    sect = cfg.get(name)
-    if sect is None:
+    if name not in cfg:
         raise ValueError(f"config section '{name}' is missing")
+    sect = cfg[name]
     if not isinstance(sect, dict):
         raise ValueError(f"config section '{name}' must be an object")
     return _known_keys(sect, name)
@@ -195,13 +194,26 @@ def _config_integer(sect: dict, key: str, where: str, default: int | None = None
     return _integer(f"config field {where}.{key}", _field(sect, key, where, default))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict, or a ``ValueError`` naming a key
+    that appears twice (``json`` alone keeps the last value)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"config key '{key}' appears more than once in one object")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario config file."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: not valid JSON (arrays or objects nested too deeply)") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
     unknown = [name for name in cfg if name not in _SECTION_KEYS]
@@ -330,11 +342,10 @@ def comparison_csv_rows(report: ComparisonReport) -> tuple[list[str], list[list]
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     sim = _require_simulation(scenario)
-    _positive("sigma", args.sigma)  # before the simulation, not after it
     from .simulator import run_replications
 
     aggregate, _ = run_replications(sim)
-    report = build_comparison(scenario.arrival, scenario.policy, aggregate, sigma=args.sigma)
+    report = build_comparison(scenario.arrival, scenario.policy, aggregate)
 
     print(
         f"{'statistic':<24} {'analytic':>14} {'empirical':>14} "
@@ -352,9 +363,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _write_csv(csv_path, header, rows)
         print(f"wrote {csv_path}")
     if report.all_passed:
-        print(f"all statistics within {report.sigma:g} CI half-widths of the closed forms")
+        print(f"all statistics within {PASS_HALF_WIDTHS:g} CI half-widths of the closed forms")
         return 0
-    print(f"comparison FAILED at {report.sigma:g} CI half-widths", file=sys.stderr)
+    print(f"comparison FAILED at {PASS_HALF_WIDTHS:g} CI half-widths", file=sys.stderr)
     return 1
 
 
@@ -458,7 +469,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     params = _require_cost(scenario)
     result = optimal_threshold(params, scenario.arrival, args.r_max)
-    numeric = numeric_optimal_threshold(params, scenario.arrival, args.r_max, tol=args.tol)
+    numeric = numeric_optimal_threshold(params, scenario.arrival, args.r_max)
     print(f"{'regime':<26} {result.regime.value}")
     print(f"{'closed_form_threshold_s':<26} {result.threshold:.10g}")
     print(f"{'numeric_threshold_s':<26} {numeric:.10g}")
@@ -484,12 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo comparison against the closed forms")
     p_sim.add_argument("--config", required=True, help="scenario config JSON")
     p_sim.add_argument("--csv", default=None, help="write the comparison table to this CSV file")
-    p_sim.add_argument(
-        "--sigma",
-        type=float,
-        default=3.0,
-        help="pass tolerance in CI half-widths (default 3)",
-    )
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="threshold sweep emitted as CSV")
@@ -508,9 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="cost-optimal threshold")
     p_opt.add_argument("--config", required=True, help="scenario config JSON")
     p_opt.add_argument("--r-max", type=float, required=True, help="largest admissible threshold, seconds")
-    p_opt.add_argument(
-        "--tol", type=float, default=1e-3, help="golden-section bracket tolerance, seconds"
-    )
     p_opt.set_defaults(func=cmd_optimize)
     return parser
 

@@ -122,11 +122,6 @@ class ArrivalModel:
     def __post_init__(self) -> None:
         _positive("rate", self.rate)
 
-    @property
-    def mean_headway(self) -> float:
-        """Mean gap between consecutive arrivals, seconds."""
-        return 1.0 / self.rate
-
 
 @dataclass(frozen=True)
 class PlatoonPolicy:

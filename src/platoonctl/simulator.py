@@ -48,7 +48,6 @@ from .domain import (  # re-exported: the simulator's types live in domain, whic
     SimulationConfig,
     StatEstimate,
     _integer,
-    _positive,
 )
 
 # Vehicles drawn and folded per step of ``run_replications``; its working
@@ -90,26 +89,6 @@ class SimulationRun:
             raise ValueError("one time shift per vehicle required")
         if np.any(self.time_shifts[self.leader_indices - 1] != 0.0):
             raise ValueError("time shifts must be exactly 0 at platoon leaders")
-
-    @property
-    def n_vehicles(self) -> int:
-        return int(self.interarrivals.size)
-
-
-def headway_from_uniform(u, rate: float):
-    """Inverse-CDF transform: map uniform draws U in (0, 1] to exponential
-    headways X = -ln(U) / rate. U = 1 maps to X = 0, a valid zero gap."""
-    _positive("rate", rate)
-    arr = np.asarray(u, dtype=float)
-    if not ((arr > 0.0) & (arr <= 1.0)).all():  # NaN fails both tests
-        raise ValueError("u must lie in (0, 1]")
-    with np.errstate(over="ignore"):
-        result = -np.log(arr) / rate + 0.0  # + 0.0 turns -ln(1) = -0.0 into +0.0
-    if not np.isfinite(result).all():
-        raise ValueError(f"rate = {rate!r} is too small: -ln(u) / rate overflows the float range")
-    if result.ndim == 0:
-        return float(result)
-    return result
 
 
 def _gap_chunks(seed: int, replication: int, n: int, rate: float):
@@ -184,19 +163,6 @@ def run_from_interarrivals(interarrivals, policy: PlatoonPolicy) -> SimulationRu
         leader_headways=np.diff(np.cumsum(gaps)[leaders]),
         time_shifts=running - np.repeat(running[leaders], sizes),
     )
-
-
-def run_simulation(
-    arrival: ArrivalModel,
-    policy: PlatoonPolicy,
-    n_vehicles: int,
-    seed: int,
-    replication: int = 0,
-) -> SimulationRun:
-    """Sample one seeded replication and assemble its run record."""
-    _integer("n_vehicles", n_vehicles, 1)
-    gaps = sample_interarrivals(seed, n_vehicles, arrival, replication=replication)
-    return run_from_interarrivals(gaps, policy)
 
 
 def summarize(run: SimulationRun) -> EmpiricalSummary:

@@ -10,7 +10,8 @@ from platoonctl import (
     RawCostConfig,
     StatEstimate,
     normalize_units,
-    run_simulation,
+    run_from_interarrivals,
+    sample_interarrivals,
 )
 from platoonctl.domain import Z_95
 
@@ -84,7 +85,8 @@ def pooled_reference(config):
     parts, per_replication = [], []
     for rep in range(config.n_replications):
         try:
-            run = run_simulation(config.arrival, config.policy, config.n_vehicles, config.seed, replication=rep)
+            gaps = sample_interarrivals(config.seed, config.n_vehicles, config.arrival, replication=rep)
+            run = run_from_interarrivals(gaps, config.policy)
             parts.append(run_samples(run))
             per_replication.append(reference_summary(*parts[-1]))
         except ValueError as exc:

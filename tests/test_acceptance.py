@@ -232,7 +232,7 @@ def test_criterion_7_optimizer_equivalence(table_params):
     for km in (5.0, 30.0, 80.0):
         params = dataclasses.replace(table_params, cruise_zone_len=km * 1000.0)
         closed = optimal_threshold(params, arrival, 500.0)
-        numeric = numeric_optimal_threshold(params, arrival, 500.0, tol=1e-3)
+        numeric = numeric_optimal_threshold(params, arrival, 500.0)
         thresholds.append(closed.threshold)
         if closed.regime is not ThresholdRegime.INTERIOR_OPTIMUM:
             failures.append(f"{km} km: unexpected regime {closed.regime}")

@@ -416,23 +416,27 @@ class TestNumericOptimalThreshold:
     def test_agrees_with_closed_form(self, nominal_params, nominal_arrival, km):
         params = with_cruise_km(nominal_params, km)
         closed = optimal_threshold(params, nominal_arrival, 500.0).threshold
-        numeric = numeric_optimal_threshold(params, nominal_arrival, 500.0, tol=1e-3)
+        numeric = numeric_optimal_threshold(params, nominal_arrival, 500.0)
         assert abs(closed - numeric) <= 2e-3
 
     def test_no_cruise_zone_converges_to_zero(self, nominal_params, nominal_arrival):
         params = with_cruise_km(nominal_params, 0.0)
-        assert numeric_optimal_threshold(params, nominal_arrival, 100.0, tol=1e-3) <= 1e-3
+        assert numeric_optimal_threshold(params, nominal_arrival, 100.0) <= 1e-3
 
     def test_unbounded_regime_converges_to_r_max(self, nominal_params, nominal_arrival):
         params = dataclasses.replace(nominal_params, value_of_time=100.0 / 3600.0)
-        got = numeric_optimal_threshold(params, nominal_arrival, 300.0, tol=1e-3)
+        got = numeric_optimal_threshold(params, nominal_arrival, 300.0)
         assert got >= 300.0 - 1e-3
 
-    @pytest.mark.parametrize("km", [0.0, 5.0, 30.0, 80.0])
-    def test_tolerance_below_the_float_spacing_ends(self, nominal_params, nominal_arrival, km, monkeypatch):
-        # Near the optimum no bracket gets narrower than a few ulps, so the
-        # search ends when a step stops narrowing it; a loop without that
-        # stop would evaluate the cost forever.
+    def test_bracket_that_stops_narrowing_ends_the_search(self, nominal_params, monkeypatch):
+        # A merge-time cost rate of 1000 ulps of the drag term puts the
+        # optimum near 1.8e13 s, where floats are 2^-8 s apart: the bracket
+        # stops narrowing 0.0039 s wide, above GOLDEN_TOL, so a loop stopped
+        # by the tolerance alone would evaluate the cost forever.
+        marginal = 2.0 * nominal_params.drag_fuel_coeff * nominal_params.fuel_price * nominal_params.cruise_speed**3
+        params = dataclasses.replace(nominal_params, value_of_time=marginal - 1000 * math.ulp(marginal))
+        arrival = ArrivalModel(rate=1e-13)
+        r_max = 49.0 / arrival.rate
         evaluations = 0
 
         def counted(*args):
@@ -441,15 +445,15 @@ class TestNumericOptimalThreshold:
             assert evaluations < 10_000, "the golden-section search does not end"
             return expected_total_cost(*args)
 
-        params = with_cruise_km(nominal_params, km)
-        closed = optimal_threshold(params, nominal_arrival, 500.0).threshold
+        closed = optimal_threshold(params, arrival, r_max)
+        assert closed.regime is ThresholdRegime.INTERIOR_OPTIMUM and not closed.clamped
         monkeypatch.setattr(analytic, "expected_total_cost", counted)
-        numeric = numeric_optimal_threshold(params, nominal_arrival, 500.0, tol=1e-300)
-        assert abs(closed - numeric) <= 1e-6
+        numeric = numeric_optimal_threshold(params, arrival, r_max)
+        assert numeric == pytest.approx(closed.threshold, rel=1e-6)
+        assert math.ulp(numeric) > analytic.GOLDEN_TOL
 
-    @pytest.mark.parametrize("tol", [1e-1, 1e-3, 1e-9])
     @pytest.mark.parametrize("km", [5.0, 30.0])
-    def test_stop_on_no_progress_leaves_ordinary_tolerances_alone(self, nominal_params, nominal_arrival, km, tol):
+    def test_stop_on_no_progress_leaves_ordinary_tolerances_alone(self, nominal_params, nominal_arrival, km):
         # The plain golden-section loop, stopped by the tolerance alone: where
         # the bracket still narrows, the result must not change by a bit.
         params = with_cruise_km(nominal_params, km)
@@ -461,7 +465,7 @@ class TestNumericOptimalThreshold:
         lo, hi = 0.0, 500.0
         left, right = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
         f_left, f_right = cost(left), cost(right)
-        while hi - lo > tol:
+        while hi - lo > analytic.GOLDEN_TOL:
             if f_left < f_right:
                 hi, right, f_right = right, left, f_left
                 left = hi - inv_phi * (hi - lo)
@@ -470,12 +474,8 @@ class TestNumericOptimalThreshold:
                 lo, left, f_left = left, right, f_right
                 right = lo + inv_phi * (hi - lo)
                 f_right = cost(right)
-        got = numeric_optimal_threshold(params, nominal_arrival, 500.0, tol=tol)
+        got = numeric_optimal_threshold(params, nominal_arrival, 500.0)
         assert got.hex() == (0.5 * (lo + hi)).hex()
-
-    def test_rejects_bad_tolerance(self, nominal_params, nominal_arrival):
-        with pytest.raises(ValueError, match="tol"):
-            numeric_optimal_threshold(nominal_params, nominal_arrival, 100.0, tol=0.0)
 
 
 class TestThresholdCurves:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import tracemalloc
 
@@ -67,6 +68,30 @@ def write_config(tmp_path):
         return str(path)
 
     return _write
+
+
+def malformed_config_text(kind: str) -> str:
+    """A config text every command must reject with exit 2: a key given
+    twice in a section or at the top level, arrays nested 200,000 deep, or
+    a null cost section."""
+    text = json.dumps(BASE_CONFIG)
+    if kind == "duplicate-in-section":
+        return text.replace('{"rate": 0.02}', '{"rate": 0.02, "rate": 0.05}', 1)
+    if kind == "duplicate-at-top-level":
+        return text[:-1] + ', "policy": {"threshold": 10.0}}'
+    if kind == "deep-nesting":
+        return "[" * 200_000
+    assert kind == "null-section"
+    return json.dumps({**BASE_CONFIG, "cost": None})
+
+
+# The kinds of malformed_config_text and the error message each gives.
+MALFORMED_CONFIGS = {
+    "duplicate-in-section": "config key 'rate' appears more than once",
+    "duplicate-at-top-level": "config key 'policy' appears more than once",
+    "deep-nesting": "not valid JSON (arrays or objects nested too deeply)",
+    "null-section": "config section 'cost' must be an object",
+}
 
 
 class TestConfigLoading:
@@ -197,11 +222,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: arrival.rate = {rate!r} is too small for n_vehicles = 100000" in err
 
-    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
-    def test_bad_sigma_exits_2_before_simulating(self, write_config, capsys, monkeypatch, sigma):
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_exits_2_before_simulating(self, tmp_path, capsys, monkeypatch, kind):
+        # json alone keeps the last of two equal keys and overflows the stack
+        # on deep nesting; a null section is present, so not "missing".
         monkeypatch.setattr(simulator, "run_replications", self._never)
-        assert main(["simulate", "--config", write_config(), "--sigma", sigma]) == 2
-        assert "error: sigma must be" in capsys.readouterr().err
+        path = tmp_path / "malformed.json"
+        path.write_text(malformed_config_text(kind), encoding="utf-8")
+        out = tmp_path / "report.csv"
+        assert main(["simulate", "--config", str(path), "--csv", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert MALFORMED_CONFIGS[kind] in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analytic", "simulate"])
     def test_output_path_not_a_string_exits_2_before_any_work(
@@ -266,10 +299,16 @@ class TestExitCodes:
     def test_simulate_pass_exits_0(self, write_config):
         assert main(["simulate", "--config", write_config()]) == 0
 
-    def test_simulate_fail_exits_1(self, write_config, capsys):
-        # An absurdly small sigma multiplier turns sampling noise into failure.
-        assert main(["simulate", "--config", write_config(), "--sigma", "1e-9"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_simulate_fail_exits_1(self, write_config, capsys, monkeypatch):
+        def biased_replications(config):
+            aggregate, per_replication = run_replications(config)
+            return biased(aggregate), per_replication
+
+        monkeypatch.setattr(simulator, "run_replications", biased_replications)
+        assert main(["simulate", "--config", write_config()]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("FAIL") == 4
+        assert captured.err == "comparison FAILED at 3 CI half-widths\n"
 
 
 class TestAnalyticCommand:
@@ -346,7 +385,7 @@ class TestSimulateCommand:
     def test_comparison_rows_match_library(self, write_config):
         scenario = load_scenario(write_config())
         aggregate, _ = run_replications(scenario.simulation)
-        report = build_comparison(scenario.arrival, scenario.policy, aggregate, sigma=3.0)
+        report = build_comparison(scenario.arrival, scenario.policy, aggregate)
         assert report.all_passed
         names = [row.statistic for row in report.rows]
         assert names == [
@@ -371,6 +410,23 @@ class TestSimulateCommand:
             expected_time_reduction(arrival, policy).hex(),
             platoon_size_pmf(arrival, policy, 1).hex(),
         ]
+
+
+def biased(summary):
+    """``summary`` moved off the truth, so every comparison row fails: each
+    mean by 100 CI half-widths, and the singleton frequency to 0, whose
+    half-width is 0 and whose closed form e^-x is not."""
+
+    def moved(estimate):
+        return dataclasses.replace(estimate, mean=estimate.mean + 100.0 * estimate.ci_half_width)
+
+    return dataclasses.replace(
+        summary,
+        platoon_size=moved(summary.platoon_size),
+        leader_headway=moved(summary.leader_headway),
+        time_shift=moved(summary.time_shift),
+        size_pmf={**summary.size_pmf, 1: 0.0},
+    )
 
 
 def csv_writer_bytes(tmp_path, header, rows) -> bytes:
@@ -404,8 +460,9 @@ class TestWriteCsv:
     def test_simulate_comparison_table(self, tmp_path):
         arrival, policy = ArrivalModel(rate=0.05), PlatoonPolicy(threshold=60.0)
         summary = run_replications(SimulationConfig(arrival=arrival, policy=policy, n_vehicles=2000, seed=3))[0]
-        for sigma in (3.0, 1e-9):  # every row passes, then every row fails
-            header, rows = comparison_csv_rows(build_comparison(arrival, policy, summary, sigma=sigma))
+        for pooled, passed in ((summary, True), (biased(summary), False)):
+            header, rows = comparison_csv_rows(build_comparison(arrival, policy, pooled))
+            assert {row[-1] for row in rows} == {passed}
             self.assert_same_bytes_as_csv_writer(tmp_path, header, rows)
 
     @pytest.mark.parametrize("count", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])

@@ -143,6 +143,3 @@ class TestValidation:
             arrival.rate = 0.05
         with pytest.raises(dataclasses.FrozenInstanceError):
             nominal_params.fuel_price = 1.0
-
-    def test_mean_headway(self):
-        assert ArrivalModel(rate=0.02).mean_headway == pytest.approx(50.0)

@@ -77,7 +77,6 @@ BAD_ARGUMENTS = {
     "sweep-r-max-out-of-range": [
         "sweep", "--config", NOMINAL, "--r-min", "0", "--r-max", "2600", "--points", "5000000", "--csv", "out.csv",
     ],
-    "simulate-sigma-0": ["simulate", "--config", NOMINAL, "--sigma", "0"],
 }
 
 
@@ -120,8 +119,8 @@ PACKAGE_NAMES = [
     "merge_probability", "merge_time_cost_rate", "numeric_optimal_threshold", "optimal_threshold",
     "platoon_size_pmf", "platoon_statistics", "total_cost_derivative", "truncation_cutoff",
     "ArrivalModel", "CostParameters", "PlatoonPolicy", "RawCostConfig", "normalize_units",
-    "EmpiricalSummary", "SimulationConfig", "SimulationRun", "StatEstimate", "headway_from_uniform",
-    "run_from_interarrivals", "run_replications", "run_simulation", "sample_interarrivals", "summarize",
+    "EmpiricalSummary", "SimulationConfig", "SimulationRun", "StatEstimate",
+    "run_from_interarrivals", "run_replications", "sample_interarrivals", "summarize",
 ]
 
 

@@ -15,18 +15,15 @@ from platoonctl import (
     RawCostConfig,
     SimulationConfig,
     exact_fuel_increase,
-    headway_from_uniform,
     normalize_units,
     numeric_optimal_threshold,
     optimal_threshold,
     platoon_size_pmf,
-    run_replications,
-    run_simulation,
     sample_interarrivals,
     total_cost_derivative,
     truncation_cutoff,
 )
-from platoonctl.cli import SweepSpec, build_comparison
+from platoonctl.cli import SweepSpec
 
 from conftest import NOMINAL_RAW
 
@@ -34,10 +31,6 @@ ARRIVAL = ArrivalModel(rate=0.02)
 POLICY = PlatoonPolicy(threshold=50.0)
 PARAMS = normalize_units(RawCostConfig(**NOMINAL_RAW))
 SIMULATION = dict(arrival=ARRIVAL, policy=POLICY, n_vehicles=1000, n_replications=1, seed=1)
-
-
-def _summary():
-    return run_replications(SimulationConfig(**SIMULATION))[0]
 
 
 # (entry point, argument name, call with the bad value as that argument)
@@ -51,14 +44,11 @@ FLOAT_ARGS = [
     *[("RawCostConfig", name, lambda v, name=name: RawCostConfig(**{**NOMINAL_RAW, name: v})) for name in NOMINAL_RAW],
     ("SweepSpec", "r_min", lambda v: SweepSpec(r_min=v, r_max=100.0, n_points=5)),
     ("SweepSpec", "r_max", lambda v: SweepSpec(r_min=0.0, r_max=v, n_points=5)),
-    ("build_comparison", "sigma", lambda v: build_comparison(ARRIVAL, POLICY, _summary(), sigma=v)),
     ("optimal_threshold", "r_max", lambda v: optimal_threshold(PARAMS, ARRIVAL, r_max=v)),
     ("numeric_optimal_threshold", "r_max", lambda v: numeric_optimal_threshold(PARAMS, ARRIVAL, r_max=v)),
-    ("numeric_optimal_threshold", "tol", lambda v: numeric_optimal_threshold(PARAMS, ARRIVAL, r_max=100.0, tol=v)),
     ("total_cost_derivative", "r", lambda v: total_cost_derivative(PARAMS, ARRIVAL, r=v)),
     ("exact_fuel_increase", "t_shift", lambda v: exact_fuel_increase(PARAMS, t_shift=v)),
     ("truncation_cutoff", "tail_mass", lambda v: truncation_cutoff(ARRIVAL, POLICY, tail_mass=v)),
-    ("headway_from_uniform", "rate", lambda v: headway_from_uniform([0.5], rate=v)),
 ]
 # An int of more than 4300 digits also checks that no message formats it:
 # str() refuses such ints.
@@ -70,7 +60,6 @@ INTEGER_ARGS = [
         ("SimulationConfig", name, lambda v, name=name: SimulationConfig(**{**SIMULATION, name: v}))
         for name in ("n_vehicles", "n_replications", "seed")
     ],
-    ("run_simulation", "n_vehicles", lambda v: run_simulation(ARRIVAL, POLICY, v, seed=1)),
     ("sample_interarrivals", "n", lambda v: sample_interarrivals(1, v, ARRIVAL)),
     ("sample_interarrivals", "seed", lambda v: sample_interarrivals(v, 10, ARRIVAL)),
     ("sample_interarrivals", "replication", lambda v: sample_interarrivals(1, 10, ARRIVAL, replication=v)),

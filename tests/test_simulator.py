@@ -2,7 +2,6 @@ import math
 import re
 import sys
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +12,8 @@ from platoonctl import (
     PlatoonPolicy,
     SimulationConfig,
     SimulationRun,
-    headway_from_uniform,
     run_from_interarrivals,
     run_replications,
-    run_simulation,
     sample_interarrivals,
     summarize,
 )
@@ -36,44 +33,6 @@ gap_lists = st.lists(
     max_size=200,
 )
 thresholds = st.integers(min_value=0, max_value=1_000_000).map(lambda m: m / 1000.0)
-
-
-class TestHeadwayFromUniform:
-    def test_boundary_u_one_gives_zero_gap(self):
-        gap = headway_from_uniform(1.0, rate=0.02)
-        assert gap == 0.0
-        assert math.copysign(1.0, gap) == 1.0  # +0.0: -ln(1) is -0.0, which prints as "-0.0"
-
-    def test_known_value(self):
-        assert headway_from_uniform(math.exp(-1.0), rate=1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_array_input(self):
-        gaps = headway_from_uniform(np.array([1.0, 0.5, 0.1]), rate=1.0)
-        assert gaps[0] == 0.0 and math.copysign(1.0, gaps[0]) == 1.0
-        assert np.all(np.diff(gaps) > 0)
-
-    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.0001])
-    def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError, match="u must lie"):
-            headway_from_uniform(bad, rate=1.0)
-
-    @pytest.mark.parametrize("nan", [math.nan, [0.5, math.nan], np.array([0.5, np.nan])])
-    def test_rejects_nan_as_out_of_range(self, nan):
-        # NaN fails every comparison, so it must fail the range test, not
-        # reach the overflow check and be blamed on the rate.
-        with pytest.raises(ValueError, match=r"^u must lie in \(0, 1\]$"):
-            headway_from_uniform(nan, rate=0.02)
-
-    @pytest.mark.parametrize("u", [0.5, np.array([1.0, 0.5])])
-    def test_rate_whose_gaps_overflow_is_rejected(self, u):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="rate = 1e-310 is too small"):
-                headway_from_uniform(u, rate=1e-310)
-
-    def test_tiny_rate_with_finite_gaps_is_accepted(self):
-        assert headway_from_uniform(1.0, rate=1e-310) == 0.0
-        assert headway_from_uniform(0.5, rate=1e-300) == math.log(2) / 1e-300
 
 
 class TestSampleInterarrivals:
@@ -203,7 +162,7 @@ class TestRunAssembly:
         assert run.leader_indices.tolist() == [1, 4, 7]
         assert run.leader_headways.tolist() == [12.0, 13.0]
         assert run.time_shifts.tolist() == [0.0, 3.0, 4.0, 0.0, 2.0, 4.0, 0.0]
-        assert run.n_vehicles == 7
+        assert run.interarrivals.tolist() == gaps
 
     # A valid record of gaps [5, 3, 9] at threshold 4, and one field replaced
     # per case to break each invariant SimulationRun checks.
@@ -229,15 +188,15 @@ class TestRunAssembly:
         ],
     )
     def test_run_validation_rejects_inconsistent_fields(self, field, value, message):
-        assert SimulationRun(**self.VALID_RUN).n_vehicles == 3
+        SimulationRun(**self.VALID_RUN)  # the unbroken record is accepted
         with pytest.raises(ValueError, match=message):
             SimulationRun(**{**self.VALID_RUN, field: value})
 
     def test_seeded_run_is_reproducible(self):
         arrival = ArrivalModel(rate=0.02)
         policy = PlatoonPolicy(threshold=50.0)
-        one = run_simulation(arrival, policy, 10_000, SEED)
-        two = run_simulation(arrival, policy, 10_000, SEED)
+        one = run_from_interarrivals(sample_interarrivals(SEED, 10_000, arrival), policy)
+        two = run_from_interarrivals(sample_interarrivals(SEED, 10_000, arrival), policy)
         assert np.array_equal(one.interarrivals, two.interarrivals)
         assert np.array_equal(one.platoon_sizes, two.platoon_sizes)
         assert np.array_equal(one.time_shifts, two.time_shifts)
@@ -247,7 +206,7 @@ class TestRunAssembly:
         # rate * threshold = 1; tolerance 1% relative.
         arrival = ArrivalModel(rate=0.02)
         policy = PlatoonPolicy(threshold=50.0)
-        run = run_simulation(arrival, policy, 1_000_000, SEED)
+        run = run_from_interarrivals(sample_interarrivals(SEED, 1_000_000, arrival), policy)
         summary = summarize(run)
         assert summary.platoon_size.mean == pytest.approx(math.e, rel=0.01)
         assert summary.leader_headway.mean == pytest.approx(50.0 * math.e, rel=0.01)
@@ -290,13 +249,15 @@ class TestSummarize:
         # summarize() shares the kernel's mergeable estimator; the reference
         # is numpy's mean and std(ddof=1) on the same samples. At x = 0.1
         # most platoons are singletons; at x = 3 many exceed the PMF cutoff.
-        run = run_simulation(ArrivalModel(rate=0.02), PlatoonPolicy(threshold=x / 0.02), 5_000, SEED)
+        gaps = sample_interarrivals(SEED, 5_000, ArrivalModel(rate=0.02))
+        run = run_from_interarrivals(gaps, PlatoonPolicy(threshold=x / 0.02))
         assert summary_mismatches(summarize(run), reference_summary(*run_samples(run))) == []
 
     def test_leaves_the_run_unmodified(self):
         # The estimator computes deviations in its input's memory, so
         # summarize must hand it copies.
-        run = run_simulation(ArrivalModel(rate=0.02), PlatoonPolicy(threshold=50.0), 5000, SEED)
+        gaps = sample_interarrivals(SEED, 5000, ArrivalModel(rate=0.02))
+        run = run_from_interarrivals(gaps, PlatoonPolicy(threshold=50.0))
         before = {name: getattr(run, name).copy() for name in run.__dataclass_fields__}
         summarize(run)
         for name, array in before.items():
@@ -332,7 +293,7 @@ class TestRunReplications:
         # float ones to rel 1e-12.
         config = self._config(n_replications=1)
         aggregate, per_rep = run_replications(config)
-        run = run_simulation(config.arrival, config.policy, config.n_vehicles, config.seed)
+        run = run_from_interarrivals(sample_interarrivals(config.seed, config.n_vehicles, config.arrival), config.policy)
         assert summary_mismatches(aggregate, summarize(run)) == []
         assert summary_mismatches(aggregate, reference_summary(*run_samples(run))) == []
         assert per_rep == [aggregate]
@@ -443,7 +404,7 @@ class TestStreamingKernel:
         # The per-chunk work runs no argument check: the number of checks is
         # the same at one chunk and at five.
         calls = {}
-        for name in ("_positive", "_integer"):
+        for name in ("_integer",):
             check = getattr(simulator, name)
 
             def counted(*args, _name=name, _check=check):
@@ -468,7 +429,7 @@ class TestStreamingKernel:
     def test_platoon_spanning_several_chunks(self):
         # rate * threshold = 12: the mean platoon holds e^12 ~ 163k vehicles.
         config = self._config(policy=PlatoonPolicy(threshold=600.0), n_vehicles=1_000_000)
-        run = run_simulation(config.arrival, config.policy, config.n_vehicles, config.seed)
+        run = run_from_interarrivals(sample_interarrivals(config.seed, config.n_vehicles, config.arrival), config.policy)
         assert int(run.platoon_sizes[:-1].max()) > 2 * C
         summary, _ = run_replications(config)
         assert summary_mismatches(summary, reference_summary(*run_samples(run))) == []
