@@ -452,8 +452,35 @@ class TestNumericOptimalThreshold:
         assert numeric == pytest.approx(closed.threshold, rel=1e-6)
         assert math.ulp(numeric) > analytic.GOLDEN_TOL
 
+    @pytest.mark.parametrize("km", [0.0, 5.0, 30.0, 80.0])
+    def test_tolerance_below_the_float_spacing_ends(self, nominal_params, nominal_arrival, km, monkeypatch):
+        # With GOLDEN_TOL below the floats' spacing near the optimum, no
+        # bracket gets that narrow, so the search ends when a step stops
+        # narrowing it; a loop without that stop would evaluate the cost forever.
+        evaluations = 0
+
+        def counted(*args):
+            nonlocal evaluations
+            evaluations += 1
+            assert evaluations < 10_000, "the golden-section search does not end"
+            return expected_total_cost(*args)
+
+        params = with_cruise_km(nominal_params, km)
+        closed = optimal_threshold(params, nominal_arrival, 500.0).threshold
+        monkeypatch.setattr(analytic, "expected_total_cost", counted)
+        monkeypatch.setattr(analytic, "GOLDEN_TOL", 1e-300)
+        numeric = numeric_optimal_threshold(params, nominal_arrival, 500.0)
+        assert abs(closed - numeric) <= 1e-6
+
+    @pytest.mark.parametrize("tol", [1e-1, 1e-3, 1e-9])
     @pytest.mark.parametrize("km", [5.0, 30.0])
-    def test_stop_on_no_progress_leaves_ordinary_tolerances_alone(self, nominal_params, nominal_arrival, km):
+    def test_stop_on_no_progress_leaves_ordinary_tolerances_alone(
+        self, nominal_params, nominal_arrival, km, tol, monkeypatch
+    ):
+        # The plain golden-section loop, stopped by the tolerance alone: where
+        # the bracket still narrows, the result must not change by a bit, at
+        # GOLDEN_TOL (1e-3) and at tolerances either side of it.
+        monkeypatch.setattr(analytic, "GOLDEN_TOL", tol)
         # The plain golden-section loop, stopped by the tolerance alone: where
         # the bracket still narrows, the result must not change by a bit.
         params = with_cruise_km(nominal_params, km)
@@ -465,7 +492,7 @@ class TestNumericOptimalThreshold:
         lo, hi = 0.0, 500.0
         left, right = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
         f_left, f_right = cost(left), cost(right)
-        while hi - lo > analytic.GOLDEN_TOL:
+        while hi - lo > tol:
             if f_left < f_right:
                 hi, right, f_right = right, left, f_left
                 left = hi - inv_phi * (hi - lo)

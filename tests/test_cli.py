@@ -19,7 +19,7 @@ from platoonctl import (
     optimal_threshold,
     platoon_size_pmf,
 )
-from platoonctl import simulator
+from platoonctl import cli, simulator
 from platoonctl.cli import (
     CSV_BLOCK_ROWS,
     SweepSpec,
@@ -235,6 +235,46 @@ class TestExitCodes:
         assert MALFORMED_CONFIGS[kind] in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_CONFIGS))
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("analytic", ["--json", "out.json"]),
+            ("optimize", ["--r-max", "500"]),
+            ("sweep", ["--r-min", "0", "--r-max", "100", "--points", "3", "--csv", "out.csv"]),
+        ],
+    )
+    def test_malformed_config_exits_2_in_every_command(self, tmp_path, capsys, monkeypatch, command, extra, kind):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "malformed.json"
+        path.write_text(malformed_config_text(kind), encoding="utf-8")
+        assert main([command, "--config", str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert MALFORMED_CONFIGS[kind] in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out.json").exists() and not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf", "3"])
+    def test_bad_sigma_exits_2_before_simulating(self, write_config, capsys, monkeypatch, sigma):
+        # --sigma is gone: the parser rejects it at every value, its old
+        # default 3 too, rather than ignore it.
+        monkeypatch.setattr(simulator, "run_replications", self._never)
+        with pytest.raises(SystemExit) as exited:
+            main(["simulate", "--config", write_config(), "--sigma", sigma])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["1e-3", "1e-20"])
+    def test_removed_tol_exits_2_before_optimizing(self, write_config, capsys, monkeypatch, tol):
+        monkeypatch.setattr(cli, "numeric_optimal_threshold", self._never)
+        with pytest.raises(SystemExit) as exited:
+            main(["optimize", "--config", write_config(), "--r-max", "500", "--tol", tol])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --tol" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["analytic", "simulate"])
     def test_output_path_not_a_string_exits_2_before_any_work(

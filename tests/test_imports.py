@@ -79,9 +79,30 @@ BAD_ARGUMENTS = {
     ],
 }
 
+# Removed flags: the parser rejects each with SystemExit(2) before any command runs.
+REMOVED_FLAGS = {
+    "simulate-sigma-0": ["simulate", "--config", NOMINAL, "--sigma", "0"],
+    "optimize-tol-1e-20": ["optimize", "--config", NOMINAL, "--r-max", "500", "--tol", "1e-20"],
+}
 
-@pytest.mark.parametrize("label", sorted(BAD_CONFIGS) + sorted(BAD_ARGUMENTS))
+
+def _parser_exits_2(args: list) -> str:
+    return (
+        "from platoonctl import cli\n"
+        "try:\n"
+        f"    cli.main({[str(a) for a in args]!r})\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 2, exc.code\n"
+        "else:\n"
+        "    raise AssertionError('the parser accepted a removed flag')"
+    )
+
+
+@pytest.mark.parametrize("label", sorted(BAD_CONFIGS) + sorted(BAD_ARGUMENTS) + sorted(REMOVED_FLAGS))
 def test_config_errors_exit_2_without_loading_numpy(tmp_path, label):
+    if label in REMOVED_FLAGS:
+        assert not _loads_numpy(_parser_exits_2(REMOVED_FLAGS[label]))
+        return
     if label in BAD_ARGUMENTS:
         assert not _loads_numpy(_main(BAD_ARGUMENTS[label], 2))
         return

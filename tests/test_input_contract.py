@@ -23,6 +23,7 @@ from platoonctl import (
     total_cost_derivative,
     truncation_cutoff,
 )
+from platoonctl.analytic import threshold_curves
 from platoonctl.cli import SweepSpec
 
 from conftest import NOMINAL_RAW
@@ -49,6 +50,7 @@ FLOAT_ARGS = [
     ("total_cost_derivative", "r", lambda v: total_cost_derivative(PARAMS, ARRIVAL, r=v)),
     ("exact_fuel_increase", "t_shift", lambda v: exact_fuel_increase(PARAMS, t_shift=v)),
     ("truncation_cutoff", "tail_mass", lambda v: truncation_cutoff(ARRIVAL, POLICY, tail_mass=v)),
+    ("threshold_curves", "thresholds", lambda v: threshold_curves(PARAMS, ARRIVAL, [0.0, v])),
 ]
 # An int of more than 4300 digits also checks that no message formats it:
 # str() refuses such ints.

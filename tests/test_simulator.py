@@ -80,6 +80,57 @@ class TestSampleInterarrivals:
         assert np.isfinite(gaps).all()
 
 
+# The rate at which MAX_UNIT_GAP / rate is twice the largest float: the
+# largest gap a rate above half of it can draw is finite.
+LIMIT_RATE = MAX_UNIT_GAP / sys.float_info.max
+
+
+class TestGapTransform:
+    """The draw path's inverse-CDF transform, gap = -ln(1 - U) / rate, at
+    chosen uniforms U in [0, 1), the range of numpy's ``random``."""
+
+    @staticmethod
+    def _gaps(monkeypatch, uniforms, rate):
+        class Fixed:
+            def random(self, out):
+                out[:] = uniforms[: out.size]
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Fixed())
+        return sample_interarrivals(1, len(uniforms), ArrivalModel(rate=rate))
+
+    def test_u_zero_gives_zero_gap(self, monkeypatch):
+        assert self._gaps(monkeypatch, [0.0], rate=0.02).tolist() == [0.0]
+
+    @pytest.mark.parametrize("rate", [1.0, 0.02, 0.125, 1e-300])
+    def test_known_value(self, monkeypatch, rate):
+        # U = 1 - e^-1 gives -ln(1 - U) = 1, the mean gap times the rate.
+        gaps = self._gaps(monkeypatch, [-math.expm1(-1.0)], rate=rate)
+        assert gaps[0] == pytest.approx(1.0 / rate, rel=1e-12)
+
+    def test_gaps_increase_with_u(self, monkeypatch):
+        uniforms = [0.0, 2.0**-53, 0.1, 0.5, 0.9, 1.0 - 2.0**-53]
+        gaps = self._gaps(monkeypatch, uniforms, rate=1.0)
+        assert np.all(np.diff(gaps) > 0)
+
+    @pytest.mark.parametrize("rate", [1.0, 0.02, 1e-300, 2 * LIMIT_RATE])
+    def test_largest_uniform_gives_the_largest_gap(self, monkeypatch, rate):
+        # U = 1 - 2^-53, the largest double below 1, draws MAX_UNIT_GAP / rate,
+        # the bound sample_interarrivals checks the rate against.
+        gaps = self._gaps(monkeypatch, [1.0 - 2.0**-53], rate=rate)
+        assert math.isfinite(gaps[0])
+        assert gaps[0] == pytest.approx(MAX_UNIT_GAP / rate, rel=1e-15)
+
+    @pytest.mark.parametrize("rate", [1e-310, 5e-324, LIMIT_RATE / 2])
+    def test_rate_whose_gaps_overflow_is_rejected(self, monkeypatch, rate):
+        def never(*args):
+            raise AssertionError("drew gaps before checking the rate")
+
+        monkeypatch.setattr(simulator, "_gap_chunks", never)
+        with pytest.raises(ValueError, match=rf"^rate = {re.escape(repr(rate))} is too small"):
+            sample_interarrivals(1, 3, ArrivalModel(rate=rate))
+
+
 class TestFormation:
     def test_tie_gap_merges(self):
         run = run_from_interarrivals([5.0, 4.0, 4.0], PlatoonPolicy(threshold=4.0))
