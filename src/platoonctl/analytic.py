@@ -20,10 +20,10 @@ from .domain import (  # MAX_RATE_THRESHOLD_PRODUCT and _check_product are re-ex
     CostParameters,
     PlatoonPolicy,
     _check_product,
+    _float_array,
     _fraction,
     _integer,
     _non_negative,
-    _number,
     _positive,
 )
 
@@ -193,19 +193,8 @@ def threshold_curves(
     element, like every other number. The product limit is checked once, on
     the largest threshold, before anything is evaluated.
     """
-    import numpy as np
-
     malformed = "thresholds must be a non-empty 1-D grid of finite numbers >= 0"
-    if isinstance(thresholds, np.ndarray) and thresholds.dtype.kind in "fiu":
-        threshold = np.asarray(thresholds, dtype=float)
-    else:
-        if isinstance(thresholds, np.ndarray):
-            thresholds = thresholds.tolist()
-        try:
-            elements = list(thresholds)
-        except TypeError:
-            raise ValueError(malformed) from None
-        threshold = np.array([_number("thresholds", t) for t in elements], dtype=float)
+    threshold = _float_array("thresholds", thresholds, malformed)
     if threshold.ndim != 1 or not threshold.size or not 0.0 <= threshold.min() <= threshold.max() < math.inf:
         raise ValueError(malformed)
     _check_product(arrival.rate, float(threshold.max()))

@@ -100,20 +100,11 @@ class ComparisonRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Comparison of a pooled simulation against the closed forms; a row
+def build_comparison(
+    arrival: ArrivalModel, policy: PlatoonPolicy, summary: EmpiricalSummary
+) -> tuple[ComparisonRow, ...]:
+    """Compare a pooled empirical summary against the closed forms; a row
     passes when |empirical - analytic| <= PASS_HALF_WIDTHS * ci_half_width."""
-
-    rows: tuple[ComparisonRow, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-
-def build_comparison(arrival: ArrivalModel, policy: PlatoonPolicy, summary: EmpiricalSummary) -> ComparisonReport:
-    """Compare a pooled empirical summary against the closed forms."""
     stats = platoon_statistics(arrival, policy)
     freq = summary.size_pmf.get(1, 0.0)
     n_platoons = summary.platoon_size.count
@@ -136,7 +127,7 @@ def build_comparison(arrival: ArrivalModel, policy: PlatoonPolicy, summary: Empi
             n_samples=estimate.count,
             passed=gap <= PASS_HALF_WIDTHS * estimate.ci_half_width,
         ))
-    return ComparisonReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -332,11 +323,11 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     return 0
 
 
-def comparison_csv_rows(report: ComparisonReport) -> tuple[list[str], list[list]]:
+def comparison_csv_rows(rows: Sequence[ComparisonRow]) -> tuple[list[str], list[list]]:
     """The comparison table as CSV: one column per ``ComparisonRow`` field,
     in field order."""
     header = [field.name for field in dataclasses.fields(ComparisonRow)]
-    return header, [[getattr(row, name) for name in header] for row in report.rows]
+    return header, [[getattr(row, name) for name in header] for row in rows]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -344,14 +335,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sim = _require_simulation(scenario)
     from .simulator import run_replications
 
-    aggregate, _ = run_replications(sim)
-    report = build_comparison(scenario.arrival, scenario.policy, aggregate)
+    comparison = build_comparison(scenario.arrival, scenario.policy, run_replications(sim))
 
     print(
         f"{'statistic':<24} {'analytic':>14} {'empirical':>14} "
         f"{'ci_hw':>12} {'rel_err':>10}  result"
     )
-    for row in report.rows:
+    for row in comparison:
         verdict = "pass" if row.passed else "FAIL"
         print(
             f"{row.statistic:<24} {row.analytic:>14.6g} {row.empirical:>14.6g} "
@@ -359,10 +349,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     csv_path = args.csv or scenario.output.get("csv")
     if csv_path:
-        header, rows = comparison_csv_rows(report)
+        header, rows = comparison_csv_rows(comparison)
         _write_csv(csv_path, header, rows)
         print(f"wrote {csv_path}")
-    if report.all_passed:
+    if all(row.passed for row in comparison):
         print(f"all statistics within {PASS_HALF_WIDTHS:g} CI half-widths of the closed forms")
         return 0
     print(f"comparison FAILED at {PASS_HALF_WIDTHS:g} CI half-widths", file=sys.stderr)
@@ -441,7 +431,7 @@ def sweep_rows(
         header += SWEEP_SIM_HEADER
         simulated = np.empty((len(SWEEP_SIM_HEADER), spec.n_points))
         for point, threshold in enumerate(curves.threshold.tolist()):
-            aggregate, _ = run_replications(replace(sim, policy=PlatoonPolicy(threshold=threshold)))
+            aggregate = run_replications(replace(sim, policy=PlatoonPolicy(threshold=threshold)))
             simulated[:, point] = (
                 aggregate.platoon_size.mean,
                 aggregate.platoon_size.ci_half_width,

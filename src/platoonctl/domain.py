@@ -61,6 +61,24 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
+def _float_array(name: str, values, malformed: str):
+    """``values`` as a float ndarray: an int or float ndarray converted as a
+    whole, any other iterable element by element with ``_number``. A
+    ``ValueError`` with ``malformed`` if ``values`` is not iterable; the
+    caller checks the shape and range."""
+    import numpy as np
+
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        return np.asarray(values, dtype=float)
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    try:
+        elements = list(values)
+    except TypeError:
+        raise ValueError(malformed) from None
+    return np.array([_number(name, value) for value in elements], dtype=float)
+
+
 def _check_product(rate: float, threshold: float) -> None:
     # repr, not a rounded format: a 6-digit format prints a product such as
     # 50.00002 as the limit itself.

@@ -13,8 +13,8 @@ Randomness contract: gaps come from numpy's PCG64 generator (period 2^128)
 seeded with ``SeedSequence((seed, replication))``. The master seed plus the
 replication index fully determines every draw, so runs reproduce
 bit-for-bit, and replications own disjoint streams that could execute in any
-order (or in parallel) without changing the aggregate. Aggregation merges
-per-replication statistics in index order, which keeps it order-independent.
+order (or in parallel) without changing the pooled summary, which merges
+their statistics in index order.
 
 Every gap comes from ``_gap_chunks``, which draws a replication's stream in
 chunks of ``CHUNK_VEHICLES``. ``run_replications`` folds each chunk into
@@ -25,10 +25,10 @@ memory (O(n)) by a different algorithm: the small-n reference the streaming
 kernel matches. ``summarize`` and the kernel share one estimator.
 
 Each replication allocates its chunk buffers once: the gap buffer in
-``_gap_chunks``, and the leader mask and the arrival times in the kernel.
-Every chunk's steps write into them, so a chunk ``_gap_chunks`` yields is
-valid only until the next one is drawn; a caller that keeps chunks copies
-them.
+``_gap_chunks``, which the kernel turns into arrival times and then shifts in
+place, and the leader mask in the kernel. Every chunk's steps write into
+them, so a chunk ``_gap_chunks`` yields is valid only until the next one is
+drawn; a caller that keeps chunks copies them.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .domain import (  # re-exported: the simulator's types live in domain, whic
     PlatoonPolicy,
     SimulationConfig,
     StatEstimate,
+    _float_array,
     _integer,
 )
 
@@ -142,11 +143,14 @@ def run_from_interarrivals(interarrivals, policy: PlatoonPolicy) -> SimulationRu
     otherwise it leads a new one. A leader's headway is the arrival-time
     difference to the next leader. A merging vehicle's shift follows the
     recursion shift[k] = gap[k] + shift[k-1] (0 at leaders): it closes its
-    gap onto a predecessor that already moved forward.
+    gap onto a predecessor that already moved forward. An int or float
+    ndarray is checked as a whole; any other sequence element by element,
+    like every other number.
     """
-    gaps = np.asarray(interarrivals, dtype=float)
+    malformed = "interarrivals must be a non-empty 1-d sequence"
+    gaps = _float_array("interarrivals", interarrivals, malformed)
     if gaps.ndim != 1 or gaps.size == 0:
-        raise ValueError("interarrivals must be a non-empty 1-d sequence")
+        raise ValueError(malformed)
     if not (gaps.min() >= 0.0 and gaps.max() < math.inf):  # NaN fails the first test
         raise ValueError("interarrivals must be finite and >= 0")
     merged = gaps <= policy.threshold
@@ -282,24 +286,22 @@ def _replication_stats(config: SimulationConfig, replication: int) -> _Replicati
     platoon: its size and the time since its leader arrived, which is also
     the shift of its last vehicle. Times inside a chunk count from the last
     vehicle of the previous chunk, so the open platoon's leader sits at
-    ``-since_leader``. The leader mask and the arrival times (which become
-    the shifts, then the shifts' deviations) are written into two buffers
-    allocated once per replication.
+    ``-since_leader``. The arrival times, then the shifts, then the shifts'
+    deviations overwrite the chunk's gaps; the leader mask is written into a
+    buffer allocated once per replication.
     """
     threshold = config.policy.threshold
     stats = None
     open_size = 0  # 0 only before the first chunk: vehicle 1 always leads
     since_leader = 0.0
-    width = min(CHUNK_VEHICLES, config.n_vehicles)
-    leads_buffer = np.empty(width, dtype=bool)
-    arrivals_buffer = np.empty(width)
+    leads_buffer = np.empty(min(CHUNK_VEHICLES, config.n_vehicles), dtype=bool)
     for gaps in _gap_chunks(config.seed, replication, config.n_vehicles, config.arrival.rate):
         size = gaps.size
         leads = np.greater(gaps, threshold, out=leads_buffer[:size])  # the inverse of the merge mask
         if not open_size:
             leads[0] = True
         leaders = np.flatnonzero(leads)
-        arrivals = np.cumsum(gaps, out=arrivals_buffer[:size])
+        arrivals = np.cumsum(gaps, out=gaps)
         leader_times = arrivals[leaders]
         if open_size:
             leaders = np.concatenate(([-open_size], leaders))
@@ -320,22 +322,17 @@ def _replication_stats(config: SimulationConfig, replication: int) -> _Replicati
     return stats
 
 
-def run_replications(config: SimulationConfig) -> tuple[EmpiricalSummary, list[EmpiricalSummary]]:
-    """Run every replication of ``config`` in one streaming pass each.
+def run_replications(config: SimulationConfig) -> EmpiricalSummary:
+    """Summarize every replication of ``config`` as one pool, each drawn and
+    folded in one streaming pass.
 
-    Returns (aggregate, per_replication). The aggregate merges the
-    per-replication statistics in replication-index order, so it does not
-    depend on the order replications execute in. Estimators equal
-    :func:`summarize` on the full in-memory runs (pooled across
-    replications), up to float rounding.
+    The replications' statistics merge in index order, so the summary does
+    not depend on the order replications execute in. It equals
+    :func:`summarize` on the full in-memory runs pooled across replications,
+    up to float rounding, and fails only when the pool as a whole has no
+    sample of a statistic.
     """
-    total: _ReplicationStats | None = None
-    per_replication: list[EmpiricalSummary] = []
-    for rep in range(config.n_replications):
-        try:
-            stats = _replication_stats(config, rep)
-            per_replication.append(stats.summary())
-        except ValueError as exc:
-            raise ValueError(f"replication {rep}: {exc}") from exc
-        total = stats if total is None else total.merge(stats)
-    return total.summary(), per_replication
+    total = _replication_stats(config, 0)
+    for rep in range(1, config.n_replications):
+        total = total.merge(_replication_stats(config, rep))
+    return total.summary()

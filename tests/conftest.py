@@ -79,20 +79,13 @@ def reference_summary(sizes, headways, shifts):
 
 def pooled_reference(config):
     """``run_replications`` as the in-memory reference computes it: every
-    replication as a full ``SimulationRun`` and summarized on its own, raw
-    samples concatenated in replication-index order for the aggregate.
-    Returns (aggregate, per_replication)."""
-    parts, per_replication = [], []
+    replication as a full ``SimulationRun``, raw samples concatenated in
+    replication-index order and summarized once."""
+    parts = []
     for rep in range(config.n_replications):
-        try:
-            gaps = sample_interarrivals(config.seed, config.n_vehicles, config.arrival, replication=rep)
-            run = run_from_interarrivals(gaps, config.policy)
-            parts.append(run_samples(run))
-            per_replication.append(reference_summary(*parts[-1]))
-        except ValueError as exc:
-            raise ValueError(f"replication {rep}: {exc}") from exc
-    aggregate = reference_summary(*(np.concatenate([p[i] for p in parts]) for i in range(3)))
-    return aggregate, per_replication
+        gaps = sample_interarrivals(config.seed, config.n_vehicles, config.arrival, replication=rep)
+        parts.append(run_samples(run_from_interarrivals(gaps, config.policy)))
+    return reference_summary(*(np.concatenate([p[i] for p in parts]) for i in range(3)))
 
 
 def summary_mismatches(summary, reference, rel=1e-12):

@@ -12,6 +12,7 @@ every check is deterministic.
 """
 
 import dataclasses
+import functools
 import math
 import random
 import time
@@ -40,7 +41,7 @@ from platoonctl import (
     truncation_cutoff,
 )
 from platoonctl.cli import main
-from platoonctl.simulator import _replication_stats
+from platoonctl.simulator import _replication_stats, _ReplicationStats
 
 from conftest import NOMINAL_RAW, pooled_reference, summary_mismatches
 
@@ -69,7 +70,7 @@ def big_run(nominal_scenario):
         arrival=arrival, policy=policy, n_vehicles=1_000_000, n_replications=1, seed=MAIN_SEED
     )
     start = time.perf_counter()
-    aggregate, _ = run_replications(config)
+    aggregate = run_replications(config)
     elapsed = time.perf_counter() - start
     return aggregate, elapsed
 
@@ -149,7 +150,9 @@ def test_criterion_4_grid_robustness():
                 n_replications=10,
                 seed=GRID_SEED,
             )
-            aggregate, per_rep = run_replications(config)
+            stats = [_replication_stats(config, rep) for rep in range(config.n_replications)]
+            per_rep = [rep_stats.summary() for rep_stats in stats]
+            aggregate = functools.reduce(_ReplicationStats.merge, stats).summary()
             cell = f"(rate={rate}, threshold={threshold})"
 
             # Means: 3-sigma bands from the spread of replication means.
@@ -337,14 +340,14 @@ def test_criterion_10_determinism(tmp_path):
         n_replications=5,
         seed=MAIN_SEED,
     )
-    aggregate, _ = run_replications(sim)
+    aggregate = run_replications(sim)
     collected = {rep: _replication_stats(sim, rep) for rep in reversed(range(sim.n_replications))}
     merged = collected[0]
     for rep in range(1, sim.n_replications):
         merged = merged.merge(collected[rep])
     if merged.summary() != aggregate:
         failures.append("aggregate depends on replication execution order")
-    failures.extend(summary_mismatches(aggregate, pooled_reference(sim)[0]))
+    failures.extend(summary_mismatches(aggregate, pooled_reference(sim)))
     conclude(10, "byte-identical CSV output and order-independent aggregation", failures)
 
 

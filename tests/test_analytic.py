@@ -25,7 +25,7 @@ from platoonctl import (
     total_cost_derivative,
     truncation_cutoff,
 )
-from platoonctl import analytic
+from platoonctl import analytic, domain
 from platoonctl.analytic import threshold_curves
 
 
@@ -547,7 +547,7 @@ class TestThresholdCurves:
         self, nominal_params, nominal_arrival, monkeypatch
     ):
         calls = []
-        monkeypatch.setattr(analytic, "_number", lambda name, value: calls.append(value) or float(value))
+        monkeypatch.setattr(domain, "_number", lambda name, value: calls.append(value) or float(value))
         for grid in (np.linspace(0.0, 100.0, 1001), np.arange(0, 101)):
             curves = threshold_curves(nominal_params, nominal_arrival, grid)
             assert curves.threshold.tolist() == [float(r) for r in grid.tolist()]

@@ -340,15 +340,33 @@ class TestExitCodes:
         assert main(["simulate", "--config", write_config()]) == 0
 
     def test_simulate_fail_exits_1(self, write_config, capsys, monkeypatch):
-        def biased_replications(config):
-            aggregate, per_replication = run_replications(config)
-            return biased(aggregate), per_replication
-
-        monkeypatch.setattr(simulator, "run_replications", biased_replications)
+        monkeypatch.setattr(simulator, "run_replications", lambda config: biased(run_replications(config)))
         assert main(["simulate", "--config", write_config()]) == 1
         captured = capsys.readouterr()
         assert captured.out.count("FAIL") == 4
         assert captured.err == "comparison FAILED at 3 CI half-widths\n"
+
+    def test_pool_with_closed_platoons_is_compared(self, write_config, tmp_path):
+        # The last of three replications closes no platoon on its own; the
+        # pool holds the other two's, so the comparison runs on them.
+        out = tmp_path / "report.csv"
+        path = write_config({
+            "arrival": {"rate": 1.0},
+            "policy": {"threshold": 8.0},
+            "simulation": {"n_vehicles": 2000, "n_replications": 3, "seed": 1},
+        })
+        assert main(["simulate", "--config", path, "--csv", str(out)]) in (0, 1)
+        rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
+        assert [int(row["n_samples"]) for row in rows] == [2, 2, 6000, 2]
+
+    def test_all_censored_pool_exits_2_naming_the_statistic(self, write_config, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        path = write_config({"policy": {"threshold": 2500.0}, "simulation": {"n_vehicles": 100, "n_replications": 2}})
+        assert main(["simulate", "--config", path, "--csv", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no platoon-size (all platoons censored) samples to summarize\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestAnalyticCommand:
@@ -424,27 +442,24 @@ class TestSimulateCommand:
 
     def test_comparison_rows_match_library(self, write_config):
         scenario = load_scenario(write_config())
-        aggregate, _ = run_replications(scenario.simulation)
-        report = build_comparison(scenario.arrival, scenario.policy, aggregate)
-        assert report.all_passed
-        names = [row.statistic for row in report.rows]
+        rows = build_comparison(scenario.arrival, scenario.policy, run_replications(scenario.simulation))
+        assert all(row.passed for row in rows)
+        names = [row.statistic for row in rows]
         assert names == [
             "mean_platoon_size",
             "mean_leader_headway",
             "mean_time_shift",
             "singleton_probability",
         ]
-        for row in report.rows:
+        for row in rows:
             assert row.relative_error < 0.02
 
     @pytest.mark.parametrize("rate, threshold", [(0.02, 50.0), (0.05, 60.0), (0.5, 10.0), (0.3, 0.0)])
     def test_analytic_column_equals_the_scalar_closed_forms(self, rate, threshold):
         arrival, policy = ArrivalModel(rate=rate), PlatoonPolicy(threshold=threshold)
-        summary = run_replications(
-            SimulationConfig(arrival=arrival, policy=policy, n_vehicles=2000, seed=3)
-        )[0]
-        report = build_comparison(arrival, policy, summary)
-        assert [row.analytic.hex() for row in report.rows] == [
+        summary = run_replications(SimulationConfig(arrival=arrival, policy=policy, n_vehicles=2000, seed=3))
+        rows = build_comparison(arrival, policy, summary)
+        assert [row.analytic.hex() for row in rows] == [
             expected_platoon_size(arrival, policy).hex(),
             expected_platoon_headway(arrival, policy).hex(),
             expected_time_reduction(arrival, policy).hex(),
@@ -499,7 +514,7 @@ class TestWriteCsv:
 
     def test_simulate_comparison_table(self, tmp_path):
         arrival, policy = ArrivalModel(rate=0.05), PlatoonPolicy(threshold=60.0)
-        summary = run_replications(SimulationConfig(arrival=arrival, policy=policy, n_vehicles=2000, seed=3))[0]
+        summary = run_replications(SimulationConfig(arrival=arrival, policy=policy, n_vehicles=2000, seed=3))
         for pooled, passed in ((summary, True), (biased(summary), False)):
             header, rows = comparison_csv_rows(build_comparison(arrival, policy, pooled))
             assert {row[-1] for row in rows} == {passed}

@@ -19,6 +19,7 @@ from platoonctl import (
     numeric_optimal_threshold,
     optimal_threshold,
     platoon_size_pmf,
+    run_from_interarrivals,
     sample_interarrivals,
     total_cost_derivative,
     truncation_cutoff,
@@ -51,6 +52,7 @@ FLOAT_ARGS = [
     ("exact_fuel_increase", "t_shift", lambda v: exact_fuel_increase(PARAMS, t_shift=v)),
     ("truncation_cutoff", "tail_mass", lambda v: truncation_cutoff(ARRIVAL, POLICY, tail_mass=v)),
     ("threshold_curves", "thresholds", lambda v: threshold_curves(PARAMS, ARRIVAL, [0.0, v])),
+    ("run_from_interarrivals", "interarrivals", lambda v: run_from_interarrivals([v, 2.0], POLICY)),
 ]
 # An int of more than 4300 digits also checks that no message formats it:
 # str() refuses such ints.

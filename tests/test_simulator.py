@@ -6,12 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats as scipy_stats
 
 from platoonctl import (
     ArrivalModel,
     PlatoonPolicy,
     SimulationConfig,
     SimulationRun,
+    expected_platoon_headway,
+    expected_platoon_size,
+    expected_time_reduction,
     run_from_interarrivals,
     run_replications,
     sample_interarrivals,
@@ -343,16 +347,15 @@ class TestRunReplications:
         # and against the reference estimator: integer statistics exactly,
         # float ones to rel 1e-12.
         config = self._config(n_replications=1)
-        aggregate, per_rep = run_replications(config)
+        aggregate = run_replications(config)
         run = run_from_interarrivals(sample_interarrivals(config.seed, config.n_vehicles, config.arrival), config.policy)
         assert summary_mismatches(aggregate, summarize(run)) == []
         assert summary_mismatches(aggregate, reference_summary(*run_samples(run))) == []
-        assert per_rep == [aggregate]
 
     def test_aggregate_is_deterministic(self):
         config = self._config()
-        first, _ = run_replications(config)
-        second, _ = run_replications(config)
+        first = run_replications(config)
+        second = run_replications(config)
         assert first == second
 
     def test_aggregate_independent_of_execution_order(self):
@@ -360,31 +363,43 @@ class TestRunReplications:
         # the per-replication statistics in reverse and merging them by index
         # must reproduce the library aggregate bit for bit.
         config = self._config()
-        aggregate, per_rep = run_replications(config)
+        aggregate = run_replications(config)
         stats = {rep: _replication_stats(config, rep) for rep in reversed(range(config.n_replications))}
         merged = stats[0]
         for rep in range(1, config.n_replications):
             merged = merged.merge(stats[rep])
         assert merged.summary() == aggregate
-        assert [stats[rep].summary() for rep in range(config.n_replications)] == per_rep
-        assert summary_mismatches(aggregate, pooled_reference(config)[0]) == []
+        assert summary_mismatches(aggregate, pooled_reference(config)) == []
 
     def test_split_replications_consistent_with_single_run(self):
         # 10 x 100k pooled should agree with 1 x 1M within overlapping CIs.
-        split, _ = run_replications(self._config(n_vehicles=100_000, n_replications=10, seed=11))
-        single, _ = run_replications(self._config(n_vehicles=1_000_000, n_replications=1, seed=22))
+        split = run_replications(self._config(n_vehicles=100_000, n_replications=10, seed=11))
+        single = run_replications(self._config(n_vehicles=1_000_000, n_replications=1, seed=22))
         for name in ("platoon_size", "leader_headway", "time_shift"):
             a = getattr(split, name)
             b = getattr(single, name)
             assert abs(a.mean - b.mean) <= a.ci_half_width + b.ci_half_width
 
-    def test_replication_errors_carry_the_index(self):
+    def test_all_censored_pool_fails_naming_the_statistic(self):
         # At the largest supported rate * threshold (50) a gap ends a platoon
         # with probability e^-50, so 100 vehicles form one platoon, which has
-        # no censored size sample.
+        # no closed size sample, in every replication.
         config = self._config(policy=PlatoonPolicy(threshold=2500.0), n_vehicles=100, n_replications=2)
-        with pytest.raises(ValueError, match="replication 0: no platoon-size"):
+        with pytest.raises(ValueError, match=r"^no platoon-size \(all platoons censored\) samples to summarize$"):
             run_replications(config)
+
+    def test_pool_with_closed_platoons_is_summarized(self):
+        # At x = 8 the mean platoon holds e^8 ~ 3,000 vehicles: of three
+        # replications of 2,000 vehicles, the last closes no platoon on its
+        # own, and the pool still holds the other two's closed platoons.
+        config = self._config(
+            arrival=ArrivalModel(rate=1.0), policy=PlatoonPolicy(threshold=8.0), n_vehicles=2000, n_replications=3,
+            seed=1,
+        )
+        assert [_replication_stats(config, rep).size_count for rep in range(3)] == [1, 1, 0]
+        summary = run_replications(config)
+        assert (summary.platoon_size.count, summary.leader_headway.count, summary.time_shift.count) == (2, 2, 6000)
+        assert summary_mismatches(summary, pooled_reference(config)) == []
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="n_vehicles"):
@@ -407,7 +422,7 @@ class TestRunReplications:
         with pytest.raises(ValueError, match=r"^arrival\.rate = \S+ is too small for n_vehicles = 20000 "):
             self._config(arrival=ArrivalModel(rate=0.99 * limit), policy=singletons)
         config = self._config(arrival=ArrivalModel(rate=1.01 * limit), policy=singletons)
-        aggregate, _ = run_replications(config)
+        aggregate = run_replications(config)
         for name in ("platoon_size", "leader_headway", "time_shift"):
             estimate = getattr(aggregate, name)
             assert math.isfinite(estimate.mean) and math.isfinite(estimate.ci_half_width)
@@ -474,31 +489,28 @@ class TestStreamingKernel:
     @pytest.mark.parametrize("n", [2, C - 1, C, C + 1, 3 * C + 7])
     def test_matches_reference_at_chunk_boundaries(self, n):
         config = self._config(n_vehicles=n)
-        summary, _ = run_replications(config)
-        assert summary_mismatches(summary, pooled_reference(config)[0]) == []
+        summary = run_replications(config)
+        assert summary_mismatches(summary, pooled_reference(config)) == []
 
     def test_platoon_spanning_several_chunks(self):
         # rate * threshold = 12: the mean platoon holds e^12 ~ 163k vehicles.
         config = self._config(policy=PlatoonPolicy(threshold=600.0), n_vehicles=1_000_000)
         run = run_from_interarrivals(sample_interarrivals(config.seed, config.n_vehicles, config.arrival), config.policy)
         assert int(run.platoon_sizes[:-1].max()) > 2 * C
-        summary, _ = run_replications(config)
+        summary = run_replications(config)
         assert summary_mismatches(summary, reference_summary(*run_samples(run))) == []
 
     def test_replications_of_several_chunks(self):
         config = self._config(n_vehicles=3 * C + 7, n_replications=2)
-        summary, _ = run_replications(config)
+        summary = run_replications(config)
         assert summary.time_shift.count == 2 * (3 * C + 7)
-        assert summary_mismatches(summary, pooled_reference(config)[0]) == []
+        assert summary_mismatches(summary, pooled_reference(config)) == []
 
     def test_several_replications(self):
         config = self._config(n_vehicles=C + 1, n_replications=4)
-        summary, per_rep = run_replications(config)
-        reference, reference_per_rep = pooled_reference(config)
-        assert summary_mismatches(summary, reference) == []
-        assert len(per_rep) == len(reference_per_rep) == 4
-        for got, want in zip(per_rep, reference_per_rep):
-            assert summary_mismatches(got, want) == []
+        summary = run_replications(config)
+        assert summary.time_shift.count == 4 * (C + 1)
+        assert summary_mismatches(summary, pooled_reference(config)) == []
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -526,10 +538,8 @@ class TestStreamingKernel:
                 with pytest.raises(ValueError, match=re.escape(str(reference))):
                     run_replications(config)
                 return
-            summary, per_rep = run_replications(config)
-        assert summary_mismatches(summary, reference[0]) == []
-        for got, want in zip(per_rep, reference[1], strict=True):
-            assert summary_mismatches(got, want) == []
+            summary = run_replications(config)
+        assert summary_mismatches(summary, reference) == []
 
     def test_stale_buffers_do_not_change_the_summary(self, monkeypatch):
         # Every buffer allocated during the run starts as garbage (NaN floats,
@@ -555,7 +565,7 @@ class TestStreamingKernel:
         first = run_replications(config)
         run_replications(self._config(policy=PlatoonPolicy(threshold=150.0), n_vehicles=2 * C + 1, seed=SEED + 1))
         assert run_replications(config) == first
-        assert summary_mismatches(first[0], pooled_reference(config)[0]) == []
+        assert summary_mismatches(first, pooled_reference(config)) == []
 
     def test_memory_is_flat_in_n(self):
         peaks = {}
@@ -568,3 +578,56 @@ class TestStreamingKernel:
                 tracemalloc.stop()
         assert peaks[2_000_000] <= 1.1 * peaks[200_000]
         assert peaks[2_000_000] < 16 * 2**20
+
+
+COVERAGE_RUNS = 200
+COVERAGE_XS = (1.0, 3.0)
+
+
+@pytest.fixture(scope="module")
+def coverage_misses():
+    """{(statistic, x): how many of the nominal 95% CIs of COVERAGE_RUNS
+    single-replication runs of 1e5 vehicles at unit rate, seeds 0, 1, 2, ...,
+    miss the closed form}."""
+    closed_forms = {
+        "platoon_size": expected_platoon_size,
+        "leader_headway": expected_platoon_headway,
+        "time_shift": expected_time_reduction,
+    }
+    misses = {}
+    for x in COVERAGE_XS:
+        arrival, policy = ArrivalModel(rate=1.0), PlatoonPolicy(threshold=x)
+        summaries = [
+            run_replications(SimulationConfig(arrival=arrival, policy=policy, n_vehicles=100_000, seed=seed))
+            for seed in range(COVERAGE_RUNS)
+        ]
+        for name, closed_form in closed_forms.items():
+            truth = closed_form(arrival, policy)
+            estimates = [getattr(summary, name) for summary in summaries]
+            misses[name, x] = sum(abs(e.mean - truth) > e.ci_half_width for e in estimates)
+    return misses
+
+
+@pytest.mark.parametrize(
+    "statistic",
+    [
+        "platoon_size",
+        "leader_headway",
+        pytest.param(
+            "time_shift",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the time-shift half-width treats the vehicles of one platoon as independent; their shifts "
+                "are correlated, so it is too narrow (38.5% misses at x = 1, 82% at x = 3)",
+            ),
+        ),
+    ],
+)
+def test_confidence_intervals_have_their_nominal_coverage(coverage_misses, statistic):
+    # Every seed of the range counts. The miss share must lie in the
+    # two-sided 99.9% binomial band around 5%.
+    low, high = scipy_stats.binom.interval(0.999, COVERAGE_RUNS, 0.05)
+    misses = {x: coverage_misses[statistic, x] for x in COVERAGE_XS}
+    assert all(low <= count <= high for count in misses.values()), (
+        f"{statistic}: CIs missing the closed form per x {misses} of {COVERAGE_RUNS}, band [{low:g}, {high:g}]"
+    )
