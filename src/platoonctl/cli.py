@@ -14,8 +14,10 @@ and seed. Exit codes: 0 success (for ``simulate``: every statistic within
 ``PASS_HALF_WIDTHS`` CI half-widths of its closed form), 1 statistical
 comparison failure, 2 usage or configuration error, 3 out of memory.
 
-numpy is imported only by ``simulate`` and ``sweep``, which build arrays;
-``analytic``, ``optimize`` and every configuration error run without it.
+numpy is imported only by ``simulate`` and ``sweep``, which build arrays,
+and orjson only by ``sweep``, which formats its float columns with it;
+``analytic``, ``optimize`` and every configuration error run without
+either.
 """
 
 from __future__ import annotations
@@ -106,14 +108,21 @@ def build_comparison(
     """Compare a pooled empirical summary against the closed forms; a row
     passes when |empirical - analytic| <= PASS_HALF_WIDTHS * ci_half_width."""
     stats = platoon_statistics(arrival, policy)
-    freq = summary.size_pmf.get(1, 0.0)
+    # The singleton frequency is a binomial share with a known null
+    # probability, so its half-width uses that probability: the empirical
+    # share's own Wald width is 0 when the pool holds no singleton.
+    singleton_p = platoon_size_pmf(arrival, policy, 1)
     n_platoons = summary.platoon_size.count
-    singleton = StatEstimate(freq, Z_95 * math.sqrt(freq * (1.0 - freq) / n_platoons), n_platoons)
+    singleton = StatEstimate(
+        summary.size_pmf.get(1, 0.0),
+        Z_95 * math.sqrt(singleton_p * (1.0 - singleton_p) / n_platoons),
+        n_platoons,
+    )
     table = (
         ("mean_platoon_size", stats.expected_platoon_size, summary.platoon_size),
         ("mean_leader_headway", stats.expected_platoon_headway, summary.leader_headway),
         ("mean_time_shift", stats.expected_time_reduction, summary.time_shift),
-        ("singleton_probability", platoon_size_pmf(arrival, policy, 1), singleton),
+        ("singleton_probability", singleton_p, singleton),
     )
     rows = []
     for statistic, analytic, estimate in table:
@@ -266,9 +275,14 @@ def _require_simulation(scenario: Scenario) -> SimulationConfig:
     return scenario.simulation
 
 
-# Rows formatted and written per write call by ``_write_csv``; the text of one
-# block is the only text held in memory.
+# Rows formatted per write call for a sweep; the text of one block is the
+# only text held in memory.
 CSV_BLOCK_ROWS = 4096
+
+# orjson (Ryu) writes the same shortest round-trip digits as ``repr``, but in
+# ``repr``'s notation only for magnitudes in this range: it writes 0.00001
+# for 1e-05, 1e16 for 1e+16, and null for NaN and the infinities.
+_RYU_NOTATION_RANGE = (1e-4, 1e16)
 
 
 def _write_csv(path: str | Path, header: list[str], rows: Sequence) -> None:
@@ -277,14 +291,17 @@ def _write_csv(path: str | Path, header: list[str], rows: Sequence) -> None:
     The bytes are those of ``csv.writer(fh, lineterminator="\\n")``: a field
     is its ``str``, which for a float is the shortest round-trip ``repr``.
     No field is ever quoted; no header, statistic name, number or bool holds
-    a comma, quote or line break. Each row is formatted with one ``%``
-    operation.
+    a comma, quote or line break. The rows of a sweep are formatted a block
+    at a time in C (see ``_ColumnRows.write_csv``); any other rows field by
+    field with ``str``.
     """
-    line = ",".join(["%s"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), CSV_BLOCK_ROWS):
-            fh.write("".join([line % tuple(row) for row in rows[start : start + CSV_BLOCK_ROWS]]))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if isinstance(rows, _ColumnRows):
+            rows.write_csv(fh)
+        else:
+            for row in rows:
+                fh.write((",".join(map(str, row)) + "\n").encode())
 
 
 def analytic_quantities(params: CostParameters, arrival: ArrivalModel, policy: PlatoonPolicy) -> dict[str, float]:
@@ -381,8 +398,8 @@ SWEEP_SIM_HEADER = [
 
 class _ColumnRows(Sequence):
     """Rows zipped from equal-length numpy columns on demand: only the rows
-    indexed or sliced become Python floats, so ``_write_csv`` holds one
-    block of them at a time."""
+    indexed or sliced become Python floats. ``write_csv`` writes them as
+    CSV one block at a time."""
 
     def __init__(self, columns: list) -> None:
         self._columns = columns
@@ -394,6 +411,46 @@ class _ColumnRows(Sequence):
         if isinstance(index, slice):
             return list(zip(*[column[index].tolist() for column in self._columns]))
         return tuple(column[index].item() for column in self._columns)
+
+    def write_csv(self, fh) -> None:
+        """Write the rows to the binary file ``fh`` as ``_write_csv`` does.
+
+        The rows go one block of ``CSV_BLOCK_ROWS`` at a time. The columns of
+        a block are stacked into one C-contiguous ``(rows, columns)`` float64
+        array and formatted by a single ``orjson.dumps`` call, whose
+        ``[[a,b],[c,d]]`` becomes ``a,b\\nc,d`` with one ``bytes.replace``.
+        A row holding a value outside ``_RYU_NOTATION_RANGE`` (zero, NaN and
+        the infinities too) is written with ``repr`` instead, and the rows
+        on either side of it with a call each.
+        """
+        import numpy as np
+        import orjson
+
+        low, high = _RYU_NOTATION_RANGE
+
+        def ryu_lines(start: int, stop: int) -> None:
+            # The stacked array is freed before the text is copied, so it is
+            # not held with both copies of the text.
+            block = np.stack([column[start:stop] for column in self._columns], axis=1)
+            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+            del block
+            fh.write(memoryview(text.replace(b"],[", b"\n"))[2:-2])
+            fh.write(b"\n")
+
+        for start in range(0, len(self), CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, len(self))
+            outside = np.zeros(stop - start, dtype=bool)
+            for column in self._columns:
+                magnitude = np.abs(column[start:stop])
+                outside |= ~((magnitude >= low) & (magnitude < high))
+            done = start
+            for row in (start + np.flatnonzero(outside)).tolist():
+                if row > done:
+                    ryu_lines(done, row)
+                fh.write((",".join(map(repr, self[row])) + "\n").encode())
+                done = row + 1
+            if done < stop:
+                ryu_lines(done, stop)
 
 
 def sweep_rows(

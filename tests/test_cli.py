@@ -1,10 +1,14 @@
 import csv
 import dataclasses
+import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from platoonctl import (
     ArrivalModel,
@@ -19,10 +23,11 @@ from platoonctl import (
     optimal_threshold,
     platoon_size_pmf,
 )
-from platoonctl import cli, simulator
+from platoonctl import EmpiricalSummary, StatEstimate, cli, simulator
 from platoonctl.cli import (
     CSV_BLOCK_ROWS,
     SweepSpec,
+    _ColumnRows,
     _write_csv,
     build_comparison,
     comparison_csv_rows,
@@ -30,6 +35,7 @@ from platoonctl.cli import (
     main,
     sweep_rows,
 )
+from platoonctl.domain import Z_95
 from platoonctl.simulator import run_replications
 
 from conftest import NOMINAL_RAW
@@ -466,11 +472,47 @@ class TestSimulateCommand:
             platoon_size_pmf(arrival, policy, 1).hex(),
         ]
 
+    def test_singleton_row_passes_on_a_pool_with_no_singleton(self, write_config, tmp_path):
+        # At x = 8 the 1e6 vehicles close 300 platoons, none of them a
+        # singleton, as e^-8 makes likely; the row must not fail for that.
+        # The time-shift row may still fail: its CI is the known defect.
+        out = tmp_path / "report.csv"
+        arrival, policy = ArrivalModel(rate=1.0), PlatoonPolicy(threshold=8.0)
+        path = write_config({
+            "arrival": {"rate": 1.0},
+            "policy": {"threshold": 8.0},
+            "simulation": {"n_vehicles": 1_000_000, "n_replications": 1, "seed": 1},
+        })
+        assert main(["simulate", "--config", path, "--csv", str(out)]) in (0, 1)
+        rows = {row["statistic"]: row for row in csv.DictReader(out.read_text(encoding="utf-8").splitlines())}
+        row = rows["singleton_probability"]
+        p0, n = platoon_size_pmf(arrival, policy, 1), int(row["n_samples"])
+        assert float(row["empirical"]) == 0.0 and n == 300
+        assert row["ci_half_width"] == repr(Z_95 * math.sqrt(p0 * (1.0 - p0) / n))
+        assert row["passed"] == "True"
+
+    @pytest.mark.parametrize("rate, passed", [(1.0, True), (0.125, False)])
+    def test_singleton_half_width_is_the_null_one_when_no_singleton_is_seen(self, rate, passed):
+        # At x = 8 (rate 1.0) a pool of 300 platoons with no singleton is
+        # within three null half-widths of e^-8; at x = 1 (rate 0.125) it
+        # is not. The empirical share's own Wald width would be 0 in both.
+        arrival, policy = ArrivalModel(rate=rate), PlatoonPolicy(threshold=8.0)
+        estimate = StatEstimate(10.0, 1.0, 300)
+        summary = EmpiricalSummary(
+            platoon_size=estimate, leader_headway=estimate, time_shift=estimate, size_pmf={1: 0.0, 2: 0.5}
+        )
+        row = build_comparison(arrival, policy, summary)[3]
+        p0 = platoon_size_pmf(arrival, policy, 1)
+        assert row.statistic == "singleton_probability" and row.empirical == 0.0
+        assert row.ci_half_width == Z_95 * math.sqrt(p0 * (1.0 - p0) / 300) > 0.0
+        assert row.passed is passed
+
 
 def biased(summary):
     """``summary`` moved off the truth, so every comparison row fails: each
-    mean by 100 CI half-widths, and the singleton frequency to 0, whose
-    half-width is 0 and whose closed form e^-x is not."""
+    mean by 100 CI half-widths, and the singleton frequency to 1, which is
+    further from its closed form e^-x than three half-widths of that share
+    at every x and pool size the tests use."""
 
     def moved(estimate):
         return dataclasses.replace(estimate, mean=estimate.mean + 100.0 * estimate.ci_half_width)
@@ -480,7 +522,7 @@ def biased(summary):
         platoon_size=moved(summary.platoon_size),
         leader_headway=moved(summary.leader_headway),
         time_shift=moved(summary.time_shift),
-        size_pmf={**summary.size_pmf, 1: 0.0},
+        size_pmf={**summary.size_pmf, 1: 1.0},
     )
 
 
@@ -507,6 +549,13 @@ class TestWriteCsv:
     def test_edge_floats(self, tmp_path):
         rows = [[value, -value] for value in self.EDGE_FLOATS]
         self.assert_same_bytes_as_csv_writer(tmp_path, ["value", "negated"], rows)
+
+    def test_edge_floats_through_the_column_path(self, tmp_path):
+        values = np.array(self.EDGE_FLOATS)
+        out = tmp_path / "written.csv"
+        _write_csv(out, ["value", "negated"], _ColumnRows([values, -values]))
+        rows = [[value, -value] for value in self.EDGE_FLOATS]
+        assert out.read_bytes() == csv_writer_bytes(tmp_path, ["value", "negated"], rows)
 
     def test_ints_and_bools(self, tmp_path):
         rows = [(0, True), (-7, False), (2**63, True), (10**30, False)]
@@ -538,6 +587,69 @@ class TestWriteCsv:
         block_text = size / len(rows) * CSV_BLOCK_ROWS
         assert peak < 4 * block_text
         assert peak < size / 10
+
+
+def column_path_text(block) -> str:
+    """The CSV body the sweep's column path writes for a 2-D float block."""
+    fh = io.BytesIO()
+    _ColumnRows(list(np.asarray(block, dtype=np.float64).T)).write_csv(fh)
+    return fh.getvalue().decode("ascii")
+
+
+def repr_text(block) -> str:
+    """The reference: each field's ``repr``, comma-joined, one line per row."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in np.asarray(block, dtype=np.float64).tolist())
+
+
+# The neighbours of both ends of the range in which orjson's notation equals
+# repr's, on both sides and with both signs, and the extreme finite floats.
+NOTATION_BOUNDARY_FLOATS = [
+    float(value) * sign
+    for edge in (1e-4, 1e16)
+    for value in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))
+    for sign in (1.0, -1.0)
+] + [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+class TestColumnFormatter:
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+        elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        | st.sampled_from([0.0, -0.0, 5e-324, float("nan"), float("inf"), float("-inf"), *NOTATION_BOUNDARY_FLOATS]),
+    ))
+    def test_blocks_equal_repr(self, block):
+        assert column_path_text(block) == repr_text(block)
+
+    def test_million_random_bit_patterns_equal_repr(self):
+        rng = np.random.default_rng(20180618)
+        count = 500_000
+        # Half any 64-bit pattern (mostly outside the orjson range), half
+        # with exponents from 2^-15 to 2^54, across both of its ends.
+        anything = rng.integers(0, 2**64, size=count, dtype=np.uint64)
+        exponent = rng.integers(1023 - 15, 1023 + 55, size=count, dtype=np.uint64)
+        near = (anything & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (exponent << np.uint64(52))
+        for bits in (anything, near):
+            block = bits.view(np.float64).reshape(-1, 4)
+            assert column_path_text(block) == repr_text(block)
+
+    def test_notation_boundaries_equal_repr(self):
+        values = np.array(NOTATION_BOUNDARY_FLOATS)
+        assert str(float(np.nextafter(1e-4, 0.0))) == "9.999999999999999e-05"
+        assert str(float(np.nextafter(1e16, 0.0))) == "9999999999999998.0"
+        block = np.stack([values, values[::-1]], axis=1)
+        assert column_path_text(block) == repr_text(block)
+        # With one column, each value alone decides whether its row falls
+        # back to repr.
+        assert column_path_text(values[:, None]) == repr_text(values[:, None])
+
+    @pytest.mark.parametrize("count", [1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+    def test_fallback_rows_anywhere_in_a_block(self, count):
+        block = np.linspace(1.0, 2.0, 3 * count).reshape(count, 3)
+        for row in (0, count // 2, count - 1):
+            block[row, row % 3] = (0.0, float("nan"), 1e16)[row % 3]
+        assert column_path_text(block) == repr_text(block)
 
 
 DOCUMENTED_SWEEP_HEADER = [

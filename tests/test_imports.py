@@ -1,8 +1,9 @@
-"""numpy loads only where arrays are computed, and the package's public names
-are the objects their defining modules hold.
+"""numpy loads only where arrays are computed and orjson only where a sweep
+writes its CSV, and the package's public names are the objects their
+defining modules hold.
 
-Each numpy check runs in a fresh interpreter, because this test process has
-already imported numpy."""
+Each import check runs in a fresh interpreter, because this test process has
+already imported numpy and orjson."""
 
 import importlib
 import json
@@ -22,15 +23,16 @@ NOMINAL = ROOT / "scenarios" / "nominal.json"
 SRC = str(Path(platoonctl.__file__).resolve().parents[1])
 
 
-def _loads_numpy(body: str) -> bool:
-    """Run ``body`` in a fresh interpreter; True if it left numpy imported."""
-    script = f"import sys\n{body}\nprint('numpy' in sys.modules)"
+def _loaded(body: str) -> set[str]:
+    """Run ``body`` in a fresh interpreter; which of numpy and orjson it left
+    imported."""
+    script = f"import sys\n{body}\nprint(*{{'numpy', 'orjson'}} & set(sys.modules))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=ROOT, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    return {"True": True, "False": False}[done.stdout.splitlines()[-1]]
+    return set(done.stdout.splitlines()[-1].split())
 
 
 def _main(args: list, exit_code: int) -> str:
@@ -48,8 +50,12 @@ def _main(args: list, exit_code: int) -> str:
     ],
     ids=["import-package", "import-cli", "import-domain-types", "analytic", "optimize"],
 )
-def test_scalar_paths_do_not_load_numpy(body):
-    assert not _loads_numpy(body)
+def test_scalar_paths_load_neither_numpy_nor_orjson(body):
+    assert _loaded(body) == set()
+
+
+def test_simulate_does_not_load_orjson(tmp_path):
+    assert _loaded(_main(["simulate", "--config", NOMINAL, "--csv", tmp_path / "sim.csv"], 0)) == {"numpy"}
 
 
 # Config overrides that each make every command exit 2; None deletes a field.
@@ -99,12 +105,12 @@ def _parser_exits_2(args: list) -> str:
 
 
 @pytest.mark.parametrize("label", sorted(BAD_CONFIGS) + sorted(BAD_ARGUMENTS) + sorted(REMOVED_FLAGS))
-def test_config_errors_exit_2_without_loading_numpy(tmp_path, label):
+def test_config_errors_exit_2_without_loading_numpy_or_orjson(tmp_path, label):
     if label in REMOVED_FLAGS:
-        assert not _loads_numpy(_parser_exits_2(REMOVED_FLAGS[label]))
+        assert _loaded(_parser_exits_2(REMOVED_FLAGS[label])) == set()
         return
     if label in BAD_ARGUMENTS:
-        assert not _loads_numpy(_main(BAD_ARGUMENTS[label], 2))
+        assert _loaded(_main(BAD_ARGUMENTS[label], 2)) == set()
         return
     cfg = json.loads(NOMINAL.read_text(encoding="utf-8"))
     for section, values in BAD_CONFIGS[label].items():
@@ -116,13 +122,18 @@ def test_config_errors_exit_2_without_loading_numpy(tmp_path, label):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     body = "\n".join(_main(args, 2) for args in _commands(path, tmp_path / "out.csv"))
-    assert not _loads_numpy(body)
+    assert _loaded(body) == set()
 
 
 def test_array_paths_load_numpy(tmp_path):
     # The control for the checks above: the probe does see numpy when it loads.
-    assert _loads_numpy("import platoonctl\nplatoonctl.run_replications")
-    assert _loads_numpy(_main(_commands(NOMINAL, tmp_path / "out.csv")[3], 0))
+    assert "numpy" in _loaded("import platoonctl\nplatoonctl.run_replications")
+    assert "numpy" in _loaded(_main(_commands(NOMINAL, tmp_path / "out.csv")[3], 0))
+
+
+def test_sweep_loads_orjson(tmp_path):
+    # The control for the orjson checks: a sweep that writes its CSV loads it.
+    assert _loaded(_main(_commands(NOMINAL, tmp_path / "out.csv")[3], 0)) == {"numpy", "orjson"}
 
 
 def _readme_library_names() -> list[str]:
