@@ -26,7 +26,6 @@ from .analytic import (
     platoon_size_pmf,
     platoon_statistics,
     total_cost_derivative,
-    truncation_cutoff,
 )
 from .domain import (
     ArrivalModel,

@@ -21,7 +21,6 @@ from .domain import (  # MAX_RATE_THRESHOLD_PRODUCT and _check_product are re-ex
     PlatoonPolicy,
     _check_product,
     _float_array,
-    _fraction,
     _integer,
     _non_negative,
     _positive,
@@ -60,16 +59,17 @@ class OptimalThreshold:
 
 @dataclass(frozen=True, eq=False)
 class ThresholdCurves:
-    """The closed forms at every threshold of a grid, one array per quantity."""
+    """The closed forms and cost terms at one threshold (numbers) or at
+    every threshold of a grid (one array per quantity)."""
 
-    threshold: np.ndarray  # seconds
-    merge_probability: np.ndarray
-    expected_platoon_size: np.ndarray  # vehicles
-    expected_platoon_headway: np.ndarray  # seconds
-    expected_time_reduction: np.ndarray  # seconds
-    expected_fuel_increase: np.ndarray  # liters, linearized
-    expected_fuel_saving: np.ndarray  # liters
-    expected_total_cost: np.ndarray  # currency per vehicle
+    threshold: float | np.ndarray  # seconds
+    merge_probability: float | np.ndarray
+    expected_platoon_size: float | np.ndarray  # vehicles
+    expected_platoon_headway: float | np.ndarray  # seconds
+    expected_time_reduction: float | np.ndarray  # seconds
+    expected_fuel_increase: float | np.ndarray  # liters, linearized
+    expected_fuel_saving: float | np.ndarray  # liters
+    expected_total_cost: float | np.ndarray  # currency per vehicle
 
 
 def _threshold_arg(name: str, value, rule, arrival: ArrivalModel) -> float:
@@ -168,17 +168,31 @@ def expected_time_reduction(arrival: ArrivalModel, policy: PlatoonPolicy) -> flo
     return _time_reduction(arrival.rate, policy.threshold, arrival.rate * policy.threshold)
 
 
+def _statistics(rate, threshold) -> tuple:
+    """The four closed-form statistics, in ``PlatoonStatistics`` field
+    order, at ``threshold``: a number or an array of thresholds. The caller
+    checks the product limit."""
+    x = rate * threshold
+    size = _platoon_size(x)
+    return _merge_probability(x), size, size / rate, _time_reduction(rate, threshold, x)
+
+
+def _curves(params: CostParameters, rate, threshold) -> ThresholdCurves:
+    """The four statistics and the three cost terms at ``threshold``, a
+    number or an array of thresholds; the caller checks the product limit."""
+    merge, size, headway, time_reduction = _statistics(rate, threshold)
+    return ThresholdCurves(
+        threshold, merge, size, headway, time_reduction,
+        _fuel_increase(params, time_reduction),
+        _fuel_saving(params, merge),
+        _total_cost(params, time_reduction, merge),
+    )
+
+
 def platoon_statistics(arrival: ArrivalModel, policy: PlatoonPolicy) -> PlatoonStatistics:
     """Bundle the four closed-form statistics for one scenario."""
     _check_product(arrival.rate, policy.threshold)
-    x = arrival.rate * policy.threshold
-    size = _platoon_size(x)
-    return PlatoonStatistics(
-        merge_probability=_merge_probability(x),
-        expected_platoon_size=size,
-        expected_platoon_headway=size / arrival.rate,
-        expected_time_reduction=_time_reduction(arrival.rate, policy.threshold, x),
-    )
+    return PlatoonStatistics(*_statistics(arrival.rate, policy.threshold))
 
 
 def threshold_curves(
@@ -198,37 +212,7 @@ def threshold_curves(
     if threshold.ndim != 1 or not threshold.size or not 0.0 <= threshold.min() <= threshold.max() < math.inf:
         raise ValueError(malformed)
     _check_product(arrival.rate, float(threshold.max()))
-    x = arrival.rate * threshold
-    merge = _merge_probability(x)
-    size = _platoon_size(x)
-    time_reduction = _time_reduction(arrival.rate, threshold, x)
-    return ThresholdCurves(
-        threshold=threshold,
-        merge_probability=merge,
-        expected_platoon_size=size,
-        expected_platoon_headway=size / arrival.rate,
-        expected_time_reduction=time_reduction,
-        expected_fuel_increase=_fuel_increase(params, time_reduction),
-        expected_fuel_saving=_fuel_saving(params, merge),
-        expected_total_cost=_total_cost(params, time_reduction, merge),
-    )
-
-
-def truncation_cutoff(arrival: ArrivalModel, policy: PlatoonPolicy, tail_mass: float = 1e-12) -> int:
-    """Smallest y_max whose geometric tail (merge probability)^y_max is at
-    most ``tail_mass``; summing the size PMF to y_max captures the rest."""
-    _fraction("tail_mass", tail_mass)
-    q = merge_probability(arrival, policy)
-    if q == 0.0:
-        return 1
-    if q >= 1.0:
-        # Strictly below 1 mathematically, but saturates in double precision
-        # around rate * threshold = 38; no finite cutoff is representable.
-        raise ValueError(
-            "merge probability rounds to 1 at this rate * threshold; "
-            "no finite truncation cutoff exists at double precision"
-        )
-    return max(1, math.ceil(math.log(tail_mass) / math.log(q)))
+    return _curves(params, arrival.rate, threshold)
 
 
 def exact_fuel_increase(params: CostParameters, t_shift: float) -> float:

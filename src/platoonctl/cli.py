@@ -12,7 +12,8 @@ README for the schema, outside which any section or key, and any key given
 twice, is an error. All file outputs are deterministic for a fixed config
 and seed. Exit codes: 0 success (for ``simulate``: every statistic within
 ``PASS_HALF_WIDTHS`` CI half-widths of its closed form), 1 statistical
-comparison failure, 2 usage or configuration error, 3 out of memory.
+comparison failure, 2 usage or configuration error (an unwritable output
+path or too few samples for a CI too), 3 out of memory.
 
 numpy is imported only by ``simulate`` and ``sweep``, which build arrays,
 and orjson only by ``sweep``, which formats its float columns with it;
@@ -26,15 +27,14 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analytic import (
-    expected_fuel_increase_linearized,
-    expected_fuel_saving_cruise,
-    expected_total_cost,
+    _curves,
     numeric_optimal_threshold,
     optimal_threshold,
     platoon_size_pmf,
@@ -275,6 +275,24 @@ def _require_simulation(scenario: Scenario) -> SimulationConfig:
     return scenario.simulation
 
 
+def _output_path(path: str | None) -> str | None:
+    """``path``, once a file can be written there: checked before any work,
+    so a bad path exits 2 at once, not after a run whose result it would
+    lose. The file is neither created nor truncated."""
+    if path is None:
+        return None
+    target = Path(path)
+    if not target.parent.is_dir():
+        problem = f"{str(target.parent)!r} is not an existing directory"
+    elif target.is_dir():
+        problem = "it is a directory"
+    elif not os.access(target if target.exists() else target.parent, os.W_OK):
+        problem = "permission denied"
+    else:
+        return path
+    raise ValueError(f"cannot write output file {path!r}: {problem}")
+
+
 # Rows formatted per write call for a sweep; the text of one block is the
 # only text held in memory.
 CSV_BLOCK_ROWS = 4096
@@ -304,23 +322,46 @@ def _write_csv(path: str | Path, header: list[str], rows: Sequence) -> None:
                 fh.write((",".join(map(str, row)) + "\n").encode())
 
 
+# (output name, ThresholdCurves field) of the closed forms that ``analytic``
+# reports and every ``sweep`` row holds, in output order. ``analytic`` starts
+# with the merge probability, a sweep row with its threshold.
+_CLOSED_FORMS = (
+    ("expected_platoon_size", "expected_platoon_size"),
+    ("expected_leader_headway_s", "expected_platoon_headway"),
+    ("expected_time_reduction_s", "expected_time_reduction"),
+    ("expected_fuel_increase_l", "expected_fuel_increase"),
+    ("expected_fuel_saving_l", "expected_fuel_saving"),
+    ("expected_total_cost", "expected_total_cost"),
+)
+_ANALYTIC_COLUMNS = (("merge_probability", "merge_probability"), *_CLOSED_FORMS)
+_SWEEP_COLUMNS = (("threshold_s", "threshold"), *_CLOSED_FORMS)
+SWEEP_HEADER = [name for name, _ in _SWEEP_COLUMNS]
+
+# (output name, EmpiricalSummary field, StatEstimate field) of each column
+# that ``sweep --with-simulation`` appends, in output order.
+_SIMULATED_COLUMNS = (
+    ("sim_platoon_size", "platoon_size", "mean"),
+    ("sim_platoon_size_hw", "platoon_size", "ci_half_width"),
+    ("sim_leader_headway_s", "leader_headway", "mean"),
+    ("sim_leader_headway_hw", "leader_headway", "ci_half_width"),
+    ("sim_time_shift_s", "time_shift", "mean"),
+    ("sim_time_shift_hw", "time_shift", "ci_half_width"),
+)
+SWEEP_SIM_HEADER = [name for name, _, _ in _SIMULATED_COLUMNS]
+
+
 def analytic_quantities(params: CostParameters, arrival: ArrivalModel, policy: PlatoonPolicy) -> dict[str, float]:
-    """The seven scenario quantities reported by ``analytic`` and ``sweep``."""
-    stats = platoon_statistics(arrival, policy)
-    return {
-        "merge_probability": stats.merge_probability,
-        "expected_platoon_size": stats.expected_platoon_size,
-        "expected_leader_headway_s": stats.expected_platoon_headway,
-        "expected_time_reduction_s": stats.expected_time_reduction,
-        "expected_fuel_increase_l": expected_fuel_increase_linearized(params, arrival, policy),
-        "expected_fuel_saving_l": expected_fuel_saving_cruise(params, arrival, policy),
-        "expected_total_cost": expected_total_cost(params, arrival, policy),
-    }
+    """The seven scenario quantities reported by ``analytic``; a ``sweep``
+    row holds the same values at its threshold."""
+    _check_product(arrival.rate, policy.threshold)
+    curves = _curves(params, arrival.rate, policy.threshold)
+    return {name: getattr(curves, field) for name, field in _ANALYTIC_COLUMNS}
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     params = _require_cost(scenario)
+    json_path = _output_path(args.json or scenario.output.get("json"))
     values = analytic_quantities(params, scenario.arrival, scenario.policy)
     # nominal_merge_time only surfaces here, as the expected merging-zone exit time.
     values["expected_merge_exit_time_s"] = (
@@ -328,7 +369,6 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     )
     for name, value in values.items():
         print(f"{name:<32} {value:.10g}")
-    json_path = args.json or scenario.output.get("json")
     if json_path:
         payload = {
             "arrival_rate": scenario.arrival.rate,
@@ -350,6 +390,7 @@ def comparison_csv_rows(rows: Sequence[ComparisonRow]) -> tuple[list[str], list[
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     sim = _require_simulation(scenario)
+    csv_path = _output_path(args.csv or scenario.output.get("csv"))
     from .simulator import run_replications
 
     comparison = build_comparison(scenario.arrival, scenario.policy, run_replications(sim))
@@ -364,7 +405,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"{row.statistic:<24} {row.analytic:>14.6g} {row.empirical:>14.6g} "
             f"{row.ci_half_width:>12.4g} {row.relative_error:>10.3g}  {verdict}"
         )
-    csv_path = args.csv or scenario.output.get("csv")
     if csv_path:
         header, rows = comparison_csv_rows(comparison)
         _write_csv(csv_path, header, rows)
@@ -374,26 +414,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 0
     print(f"comparison FAILED at {PASS_HALF_WIDTHS:g} CI half-widths", file=sys.stderr)
     return 1
-
-
-SWEEP_HEADER = [
-    "threshold_s",
-    "expected_platoon_size",
-    "expected_leader_headway_s",
-    "expected_time_reduction_s",
-    "expected_fuel_increase_l",
-    "expected_fuel_saving_l",
-    "expected_total_cost",
-]
-
-SWEEP_SIM_HEADER = [
-    "sim_platoon_size",
-    "sim_platoon_size_hw",
-    "sim_leader_headway_s",
-    "sim_leader_headway_hw",
-    "sim_time_shift_s",
-    "sim_time_shift_hw",
-]
 
 
 class _ColumnRows(Sequence):
@@ -470,15 +490,7 @@ def sweep_rows(
     """
     _check_product(arrival.rate, float(spec.r_max))  # before the grid is built
     curves = threshold_curves(params, arrival, spec.thresholds())
-    columns = [
-        curves.threshold,
-        curves.expected_platoon_size,
-        curves.expected_platoon_headway,
-        curves.expected_time_reduction,
-        curves.expected_fuel_increase,
-        curves.expected_fuel_saving,
-        curves.expected_total_cost,
-    ]
+    columns = [getattr(curves, field) for _, field in _SWEEP_COLUMNS]
     header = list(SWEEP_HEADER)
     if sim is not None:
         import numpy as np
@@ -489,14 +501,7 @@ def sweep_rows(
         simulated = np.empty((len(SWEEP_SIM_HEADER), spec.n_points))
         for point, threshold in enumerate(curves.threshold.tolist()):
             aggregate = run_replications(replace(sim, policy=PlatoonPolicy(threshold=threshold)))
-            simulated[:, point] = (
-                aggregate.platoon_size.mean,
-                aggregate.platoon_size.ci_half_width,
-                aggregate.leader_headway.mean,
-                aggregate.leader_headway.ci_half_width,
-                aggregate.time_shift.mean,
-                aggregate.time_shift.ci_half_width,
-            )
+            simulated[:, point] = [getattr(getattr(aggregate, stat), part) for _, stat, part in _SIMULATED_COLUMNS]
         columns += list(simulated)
     return header, _ColumnRows(columns)
 
@@ -506,6 +511,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     params = _require_cost(scenario)
     spec = SweepSpec(r_min=args.r_min, r_max=args.r_max, n_points=args.points)
     sim = _require_simulation(scenario) if args.with_simulation else None
+    _output_path(args.csv)
     header, rows = sweep_rows(params, scenario.arrival, spec, sim)
     _write_csv(args.csv, header, rows)
     print(f"wrote {len(rows)} rows to {args.csv}")

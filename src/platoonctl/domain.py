@@ -61,6 +61,15 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
+def _seed(value) -> int:
+    """``value`` if it is an int in [0, 2^64), the seed range of every
+    entry point, or a ``ValueError`` naming ``seed``."""
+    seed = _integer("seed", value)
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")
+    return seed
+
+
 def _float_array(name: str, values, malformed: str):
     """``values`` as a float ndarray: an int or float ndarray converted as a
     whole, any other iterable element by element with ``_number``. A
@@ -236,8 +245,7 @@ class SimulationConfig:
         _check_product(self.arrival.rate, self.policy.threshold)  # before any work
         _integer("n_vehicles", self.n_vehicles, 2)
         _integer("n_replications", self.n_replications, 1)
-        if _integer("seed", self.seed, 0) > MAX_SEED:
-            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed}")
+        _seed(self.seed)
         # The horizon bounds every arrival time, headway and shift of a run, so
         # while this product is finite every sum of their squares is too.
         horizon = self.n_vehicles * MAX_UNIT_GAP / self.arrival.rate

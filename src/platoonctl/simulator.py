@@ -49,6 +49,7 @@ from .domain import (  # re-exported: the simulator's types live in domain, whic
     StatEstimate,
     _float_array,
     _integer,
+    _seed,
 )
 
 # Vehicles drawn and folded per step of ``run_replications``; its working
@@ -120,7 +121,7 @@ def sample_interarrivals(
     the gaps ``run_replications`` draws chunk by chunk, joined.
     """
     _integer("n", n, 1)
-    _integer("seed", seed, 0)
+    _seed(seed)
     _integer("replication", replication, 0)
     if not math.isfinite(MAX_UNIT_GAP / arrival.rate):
         raise ValueError(
@@ -212,11 +213,11 @@ class _Moments:
         )
 
     def estimate(self, statistic: str) -> StatEstimate:
-        if self.count == 0:
-            raise ValueError(f"no {statistic} samples to summarize")
-        half_width = 0.0
-        if self.count >= 2:
-            half_width = Z_95 * math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
+        if self.count < 2:
+            raise ValueError(
+                f"fewer than two {statistic} samples to summarize; a confidence interval needs at least two"
+            )
+        half_width = Z_95 * math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
         return StatEstimate(mean=self.mean, ci_half_width=half_width, count=self.count)
 
 
@@ -271,8 +272,8 @@ class _ReplicationStats:
             # Integer numerators, so the mean and M2 are each rounded once.
             sizes = _Moments(n, self.size_sum / n, (n * self.size_sum_sq - self.size_sum**2) / n)
         return EmpiricalSummary(
-            platoon_size=sizes.estimate("platoon-size (all platoons censored)"),
-            leader_headway=self.headway.estimate("leader-headway (fewer than two platoons)"),
+            platoon_size=sizes.estimate("platoon-size (each run's last platoon is censored)"),
+            leader_headway=self.headway.estimate("leader-headway (one per closed platoon)"),
             time_shift=self.shift.estimate("time-shift"),
             size_pmf={y: float(self.size_hist[y] / n) for y in range(1, PMF_CUTOFF + 1)},
         )
@@ -329,8 +330,8 @@ def run_replications(config: SimulationConfig) -> EmpiricalSummary:
     The replications' statistics merge in index order, so the summary does
     not depend on the order replications execute in. It equals
     :func:`summarize` on the full in-memory runs pooled across replications,
-    up to float rounding, and fails only when the pool as a whole has no
-    sample of a statistic.
+    up to float rounding, and fails only when the pool as a whole has fewer
+    than two samples of a statistic: a confidence interval needs two.
     """
     total = _replication_stats(config, 0)
     for rep in range(1, config.n_replications):

@@ -52,9 +52,9 @@ def nominal_policy():
 def reference_estimate(values, statistic):
     """Mean and 95% half-width by numpy's ``mean`` and ``std(ddof=1)``,
     independent of the simulator's mergeable moments."""
-    if values.size == 0:
-        raise ValueError(f"no {statistic} samples to summarize")
-    half_width = Z_95 * float(np.std(values, ddof=1)) / math.sqrt(values.size) if values.size >= 2 else 0.0
+    if values.size < 2:
+        raise ValueError(f"fewer than two {statistic} samples to summarize; a confidence interval needs at least two")
+    half_width = Z_95 * float(np.std(values, ddof=1)) / math.sqrt(values.size)
     return StatEstimate(mean=float(np.mean(values)), ci_half_width=half_width, count=int(values.size))
 
 
@@ -70,8 +70,8 @@ def reference_summary(sizes, headways, shifts):
     1..10."""
     counts = np.bincount(sizes, minlength=11)
     return EmpiricalSummary(
-        platoon_size=reference_estimate(sizes, "platoon-size (all platoons censored)"),
-        leader_headway=reference_estimate(headways, "leader-headway (fewer than two platoons)"),
+        platoon_size=reference_estimate(sizes, "platoon-size (each run's last platoon is censored)"),
+        leader_headway=reference_estimate(headways, "leader-headway (one per closed platoon)"),
         time_shift=reference_estimate(shifts, "time-shift"),
         size_pmf={y: float(counts[y] / sizes.size) for y in range(1, 11)},
     )

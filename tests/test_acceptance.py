@@ -38,7 +38,6 @@ from platoonctl import (
     platoon_size_pmf,
     run_replications,
     total_cost_derivative,
-    truncation_cutoff,
 )
 from platoonctl.cli import main
 from platoonctl.simulator import _replication_stats, _ReplicationStats
@@ -198,8 +197,9 @@ def test_criterion_5_exact_identities(table_params):
         policy = PlatoonPolicy(threshold=threshold)
         if expected_platoon_headway(arrival, policy) != expected_platoon_size(arrival, policy) / rate:
             failures.append(f"headway != size/rate at ({rate}, {threshold})")
-        y_max = truncation_cutoff(arrival, policy, tail_mass=1e-12)
-        tail = merge_probability(arrival, policy) ** y_max
+        q = merge_probability(arrival, policy)
+        y_max = math.ceil(math.log(1e-12) / math.log(q))  # the smallest with q^y_max <= 1e-12
+        tail = q**y_max
         if tail > 1e-12:
             failures.append(f"tail {tail:.3g} above bound at ({rate}, {threshold})")
         partial = sum(platoon_size_pmf(arrival, policy, y) for y in range(1, y_max + 1))

@@ -23,7 +23,6 @@ from platoonctl import (
     platoon_size_pmf,
     platoon_statistics,
     total_cost_derivative,
-    truncation_cutoff,
 )
 from platoonctl import analytic, domain
 from platoonctl.analytic import threshold_curves
@@ -63,23 +62,13 @@ class TestPlatoonSizePmf:
     def test_truncated_sum_matches_geometric_tail(self, rate, threshold):
         arrival = ArrivalModel(rate=rate)
         policy = PlatoonPolicy(threshold=threshold)
-        y_max = truncation_cutoff(arrival, policy, tail_mass=1e-12)
-        tail = merge_probability(arrival, policy) ** y_max
+        # The smallest y_max whose geometric tail q^y_max is at most 1e-12.
+        q = merge_probability(arrival, policy)
+        y_max = math.ceil(math.log(1e-12) / math.log(q))
+        tail = q**y_max
         assert tail <= 1e-12
         partial = sum(platoon_size_pmf(arrival, policy, y) for y in range(1, y_max + 1))
         assert partial == pytest.approx(1.0 - tail, abs=1e-10)
-
-    def test_truncation_cutoff_at_zero_threshold(self):
-        assert truncation_cutoff(ArrivalModel(rate=0.02), PlatoonPolicy(threshold=0.0)) == 1
-
-    def test_truncation_cutoff_rejects_bad_tail_mass(self, nominal_arrival, nominal_policy):
-        with pytest.raises(ValueError, match="tail_mass"):
-            truncation_cutoff(nominal_arrival, nominal_policy, tail_mass=0.0)
-
-    def test_truncation_cutoff_rejects_saturated_merge_probability(self):
-        # rate * threshold = 45 rounds the merge probability to exactly 1.
-        with pytest.raises(ValueError, match="rounds to 1"):
-            truncation_cutoff(ArrivalModel(rate=0.9), PlatoonPolicy(threshold=50.0))
 
 
 class TestExpectedStatistics:
@@ -95,7 +84,7 @@ class TestExpectedStatistics:
     def test_size_equals_pmf_series_mean(self, rate, threshold):
         arrival = ArrivalModel(rate=rate)
         policy = PlatoonPolicy(threshold=threshold)
-        y_max = truncation_cutoff(arrival, policy, tail_mass=1e-12)
+        y_max = math.ceil(math.log(1e-12) / math.log(merge_probability(arrival, policy)))
         series = sum(y * platoon_size_pmf(arrival, policy, y) for y in range(1, y_max + 1))
         assert series == pytest.approx(expected_platoon_size(arrival, policy), rel=1e-9)
 

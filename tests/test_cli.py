@@ -291,6 +291,36 @@ class TestExitCodes:
         assert main([command, "--config", path]) == 2
         assert "error: config field output.json must be a non-empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize(
+        "command,extra,output_key",
+        [
+            ("simulate", ["--csv"], None),
+            ("simulate", [], "csv"),
+            ("sweep", ["--r-min", "0", "--r-max", "100", "--points", "3", "--csv"], None),
+            ("analytic", ["--json"], None),
+            ("analytic", [], "json"),
+        ],
+        ids=["simulate-csv", "simulate-output.csv", "sweep-csv", "analytic-json", "analytic-output.json"],
+    )
+    def test_unwritable_output_exits_2_before_any_work(
+        self, write_config, tmp_path, capsys, monkeypatch, command, extra, output_key, where
+    ):
+        # Checked before the run, whose verdict would otherwise be printed and
+        # then lost to the failed write.
+        for module, name in ((simulator, "run_replications"), (cli, "threshold_curves"), (cli, "analytic_quantities")):
+            monkeypatch.setattr(module, name, self._never)
+        target = str(tmp_path / "missing" / "out") if where == "missing-directory" else str(tmp_path)
+        if output_key:
+            args = [command, "--config", write_config({"output": {output_key: target}}), *extra]
+        else:
+            args = [command, "--config", write_config(), *extra, target]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write output file {target!r}: ")
+        assert captured.out == ""
+        assert not (tmp_path / "missing").exists()
+
     @staticmethod
     def _never(*args, **kwargs):
         raise AssertionError("the command simulated before rejecting its input")
@@ -370,9 +400,30 @@ class TestExitCodes:
         path = write_config({"policy": {"threshold": 2500.0}, "simulation": {"n_vehicles": 100, "n_replications": 2}})
         assert main(["simulate", "--config", path, "--csv", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: no platoon-size (all platoons censored) samples to summarize\n"
+        assert captured.err == (
+            "error: fewer than two platoon-size (each run's last platoon is censored) samples to summarize; "
+            "a confidence interval needs at least two\n"
+        )
         assert captured.out == ""
         assert not out.exists()
+
+    def test_one_closed_platoon_exits_2_not_1(self, write_config, tmp_path, capsys):
+        # At x = 8 the 3,000 vehicles of seed 1 close one platoon, of 1,101
+        # vehicles: one size sample has no confidence interval, so the run
+        # is refused as unusable, not failed as a disagreement. The earlier
+        # report at the output path stays as it was.
+        out = tmp_path / "report.csv"
+        out.write_text("earlier report\n", encoding="utf-8")
+        path = write_config({
+            "arrival": {"rate": 1.0},
+            "policy": {"threshold": 8.0},
+            "simulation": {"n_vehicles": 3000, "n_replications": 1, "seed": 1},
+        })
+        assert main(["simulate", "--config", path, "--csv", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: fewer than two platoon-size ")
+        assert captured.out == ""
+        assert out.read_text(encoding="utf-8") == "earlier report\n"
 
 
 class TestAnalyticCommand:

@@ -83,6 +83,11 @@ BAD_ARGUMENTS = {
     "sweep-r-max-out-of-range": [
         "sweep", "--config", NOMINAL, "--r-min", "0", "--r-max", "2600", "--points", "5000000", "--csv", "out.csv",
     ],
+    "sweep-csv-in-a-missing-directory": [
+        "sweep", "--config", NOMINAL, "--r-min", "0", "--r-max", "400", "--points", "1001",
+        "--csv", "no-such-directory/out.csv",
+    ],
+    "simulate-csv-in-a-missing-directory": ["simulate", "--config", NOMINAL, "--csv", "no-such-directory/out.csv"],
 }
 
 # Removed flags: the parser rejects each with SystemExit(2) before any command runs.
@@ -149,7 +154,7 @@ PACKAGE_NAMES = [
     "exact_fuel_increase", "expected_fuel_increase_linearized", "expected_fuel_saving_cruise",
     "expected_platoon_headway", "expected_platoon_size", "expected_time_reduction", "expected_total_cost",
     "merge_probability", "merge_time_cost_rate", "numeric_optimal_threshold", "optimal_threshold",
-    "platoon_size_pmf", "platoon_statistics", "total_cost_derivative", "truncation_cutoff",
+    "platoon_size_pmf", "platoon_statistics", "total_cost_derivative",
     "ArrivalModel", "CostParameters", "PlatoonPolicy", "RawCostConfig", "normalize_units",
     "EmpiricalSummary", "SimulationConfig", "SimulationRun", "StatEstimate",
     "run_from_interarrivals", "run_replications", "sample_interarrivals", "summarize",

@@ -22,7 +22,6 @@ from platoonctl import (
     run_from_interarrivals,
     sample_interarrivals,
     total_cost_derivative,
-    truncation_cutoff,
 )
 from platoonctl.analytic import threshold_curves
 from platoonctl.cli import SweepSpec
@@ -50,7 +49,6 @@ FLOAT_ARGS = [
     ("numeric_optimal_threshold", "r_max", lambda v: numeric_optimal_threshold(PARAMS, ARRIVAL, r_max=v)),
     ("total_cost_derivative", "r", lambda v: total_cost_derivative(PARAMS, ARRIVAL, r=v)),
     ("exact_fuel_increase", "t_shift", lambda v: exact_fuel_increase(PARAMS, t_shift=v)),
-    ("truncation_cutoff", "tail_mass", lambda v: truncation_cutoff(ARRIVAL, POLICY, tail_mass=v)),
     ("threshold_curves", "thresholds", lambda v: threshold_curves(PARAMS, ARRIVAL, [0.0, v])),
     ("run_from_interarrivals", "interarrivals", lambda v: run_from_interarrivals([v, 2.0], POLICY)),
 ]
@@ -86,3 +84,14 @@ def _cases(args, bad_values):
 def test_bad_number_raises_value_error_naming_the_argument(name, call, bad):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be"):
         call(bad)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**200], ids=["-1", "2^64", "2^200"])
+def test_seed_range_is_the_same_everywhere(seed):
+    # Every entry point that takes a seed accepts exactly [0, 2^64) and
+    # rejects anything outside it with the same message.
+    for _, name, call in INTEGER_ARGS:
+        if name == "seed":
+            with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, 2\^64\), got {seed}$"):
+                call(seed)
+            call(2**64 - 1)

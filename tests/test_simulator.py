@@ -25,7 +25,7 @@ from platoonctl import simulator
 from platoonctl.domain import MAX_UNIT_GAP
 from platoonctl.simulator import CHUNK_VEHICLES, _gap_chunks, _Moments, _replication_stats
 
-from conftest import pooled_reference, reference_summary, run_samples, summary_mismatches
+from conftest import pooled_reference, reference_estimate, reference_summary, run_samples, summary_mismatches
 
 SEED = 20260810
 
@@ -329,6 +329,16 @@ class TestMoments:
         assert (moments.count, moments.mean, moments.m2) == (10_001, mean, float(np.dot(deviations, deviations)))
         assert np.array_equal(values, deviations)  # the input now holds the deviations
 
+    def test_one_sample_is_too_few(self):
+        # One sample has no variance estimate, so no confidence interval: the
+        # estimator and the reference refuse it alike, not with half-width 0.
+        message = r"^fewer than two x samples to summarize; a confidence interval needs at least two$"
+        with pytest.raises(ValueError, match=message):
+            _Moments.of(np.array([5.0])).estimate("x")
+        with pytest.raises(ValueError, match=message):
+            reference_estimate(np.array([5.0]), "x")
+        assert _Moments.of(np.array([5.0, 7.0])).estimate("x").count == 2
+
 
 class TestRunReplications:
     def _config(self, **overrides):
@@ -385,7 +395,8 @@ class TestRunReplications:
         # with probability e^-50, so 100 vehicles form one platoon, which has
         # no closed size sample, in every replication.
         config = self._config(policy=PlatoonPolicy(threshold=2500.0), n_vehicles=100, n_replications=2)
-        with pytest.raises(ValueError, match=r"^no platoon-size \(all platoons censored\) samples to summarize$"):
+        censored = r"^fewer than two platoon-size \(each run's last platoon is censored\) samples"
+        with pytest.raises(ValueError, match=censored):
             run_replications(config)
 
     def test_pool_with_closed_platoons_is_summarized(self):
@@ -400,6 +411,16 @@ class TestRunReplications:
         summary = run_replications(config)
         assert (summary.platoon_size.count, summary.leader_headway.count, summary.time_shift.count) == (2, 2, 6000)
         assert summary_mismatches(summary, pooled_reference(config)) == []
+
+    def test_one_closed_platoon_fails_naming_the_statistic(self):
+        # At x = 8 the 3,000 vehicles of seed 1 close a single platoon.
+        config = self._config(
+            arrival=ArrivalModel(rate=1.0), policy=PlatoonPolicy(threshold=8.0), n_vehicles=3000, n_replications=1,
+            seed=1,
+        )
+        assert _replication_stats(config, 0).size_count == 1
+        with pytest.raises(ValueError, match=r"^fewer than two platoon-size "):
+            run_replications(config)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="n_vehicles"):
@@ -488,7 +509,10 @@ class TestStreamingKernel:
 
     @pytest.mark.parametrize("n", [2, C - 1, C, C + 1, 3 * C + 7])
     def test_matches_reference_at_chunk_boundaries(self, n):
-        config = self._config(n_vehicles=n)
+        # Two vehicles close at most one platoon, too few samples for a
+        # confidence interval, so n = 2 pools eight replications (three
+        # closed platoons at this seed).
+        config = self._config(n_vehicles=n, n_replications=8 if n == 2 else 1)
         summary = run_replications(config)
         assert summary_mismatches(summary, pooled_reference(config)) == []
 
