@@ -136,17 +136,49 @@ def platoon_size_pmf(arrival: ArrivalModel, policy: PlatoonPolicy, y: int) -> fl
     return boundary_p * (1.0 - boundary_p) ** (y - 1)
 
 
+def _statistics(rate, threshold) -> PlatoonStatistics:
+    """The four closed-form statistics at ``threshold``: a number, or an
+    array of thresholds that gives one array per field. The product limit
+    is checked first, on the largest threshold."""
+    _check_product(rate, threshold if isinstance(threshold, (int, float)) else float(threshold.max()))
+    x = rate * threshold
+    size = _platoon_size(x)
+    return PlatoonStatistics(
+        merge_probability=_merge_probability(x),
+        expected_platoon_size=size,
+        expected_platoon_headway=size / rate,
+        expected_time_reduction=_time_reduction(rate, threshold, x),
+    )
+
+
+def _curves(params: CostParameters, rate, threshold) -> ThresholdCurves:
+    """The four statistics and the three cost terms at ``threshold``, a
+    number or an array of thresholds."""
+    stats = _statistics(rate, threshold)
+    time_reduction, merge = stats.expected_time_reduction, stats.merge_probability
+    return ThresholdCurves(
+        threshold=threshold,
+        **vars(stats),  # the four statistics, by field name
+        expected_fuel_increase=_fuel_increase(params, time_reduction),
+        expected_fuel_saving=_fuel_saving(params, merge),
+        expected_total_cost=_total_cost(params, time_reduction, merge),
+    )
+
+
+def platoon_statistics(arrival: ArrivalModel, policy: PlatoonPolicy) -> PlatoonStatistics:
+    """Bundle the four closed-form statistics for one scenario."""
+    return _statistics(arrival.rate, policy.threshold)
+
+
 def merge_probability(arrival: ArrivalModel, policy: PlatoonPolicy) -> float:
     """Probability that an arriving vehicle joins the platoon ahead:
     P(gap <= threshold) = 1 - exp(-rate * threshold)."""
-    _check_product(arrival.rate, policy.threshold)
-    return _merge_probability(arrival.rate * policy.threshold)
+    return platoon_statistics(arrival, policy).merge_probability
 
 
 def expected_platoon_size(arrival: ArrivalModel, policy: PlatoonPolicy) -> float:
     """Mean number of vehicles per platoon: exp(rate * threshold)."""
-    _check_product(arrival.rate, policy.threshold)
-    return _platoon_size(arrival.rate * policy.threshold)
+    return platoon_statistics(arrival, policy).expected_platoon_size
 
 
 def expected_platoon_headway(arrival: ArrivalModel, policy: PlatoonPolicy) -> float:
@@ -155,7 +187,7 @@ def expected_platoon_headway(arrival: ArrivalModel, policy: PlatoonPolicy) -> fl
     Equals expected_platoon_size / rate (one platoon per expected_platoon_size
     arrivals, arrivals come one per 1/rate seconds on average).
     """
-    return expected_platoon_size(arrival, policy) / arrival.rate
+    return platoon_statistics(arrival, policy).expected_platoon_headway
 
 
 def expected_time_reduction(arrival: ArrivalModel, policy: PlatoonPolicy) -> float:
@@ -164,35 +196,7 @@ def expected_time_reduction(arrival: ArrivalModel, policy: PlatoonPolicy) -> flo
     Closed form (expm1(rate * threshold) / rate) - threshold; zero at
     threshold 0 and non-negative everywhere since e^x - 1 >= x.
     """
-    _check_product(arrival.rate, policy.threshold)
-    return _time_reduction(arrival.rate, policy.threshold, arrival.rate * policy.threshold)
-
-
-def _statistics(rate, threshold) -> tuple:
-    """The four closed-form statistics, in ``PlatoonStatistics`` field
-    order, at ``threshold``: a number or an array of thresholds. The caller
-    checks the product limit."""
-    x = rate * threshold
-    size = _platoon_size(x)
-    return _merge_probability(x), size, size / rate, _time_reduction(rate, threshold, x)
-
-
-def _curves(params: CostParameters, rate, threshold) -> ThresholdCurves:
-    """The four statistics and the three cost terms at ``threshold``, a
-    number or an array of thresholds; the caller checks the product limit."""
-    merge, size, headway, time_reduction = _statistics(rate, threshold)
-    return ThresholdCurves(
-        threshold, merge, size, headway, time_reduction,
-        _fuel_increase(params, time_reduction),
-        _fuel_saving(params, merge),
-        _total_cost(params, time_reduction, merge),
-    )
-
-
-def platoon_statistics(arrival: ArrivalModel, policy: PlatoonPolicy) -> PlatoonStatistics:
-    """Bundle the four closed-form statistics for one scenario."""
-    _check_product(arrival.rate, policy.threshold)
-    return PlatoonStatistics(*_statistics(arrival.rate, policy.threshold))
+    return platoon_statistics(arrival, policy).expected_time_reduction
 
 
 def threshold_curves(
@@ -211,7 +215,6 @@ def threshold_curves(
     threshold = _float_array("thresholds", thresholds, malformed)
     if threshold.ndim != 1 or not threshold.size or not 0.0 <= threshold.min() <= threshold.max() < math.inf:
         raise ValueError(malformed)
-    _check_product(arrival.rate, float(threshold.max()))
     return _curves(params, arrival.rate, threshold)
 
 
@@ -241,7 +244,7 @@ def expected_fuel_increase_linearized(
 ) -> float:
     """First-order expected merging fuel increase, liters:
     2 * drag_fuel_coeff * cruise_speed^3 * expected_time_reduction."""
-    return _fuel_increase(params, expected_time_reduction(arrival, policy))
+    return _curves(params, arrival.rate, policy.threshold).expected_fuel_increase
 
 
 def expected_fuel_saving_cruise(
@@ -249,7 +252,7 @@ def expected_fuel_saving_cruise(
 ) -> float:
     """Expected drafting fuel saving over the cruising zone, liters:
     fuel_saving_fraction * fuel_per_meter * cruise_zone_len * P(merge)."""
-    return _fuel_saving(params, merge_probability(arrival, policy))
+    return _curves(params, arrival.rate, policy.threshold).expected_fuel_saving
 
 
 def merge_time_cost_rate(params: CostParameters) -> float:
@@ -267,9 +270,7 @@ def expected_total_cost(
     merge_time_cost_rate * expected_time_reduction minus the monetized cruise
     fuel saving. Exactly 0 at threshold 0 (nothing merges, nothing changes).
     """
-    _check_product(arrival.rate, policy.threshold)
-    x = arrival.rate * policy.threshold
-    return _total_cost(params, _time_reduction(arrival.rate, policy.threshold, x), _merge_probability(x))
+    return _curves(params, arrival.rate, policy.threshold).expected_total_cost
 
 
 def total_cost_derivative(params: CostParameters, arrival: ArrivalModel, r: float) -> float:

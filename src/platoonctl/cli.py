@@ -353,7 +353,6 @@ SWEEP_SIM_HEADER = [name for name, _, _ in _SIMULATED_COLUMNS]
 def analytic_quantities(params: CostParameters, arrival: ArrivalModel, policy: PlatoonPolicy) -> dict[str, float]:
     """The seven scenario quantities reported by ``analytic``; a ``sweep``
     row holds the same values at its threshold."""
-    _check_product(arrival.rate, policy.threshold)
     curves = _curves(params, arrival.rate, policy.threshold)
     return {name: getattr(curves, field) for name, field in _ANALYTIC_COLUMNS}
 

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -291,7 +292,12 @@ class TestExitCodes:
         assert main([command, "--config", path]) == 2
         assert "error: config field output.json must be a non-empty" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("where", [
+        "missing-directory",
+        "directory",
+        pytest.param("read-only", marks=pytest.mark.skipif(
+            os.geteuid() == 0, reason="root may write into a read-only directory")),
+    ])
     @pytest.mark.parametrize(
         "command,extra,output_key",
         [
@@ -310,7 +316,12 @@ class TestExitCodes:
         # then lost to the failed write.
         for module, name in ((simulator, "run_replications"), (cli, "threshold_curves"), (cli, "analytic_quantities")):
             monkeypatch.setattr(module, name, self._never)
-        target = str(tmp_path / "missing" / "out") if where == "missing-directory" else str(tmp_path)
+        target = {
+            "missing-directory": str(tmp_path / "missing" / "out"),
+            "directory": str(tmp_path),
+            "read-only": str(tmp_path / "read-only" / "out"),
+        }[where]
+        (tmp_path / "read-only").mkdir(mode=0o500)
         if output_key:
             args = [command, "--config", write_config({"output": {output_key: target}}), *extra]
         else:
@@ -320,6 +331,7 @@ class TestExitCodes:
         assert captured.err.startswith(f"error: cannot write output file {target!r}: ")
         assert captured.out == ""
         assert not (tmp_path / "missing").exists()
+        assert not (tmp_path / "read-only" / "out").exists()
 
     @staticmethod
     def _never(*args, **kwargs):
