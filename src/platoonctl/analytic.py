@@ -20,7 +20,6 @@ from .domain import (  # MAX_RATE_THRESHOLD_PRODUCT and _check_product are re-ex
     CostParameters,
     PlatoonPolicy,
     _check_product,
-    _float_array,
     _integer,
     _non_negative,
     _positive,
@@ -80,8 +79,8 @@ def _threshold_arg(name: str, value, rule, arrival: ArrivalModel) -> float:
 
 
 # The closed forms below are written once, in terms of x = rate * threshold,
-# and take either numbers or the numpy arrays of thresholds that
-# threshold_curves passes in. Numbers never touch numpy.
+# and take either numbers or the numpy array of a sweep's thresholds.
+# Numbers never touch numpy.
 
 
 def _libm(fn, x):
@@ -197,25 +196,6 @@ def expected_time_reduction(arrival: ArrivalModel, policy: PlatoonPolicy) -> flo
     threshold 0 and non-negative everywhere since e^x - 1 >= x.
     """
     return platoon_statistics(arrival, policy).expected_time_reduction
-
-
-def threshold_curves(
-    params: CostParameters, arrival: ArrivalModel, thresholds
-) -> ThresholdCurves:
-    """The closed forms and cost terms at every threshold of a 1-D grid, in
-    one array pass.
-
-    Each element is bit-identical to the scalar function at that threshold
-    (``expected_platoon_size``, ``expected_total_cost`` and so on). An int or
-    float ndarray grid is checked as a whole; any other grid element by
-    element, like every other number. The product limit is checked once, on
-    the largest threshold, before anything is evaluated.
-    """
-    malformed = "thresholds must be a non-empty 1-D grid of finite numbers >= 0"
-    threshold = _float_array("thresholds", thresholds, malformed)
-    if threshold.ndim != 1 or not threshold.size or not 0.0 <= threshold.min() <= threshold.max() < math.inf:
-        raise ValueError(malformed)
-    return _curves(params, arrival.rate, threshold)
 
 
 def exact_fuel_increase(params: CostParameters, t_shift: float) -> float:

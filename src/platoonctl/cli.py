@@ -16,7 +16,8 @@ comparison failure, 2 usage or configuration error (an unwritable output
 path or too few samples for a CI too), 3 out of memory.
 
 numpy is imported only by ``simulate`` and ``sweep``, which build arrays,
-and orjson only by ``sweep``, which formats its float columns with it;
+and orjson only by ``sweep``, which formats its float columns with it
+(each value outside orjson's ``repr`` notation range with ``repr``);
 ``analytic``, ``optimize`` and every configuration error run without
 either.
 """
@@ -39,7 +40,6 @@ from .analytic import (
     optimal_threshold,
     platoon_size_pmf,
     platoon_statistics,
-    threshold_curves,
 )
 from .domain import (
     Z_95,
@@ -299,19 +299,22 @@ CSV_BLOCK_ROWS = 4096
 
 # orjson (Ryu) writes the same shortest round-trip digits as ``repr``, but in
 # ``repr``'s notation only for magnitudes in this range: it writes 0.00001
-# for 1e-05, 1e16 for 1e+16, and null for NaN and the infinities.
+# for 1e-05, 1e16 for 1e+16, and null for NaN and the infinities. A sweep
+# writes each value outside it (zero, NaN and the infinities too) with
+# ``repr``.
 _RYU_NOTATION_RANGE = (1e-4, 1e16)
 
 
-def _write_csv(path: str | Path, header: list[str], rows: Sequence) -> None:
+def _write_csv(path: str | Path, header: list[str], rows: Sequence | _ColumnRows) -> None:
     """Write ``header`` and ``rows`` as LF-terminated CSV.
 
     The bytes are those of ``csv.writer(fh, lineterminator="\\n")``: a field
     is its ``str``, which for a float is the shortest round-trip ``repr``.
     No field is ever quoted; no header, statistic name, number or bool holds
     a comma, quote or line break. The rows of a sweep are formatted a block
-    at a time in C (see ``_ColumnRows.write_csv``); any other rows field by
-    field with ``str``.
+    at a time in C, apart from the values outside ``_RYU_NOTATION_RANGE``
+    (see ``_ColumnRows.write_csv``); any other rows field by field with
+    ``str``.
     """
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
@@ -415,21 +418,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 1
 
 
-class _ColumnRows(Sequence):
-    """Rows zipped from equal-length numpy columns on demand: only the rows
-    indexed or sliced become Python floats. ``write_csv`` writes them as
-    CSV one block at a time."""
+class _ColumnRows:
+    """The rows of equal-length numpy float columns, which ``write_csv``
+    writes as CSV one block at a time."""
 
     def __init__(self, columns: list) -> None:
         self._columns = columns
 
     def __len__(self) -> int:
         return len(self._columns[0])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(zip(*[column[index].tolist() for column in self._columns]))
-        return tuple(column[index].item() for column in self._columns)
 
     def write_csv(self, fh) -> None:
         """Write the rows to the binary file ``fh`` as ``_write_csv`` does.
@@ -438,38 +435,39 @@ class _ColumnRows(Sequence):
         a block are stacked into one C-contiguous ``(rows, columns)`` float64
         array and formatted by a single ``orjson.dumps`` call, whose
         ``[[a,b],[c,d]]`` becomes ``a,b\\nc,d`` with one ``bytes.replace``.
-        A row holding a value outside ``_RYU_NOTATION_RANGE`` (zero, NaN and
-        the infinities too) is written with ``repr`` instead, and the rows
-        on either side of it with a call each.
+        Each value outside ``_RYU_NOTATION_RANGE`` (zero, NaN and the
+        infinities too) is set to NaN first, which orjson writes as ``null``,
+        and each ``null`` is then replaced, in row-major order, by that
+        value's ``repr``. No other value is written as ``null``.
         """
         import numpy as np
         import orjson
 
         low, high = _RYU_NOTATION_RANGE
 
-        def ryu_lines(start: int, stop: int) -> None:
-            # The stacked array is freed before the text is copied, so it is
-            # not held with both copies of the text.
-            block = np.stack([column[start:stop] for column in self._columns], axis=1)
+        def block_text(start: int) -> bytes:
+            block = np.stack([column[start:start + CSV_BLOCK_ROWS] for column in self._columns], axis=1)
+            magnitude = np.abs(block)
+            outside = ~((magnitude >= low) & (magnitude < high))
+            del magnitude
+            outliers = block[outside].tolist()
+            block[outside] = np.nan
             text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+            # Each step frees the text before it, and the stacked array goes
+            # before the first copy, so at most two copies of the text are
+            # held at once, and none outlives its block's write.
             del block
-            fh.write(memoryview(text.replace(b"],[", b"\n"))[2:-2])
-            fh.write(b"\n")
+            text = text.replace(b"],[", b"\n")
+            if outliers:
+                # ``%a`` writes ``ascii(value)``, which for a float is its
+                # repr; the text holds no other ``%``.
+                text = text.replace(b"null", b"%a")
+                text %= tuple(outliers)
+            return text
 
         for start in range(0, len(self), CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, len(self))
-            outside = np.zeros(stop - start, dtype=bool)
-            for column in self._columns:
-                magnitude = np.abs(column[start:stop])
-                outside |= ~((magnitude >= low) & (magnitude < high))
-            done = start
-            for row in (start + np.flatnonzero(outside)).tolist():
-                if row > done:
-                    ryu_lines(done, row)
-                fh.write((",".join(map(repr, self[row])) + "\n").encode())
-                done = row + 1
-            if done < stop:
-                ryu_lines(done, stop)
+            fh.write(memoryview(block_text(start))[2:-2])
+            fh.write(b"\n")
 
 
 def sweep_rows(
@@ -477,18 +475,22 @@ def sweep_rows(
     arrival: ArrivalModel,
     spec: SweepSpec,
     sim: SimulationConfig | None = None,
-) -> tuple[list[str], Sequence[tuple]]:
+) -> tuple[list[str], _ColumnRows]:
     """Analytic sweep rows over the threshold grid, optionally with pooled
     empirical columns (same seed at every grid point, so runs share draws).
 
-    The closed-form columns come from one array pass over the grid, which
-    rejects an out-of-range ``r_max`` before anything is evaluated or
-    simulated; each row equals ``analytic_quantities`` at its threshold.
-    The columns stay numpy arrays; the returned sequence of row tuples
-    converts them to Python floats one indexed row or slice at a time.
+    An out-of-range ``r_max`` is rejected before the grid is built. The
+    closed-form columns come from one array pass over the grid; each row
+    equals ``analytic_quantities`` at its threshold. The columns stay numpy
+    arrays until ``_ColumnRows.write_csv`` formats them.
+
+    The simulated points run from the largest threshold down: it expects
+    the fewest closed platoons, ``n_vehicles * e^-x`` per replication, so a
+    grid with a point of too few samples fails before the others run, and
+    the error names that point's threshold.
     """
     _check_product(arrival.rate, float(spec.r_max))  # before the grid is built
-    curves = threshold_curves(params, arrival, spec.thresholds())
+    curves = _curves(params, arrival.rate, spec.thresholds())
     columns = [getattr(curves, field) for _, field in _SWEEP_COLUMNS]
     header = list(SWEEP_HEADER)
     if sim is not None:
@@ -498,8 +500,11 @@ def sweep_rows(
 
         header += SWEEP_SIM_HEADER
         simulated = np.empty((len(SWEEP_SIM_HEADER), spec.n_points))
-        for point, threshold in enumerate(curves.threshold.tolist()):
-            aggregate = run_replications(replace(sim, policy=PlatoonPolicy(threshold=threshold)))
+        for point, threshold in reversed(list(enumerate(curves.threshold.tolist()))):
+            try:
+                aggregate = run_replications(replace(sim, policy=PlatoonPolicy(threshold=threshold)))
+            except ValueError as exc:
+                raise ValueError(f"threshold_s {threshold!r}: {exc}") from exc
             simulated[:, point] = [getattr(getattr(aggregate, stat), part) for _, stat, part in _SIMULATED_COLUMNS]
         columns += list(simulated)
     return header, _ColumnRows(columns)

@@ -24,8 +24,7 @@ from platoonctl import (
     platoon_statistics,
     total_cost_derivative,
 )
-from platoonctl import analytic, domain
-from platoonctl.analytic import threshold_curves
+from platoonctl import analytic
 
 
 def with_cruise_km(params, km):
@@ -499,7 +498,7 @@ class TestThresholdCurves:
     def test_every_element_equals_the_scalar_function(self, nominal_params, rate, r_max):
         arrival = ArrivalModel(rate=rate)
         grid = np.linspace(0.0, r_max, 1001)
-        curves = threshold_curves(nominal_params, arrival, grid)
+        curves = analytic._curves(nominal_params, rate, grid)
         scalar = {
             "merge_probability": lambda p: merge_probability(arrival, p),
             "expected_platoon_size": lambda p: expected_platoon_size(arrival, p),
@@ -514,41 +513,3 @@ class TestThresholdCurves:
             want = [fn(PlatoonPolicy(threshold=r)).hex() for r in grid.tolist()]
             got = [value.hex() for value in getattr(curves, name).tolist()]
             assert got == want, name
-
-    @pytest.mark.parametrize(
-        "grid",
-        [
-            [], [[0.0, 1.0]], [0.0, -1.0], [0.0, math.nan], [0.0, math.inf],
-            ["1", True], [10**400], 5.0,
-            np.array([[0.0, 1.0]]), np.array([0.0, np.nan]), np.array([True, False]), np.array(["1"]),
-        ],
-        ids=[
-            "empty", "2d", "negative", "nan", "inf",
-            "str-and-bool", "int-beyond-float", "scalar",
-            "2d-array", "nan-array", "bool-array", "str-array",
-        ],
-    )
-    def test_rejects_malformed_grids(self, nominal_params, nominal_arrival, grid):
-        with pytest.raises(ValueError, match="^thresholds must be"):
-            threshold_curves(nominal_params, nominal_arrival, grid)
-
-    def test_numeric_array_grid_is_checked_without_a_per_point_call(
-        self, nominal_params, nominal_arrival, monkeypatch
-    ):
-        calls = []
-        monkeypatch.setattr(domain, "_number", lambda name, value: calls.append(value) or float(value))
-        for grid in (np.linspace(0.0, 100.0, 1001), np.arange(0, 101)):
-            curves = threshold_curves(nominal_params, nominal_arrival, grid)
-            assert curves.threshold.tolist() == [float(r) for r in grid.tolist()]
-        assert calls == []
-        # A list is checked element by element and gives the same curves.
-        listed = threshold_curves(nominal_params, nominal_arrival, list(range(101)))
-        assert len(calls) == 101
-        assert listed.expected_total_cost.tolist() == curves.expected_total_cost.tolist()
-
-    def test_rejects_a_grid_past_the_product_limit(self, nominal_params, nominal_arrival):
-        with pytest.raises(ValueError, match="rate \\* threshold"):
-            threshold_curves(nominal_params, nominal_arrival, [0.0, 2500.001])
-        # The boundary itself, rate * threshold = 50 exactly, is accepted.
-        curves = threshold_curves(nominal_params, nominal_arrival, [0.0, 2500.0])
-        assert curves.expected_platoon_size[-1] == math.exp(50.0)

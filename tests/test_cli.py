@@ -314,7 +314,7 @@ class TestExitCodes:
     ):
         # Checked before the run, whose verdict would otherwise be printed and
         # then lost to the failed write.
-        for module, name in ((simulator, "run_replications"), (cli, "threshold_curves"), (cli, "analytic_quantities")):
+        for module, name in ((simulator, "run_replications"), (cli, "_curves"), (cli, "analytic_quantities")):
             monkeypatch.setattr(module, name, self._never)
         target = {
             "missing-directory": str(tmp_path / "missing" / "out"),
@@ -436,6 +436,28 @@ class TestExitCodes:
         assert captured.err.startswith("error: fewer than two platoon-size ")
         assert captured.out == ""
         assert out.read_text(encoding="utf-8") == "earlier report\n"
+
+    def test_sweep_with_simulation_stops_at_its_largest_threshold_first(
+        self, write_config, tmp_path, capsys, monkeypatch
+    ):
+        # A replication expects n_vehicles * e^-x closed platoons, fewest at
+        # the largest threshold (x = 50 here, none), so that point runs first
+        # and its error names it before any other point is simulated.
+        thresholds = []
+
+        def recorded(config):
+            thresholds.append(config.policy.threshold)
+            return run_replications(config)
+
+        monkeypatch.setattr(simulator, "run_replications", recorded)
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--config", write_config(), "--r-min", "0", "--r-max", "2500",
+            "--points", "11", "--with-simulation", "--csv", str(out),
+        ]) == 2
+        assert thresholds == [2500.0]
+        assert capsys.readouterr().err.startswith("error: threshold_s 2500.0: fewer than two platoon-size ")
+        assert not out.exists()
 
 
 class TestAnalyticCommand:
@@ -703,8 +725,8 @@ class TestColumnFormatter:
         assert str(float(np.nextafter(1e16, 0.0))) == "9999999999999998.0"
         block = np.stack([values, values[::-1]], axis=1)
         assert column_path_text(block) == repr_text(block)
-        # With one column, each value alone decides whether its row falls
-        # back to repr.
+        # With one column, each value is a row of its own, so every repr
+        # must land on the line of the value it replaces.
         assert column_path_text(values[:, None]) == repr_text(values[:, None])
 
     @pytest.mark.parametrize("count", [1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
@@ -884,19 +906,22 @@ class TestSweepCommand:
             SweepSpec(r_min=10.0, r_max=5.0, n_points=5)
         with pytest.raises(ValueError, match="n_points"):
             SweepSpec(r_min=0.0, r_max=10.0, n_points=1)
+        # The grid is checked here only: no threshold below 0 or infinite.
+        with pytest.raises(ValueError, match="^r_min must be >= 0"):
+            SweepSpec(r_min=-1.0, r_max=10.0, n_points=5)
+        with pytest.raises(ValueError, match="^r_max must be a finite number"):
+            SweepSpec(r_min=0.0, r_max=math.inf, n_points=5)
 
-    def test_sweep_rows_via_library(self, nominal_params, nominal_arrival):
+    def test_sweep_rows_via_library(self, tmp_path, nominal_params, nominal_arrival):
         header, rows = sweep_rows(nominal_params, nominal_arrival, SweepSpec(0.0, 100.0, 5))
         assert header[0] == "threshold_s"
         assert len(rows) == 5
-        assert rows[0][0] == 0.0 and rows[0][-1] == 0.0  # zero threshold, zero cost
-
-    def test_rows_index_and_slice_alike(self, nominal_params, nominal_arrival):
-        _, rows = sweep_rows(nominal_params, nominal_arrival, SweepSpec(0.0, 100.0, 9))
-        listed = rows[:]
-        assert len(listed) == 9 and list(rows) == listed
-        assert rows[-1] == listed[-1] and rows[2:5] == listed[2:5]
-        assert all(type(field) is float for row in listed for field in row)
+        out = tmp_path / "sweep.csv"
+        _write_csv(out, header, rows)
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0].split(",") == header and len(lines) == 6
+        first = lines[1].split(",")
+        assert first[0] == "0.0" and first[-1] == "0.0"  # zero threshold, zero cost
 
     def test_memory_is_the_columns_not_the_rows(self, tmp_path, nominal_params, nominal_arrival):
         # The seven closed-form columns are 56 B per grid point as float64;

@@ -23,7 +23,6 @@ from platoonctl import (
     sample_interarrivals,
     total_cost_derivative,
 )
-from platoonctl.analytic import threshold_curves
 from platoonctl.cli import SweepSpec
 
 from conftest import NOMINAL_RAW
@@ -49,7 +48,6 @@ FLOAT_ARGS = [
     ("numeric_optimal_threshold", "r_max", lambda v: numeric_optimal_threshold(PARAMS, ARRIVAL, r_max=v)),
     ("total_cost_derivative", "r", lambda v: total_cost_derivative(PARAMS, ARRIVAL, r=v)),
     ("exact_fuel_increase", "t_shift", lambda v: exact_fuel_increase(PARAMS, t_shift=v)),
-    ("threshold_curves", "thresholds", lambda v: threshold_curves(PARAMS, ARRIVAL, [0.0, v])),
     ("run_from_interarrivals", "interarrivals", lambda v: run_from_interarrivals([v, 2.0], POLICY)),
 ]
 # An int of more than 4300 digits also checks that no message formats it:
