@@ -24,7 +24,7 @@ from platoonctl import (
     optimal_threshold,
     platoon_size_pmf,
 )
-from platoonctl import EmpiricalSummary, StatEstimate, cli, simulator
+from platoonctl import EmpiricalSummary, StatEstimate, cli, domain, simulator
 from platoonctl.cli import (
     CSV_BLOCK_ROWS,
     SweepSpec,
@@ -906,11 +906,75 @@ class TestSweepCommand:
             SweepSpec(r_min=10.0, r_max=5.0, n_points=5)
         with pytest.raises(ValueError, match="n_points"):
             SweepSpec(r_min=0.0, r_max=10.0, n_points=1)
-        # The grid is checked here only: no threshold below 0 or infinite.
-        with pytest.raises(ValueError, match="^r_min must be >= 0"):
-            SweepSpec(r_min=-1.0, r_max=10.0, n_points=5)
-        with pytest.raises(ValueError, match="^r_max must be a finite number"):
-            SweepSpec(r_min=0.0, r_max=math.inf, n_points=5)
+
+    @pytest.mark.parametrize(
+        "r_min,r_max,points,message",
+        [
+            ("-1", "100", "5", "r_min must be >= 0"),
+            ("-5e-324", "100", "5", "r_min must be >= 0"),
+            ("nan", "100", "5", "r_min must be a finite number"),
+            ("inf", "100", "5", "r_min must be a finite number"),
+            ("0", "nan", "5", "r_max must be a finite number"),
+            ("0", "inf", "5", "r_max must be a finite number"),
+            ("0", "-inf", "5", "r_max must be a finite number"),
+            ("5", "5", "5", "r_max must be > r_min"),
+            ("10", "5", "5", "r_max must be > r_min"),
+            ("0", "100", "1", "n_points must be an integer >= 2"),
+            ("0", "100", "0", "n_points must be an integer >= 2"),
+            ("0", "100", "-3", "n_points must be an integer >= 2"),
+        ],
+        ids=[
+            "r_min-negative", "r_min-smallest-negative", "r_min-nan", "r_min-inf",
+            "r_max-nan", "r_max-inf", "r_max-negative-inf", "r_max-equal", "r_max-below",
+            "points-1", "points-0", "points-negative",
+        ],
+    )
+    def test_malformed_grid_exits_2_before_any_work(
+        self, write_config, tmp_path, capsys, monkeypatch, r_min, r_max, points, message
+    ):
+        # SweepSpec is the grid's only check: a grid it accepts goes to the
+        # evaluator unchecked, so every malformed one must stop here.
+        def never(*args, **kwargs):
+            raise AssertionError("sweep used a grid that SweepSpec should have rejected")
+
+        for module, name in ((SweepSpec, "thresholds"), (cli, "_curves"), (simulator, "run_replications")):
+            monkeypatch.setattr(module, name, never)
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--config", write_config(), f"--r-min={r_min}", f"--r-max={r_max}",
+            f"--points={points}", "--with-simulation", "--csv", str(out),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}, got ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_numeric_array_grid_is_checked_without_a_per_point_call(
+        self, tmp_path, nominal_params, nominal_arrival, monkeypatch
+    ):
+        # SweepSpec checks its three numbers once; the grid then reaches the
+        # evaluator as one array, with no number checked or policy built per
+        # point.
+        spec = SweepSpec(0.0, 100.0, 1001)
+        calls = []
+        monkeypatch.setattr(domain, "_number", lambda name, value: calls.append(value) or float(value))
+        header, rows = sweep_rows(nominal_params, nominal_arrival, spec)
+        out = tmp_path / "sweep.csv"
+        _write_csv(out, header, rows)
+        assert calls == []
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == [repr(r) for r in spec.grid()]
+
+    def test_rejects_a_grid_past_the_product_limit(self, tmp_path, nominal_params, nominal_arrival):
+        with pytest.raises(ValueError, match="rate \\* threshold"):
+            sweep_rows(nominal_params, nominal_arrival, SweepSpec(0.0, 2500.001, 2))
+        # The boundary itself, rate * threshold = 50 exactly, is accepted.
+        header, rows = sweep_rows(nominal_params, nominal_arrival, SweepSpec(0.0, 2500.0, 2))
+        out = tmp_path / "sweep.csv"
+        _write_csv(out, header, rows)
+        last = dict(zip(header, out.read_text(encoding="utf-8").splitlines()[-1].split(",")))
+        assert last["threshold_s"] == "2500.0"
+        assert last["expected_platoon_size"] == repr(math.exp(50.0))
 
     def test_sweep_rows_via_library(self, tmp_path, nominal_params, nominal_arrival):
         header, rows = sweep_rows(nominal_params, nominal_arrival, SweepSpec(0.0, 100.0, 5))

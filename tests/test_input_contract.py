@@ -6,6 +6,7 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 
 from platoonctl import (
@@ -49,6 +50,13 @@ FLOAT_ARGS = [
     ("total_cost_derivative", "r", lambda v: total_cost_derivative(PARAMS, ARRIVAL, r=v)),
     ("exact_fuel_increase", "t_shift", lambda v: exact_fuel_increase(PARAMS, t_shift=v)),
     ("run_from_interarrivals", "interarrivals", lambda v: run_from_interarrivals([v, 2.0], POLICY)),
+    # An object array is checked element by element too: converted as a
+    # whole, it would take "1" and True as numbers.
+    (
+        "run_from_interarrivals/object-array",
+        "interarrivals",
+        lambda v: run_from_interarrivals(np.array([v, 2.0], dtype=object), POLICY),
+    ),
 ]
 # An int of more than 4300 digits also checks that no message formats it:
 # str() refuses such ints.
