@@ -25,13 +25,44 @@ METERS_PER_100KM = 100_000.0
 # by SimulationConfig.
 MAX_RATE_THRESHOLD_PRODUCT = 50.0
 
-# Two-sided 95% normal quantile used for all confidence half-widths.
+# Two-sided 95% normal quantile, used only by the singleton-frequency row,
+# whose half-width follows from its known null probability, not from a sample
+# variance.
 Z_95 = 1.96
+
+# Two-sided 95% quantiles t_0.975 of Student's t at 1..30 degrees of freedom.
+_T_975 = (
+    12.706204736175, 4.302652729749, 3.182446305284, 2.776445105198, 2.570581835636,
+    2.446911851145, 2.364624251593, 2.306004135204, 2.262157162798, 2.228138851986,
+    2.200985160092, 2.178812829667, 2.160368656463, 2.144786687918, 2.131449545560,
+    2.119905299221, 2.109815577833, 2.100922040241, 2.093024054408, 2.085963447266,
+    2.079613844728, 2.073873067904, 2.068657610419, 2.063898561628, 2.059538552753,
+    2.055529438643, 2.051830516480, 2.048407141795, 2.045229642133, 2.042272456301,
+)
 
 MAX_SEED = 2**64 - 1
 
 # The largest -ln(U) the simulator draws: U = 1 - rng.random() >= 2^-53.
 MAX_UNIT_GAP = 53 * math.log(2)
+
+
+def student_t_975(df: int) -> float:
+    """The 0.975 quantile of Student's t with ``df`` >= 1 degrees of freedom:
+    the factor of a two-sided 95% confidence half-width from ``df + 1``
+    samples. Tabulated up to df = 30; beyond, the Cornish-Fisher expansion in
+    1/df about the normal quantile (Abramowitz & Stegun 26.7.5), whose
+    relative error is below 2e-8 from df = 30 on."""
+    if df <= len(_T_975):
+        return _T_975[df - 1]
+    z = 1.959963984540054  # the normal quantile, unrounded
+    z2 = z * z
+    terms = (
+        (z2 + 1.0) / 4.0,
+        ((5.0 * z2 + 16.0) * z2 + 3.0) / 96.0,
+        (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / 384.0,
+        ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) / 92160.0,
+    )
+    return z * (1.0 + sum(term / df ** (k + 1) for k, term in enumerate(terms)))
 
 
 def _number(name: str, value) -> float:
@@ -259,7 +290,8 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class StatEstimate:
-    """Sample mean with a 95% normal-approximation confidence half-width."""
+    """A sample mean with its two-sided 95% confidence half-width, from
+    ``count`` samples."""
 
     mean: float
     ci_half_width: float

@@ -2,12 +2,15 @@
 
 This is the empirical oracle for every closed form in :mod:`.analytic`: it
 draws exponential interarrival gaps, applies the inclusive threshold rule,
-and reports platoon sizes, leader-to-leader headways, and per-vehicle
-catch-up time shifts with normal-approximation confidence intervals.
+and estimates the mean platoon size, leader-to-leader headway, and per-vehicle
+catch-up time shift with Student-t confidence intervals.
 
 Vehicle 1 always leads, so every run starts at a regeneration point: each
-closed platoon is an independent renewal cycle from the first vehicle on, and
-no leading vehicles are discarded as warm-up.
+closed platoon is an independent renewal cycle of (size, leader headway, shift
+sum) from the first vehicle on, and no leading vehicles are discarded as
+warm-up. Every statistic is estimated from these cycles alone (regenerative
+simulation, Crane & Iglehart 1975); each run's last platoon, which no gap
+closed, is censored.
 
 Randomness contract: gaps come from numpy's PCG64 generator (period 2^128)
 seeded with ``SeedSequence((seed, replication))``. The master seed plus the
@@ -41,7 +44,6 @@ import numpy as np
 from .domain import (  # re-exported: the simulator's types live in domain, which needs no numpy
     MAX_SEED,
     MAX_UNIT_GAP,
-    Z_95,
     ArrivalModel,
     EmpiricalSummary,
     PlatoonPolicy,
@@ -50,6 +52,7 @@ from .domain import (  # re-exported: the simulator's types live in domain, whic
     _float_array,
     _integer,
     _seed,
+    student_t_975,
 )
 
 # Vehicles drawn and folded per step of ``run_replications``; its working
@@ -174,136 +177,114 @@ def summarize(run: SimulationRun) -> EmpiricalSummary:
     """Empirical means, 95% CI half-widths, and the size PMF for one run.
 
     The final platoon is right-censored (no gap > threshold ever terminated
-    it) and is dropped from the size sample.
+    it), so it is left out of every statistic.
     """
-    stats = _ReplicationStats.of(run.platoon_sizes[:-1], run.leader_headways.copy(), run.time_shifts.copy())
-    return stats.summary()
+    shift_sums = np.add.reduceat(run.time_shifts, run.leader_indices - 1)
+    return _Cycles.of(run.platoon_sizes[:-1], run.leader_headways, shift_sums[:-1]).summary()
 
 
-@dataclass(frozen=True)
-class _Moments:
-    """Count, mean and sum of squared deviations (M2) of a float sample,
-    mergeable pairwise (Chan, Golub & LeVeque 1979)."""
+@dataclass(frozen=True, eq=False)
+class _Cycles:
+    """Mergeable statistics of closed platoons, each an i.i.d. renewal cycle
+    of (size m, leader headway h, shift sum S).
 
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
+    It holds the cycle count, the exact integer size sum, a size histogram
+    whose last bin holds every size above ``PMF_CUTOFF``, and the mean vector
+    and co-moment matrix (sums of products of deviations) of (m, h, S),
+    merged pairwise (Chan, Golub & LeVeque 1979).
+    """
+
+    count: int
+    size_sum: int
+    size_hist: np.ndarray
+    mean: np.ndarray
+    comoment: np.ndarray
 
     @classmethod
-    def of(cls, values: np.ndarray) -> _Moments:
-        """The moments of ``values``, which it overwrites with their
-        deviations from the mean."""
-        if values.size == 0:
-            return cls()
-        mean = float(np.mean(values))
-        deviations = np.subtract(values, mean, out=values)
-        return cls(int(values.size), mean, float(np.dot(deviations, deviations)))
+    def of(cls, sizes: np.ndarray, headways: np.ndarray, shift_sums: np.ndarray) -> _Cycles:
+        """The statistics of closed platoons' ``sizes`` (int64), leader
+        ``headways`` and ``shift_sums``, any number of them."""
+        hist = np.bincount(np.minimum(sizes, PMF_CUTOFF + 1), minlength=PMF_CUTOFF + 2)
+        if not sizes.size:
+            return cls(0, 0, hist, np.zeros(3), np.zeros((3, 3)))
+        cycles = np.array((sizes, headways, shift_sums), dtype=float)
+        mean = cycles.mean(axis=1)
+        deviations = np.subtract(cycles, mean[:, None], out=cycles)
+        comoment = np.array([[np.dot(a, b) for b in deviations] for a in deviations])
+        return cls(int(sizes.size), int(sizes.sum()), hist, mean, comoment)
 
-    def merge(self, other: _Moments) -> _Moments:
+    def merge(self, other: _Cycles) -> _Cycles:
         if other.count == 0:
             return self
         if self.count == 0:
             return other
         count = self.count + other.count
         delta = other.mean - self.mean
-        return _Moments(
+        return _Cycles(
             count,
-            self.mean + delta * (other.count / count),
-            self.m2 + other.m2 + delta * delta * (self.count * other.count / count),
-        )
-
-    def estimate(self, statistic: str) -> StatEstimate:
-        if self.count < 2:
-            raise ValueError(
-                f"fewer than two {statistic} samples to summarize; a confidence interval needs at least two"
-            )
-        half_width = Z_95 * math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
-        return StatEstimate(mean=self.mean, ci_half_width=half_width, count=self.count)
-
-
-@dataclass(frozen=True, eq=False)
-class _ReplicationStats:
-    """Mergeable sufficient statistics of one replication or of several.
-
-    Closed platoon sizes are kept as exact integers: their count, sum, sum of
-    squares and a histogram whose last bin holds every size above
-    ``PMF_CUTOFF``.
-    """
-
-    size_count: int
-    size_sum: int
-    size_sum_sq: int
-    size_hist: np.ndarray
-    headway: _Moments
-    shift: _Moments
-
-    @classmethod
-    def of(cls, sizes: np.ndarray, headways: np.ndarray, shifts: np.ndarray):
-        """The statistics of closed platoon ``sizes`` (int64), leader
-        ``headways`` and vehicle ``shifts``; any of them may be empty.
-        ``headways`` and ``shifts`` are overwritten."""
-        # Only the first size may exceed the vehicles these arrays cover (in
-        # the kernel it can span any number of chunks), so the squares of the
-        # rest sum within int64.
-        sum_sq = int(sizes[0]) ** 2 + int(np.dot(sizes[1:], sizes[1:])) if sizes.size else 0
-        return cls(
-            int(sizes.size),
-            int(sizes.sum()),
-            sum_sq,
-            np.bincount(np.minimum(sizes, PMF_CUTOFF + 1), minlength=PMF_CUTOFF + 2),
-            _Moments.of(headways),
-            _Moments.of(shifts),
-        )
-
-    def merge(self, other: _ReplicationStats) -> _ReplicationStats:
-        return _ReplicationStats(
-            self.size_count + other.size_count,
             self.size_sum + other.size_sum,
-            self.size_sum_sq + other.size_sum_sq,
             self.size_hist + other.size_hist,
-            self.headway.merge(other.headway),
-            self.shift.merge(other.shift),
+            self.mean + delta * (other.count / count),
+            self.comoment + other.comoment + np.outer(delta, delta) * (self.count * other.count / count),
         )
 
     def summary(self) -> EmpiricalSummary:
-        n = self.size_count
-        sizes = _Moments()
-        if n:
-            # Integer numerators, so the mean and M2 are each rounded once.
-            sizes = _Moments(n, self.size_sum / n, (n * self.size_sum_sq - self.size_sum**2) / n)
+        """The mean size and headway, and the mean shift as the ratio
+        ΣS/Σm, each with a Student-t half-width at count - 1 degrees of
+        freedom. The ratio's is the delta-method one,
+        sd(S - ratio·m) / (sqrt(count)·mean size) (Asmussen & Glynn 2007,
+        ch. IV.4), its residuals' sum of squares read from the co-moments."""
+        n = self.count
+        if n < 2:
+            raise ValueError(
+                "fewer than two platoon-size (each run's last platoon is censored) samples to summarize; "
+                "a confidence interval needs at least two"
+            )
+        size = self.size_sum / n  # exact integers, so rounded once
+        shift = self.mean[2] / size
+        (mm, _, ms), (_, hh, _), (_, _, ss) = self.comoment.tolist()
+        # When S is exactly proportional to m the residuals are all 0, and the
+        # rounding of this difference can take it below 0.
+        residual = max(0.0, ss - 2.0 * shift * ms + shift * shift * mm)
+        scale = student_t_975(n - 1) / math.sqrt(n)
+
+        def estimate(mean: float, m2: float) -> StatEstimate:
+            return StatEstimate(mean=float(mean), ci_half_width=scale * math.sqrt(m2 / (n - 1)), count=n)
+
         return EmpiricalSummary(
-            platoon_size=sizes.estimate("platoon-size (each run's last platoon is censored)"),
-            leader_headway=self.headway.estimate("leader-headway (one per closed platoon)"),
-            time_shift=self.shift.estimate("time-shift"),
+            platoon_size=estimate(size, mm),
+            leader_headway=estimate(self.mean[1], hh),
+            time_shift=estimate(shift, residual / (size * size)),
             size_pmf={y: float(self.size_hist[y] / n) for y in range(1, PMF_CUTOFF + 1)},
         )
 
 
-def _replication_stats(config: SimulationConfig, replication: int) -> _ReplicationStats:
-    """Fold one replication's gaps, chunk by chunk, into its sufficient
-    statistics; memory is O(CHUNK_VEHICLES) whatever n is.
+def _replication_stats(config: SimulationConfig, replication: int) -> _Cycles:
+    """Fold one replication's gaps, chunk by chunk, into the statistics of
+    its closed platoons; memory is O(CHUNK_VEHICLES) whatever n is.
 
     Across chunk boundaries the kernel carries the open (not yet closed)
-    platoon: its size and the time since its leader arrived, which is also
-    the shift of its last vehicle. Times inside a chunk count from the last
-    vehicle of the previous chunk, so the open platoon's leader sits at
-    ``-since_leader``. The arrival times, then the shifts, then the shifts'
-    deviations overwrite the chunk's gaps; the leader mask is written into a
-    buffer allocated once per replication.
+    platoon: its size, the time since its leader arrived (also the shift of
+    its last vehicle) and its partial shift sum. Times inside a chunk count
+    from the last vehicle of the previous chunk, so the open platoon's leader
+    sits at ``-since_leader``, and its running shift sum at ``-open_sum``. The
+    arrival times, then the shifts, then their running sum overwrite the
+    chunk's gaps; the leader mask is written into a buffer allocated once per
+    replication.
     """
     threshold = config.policy.threshold
     stats = None
     open_size = 0  # 0 only before the first chunk: vehicle 1 always leads
-    since_leader = 0.0
+    since_leader = open_sum = 0.0
     leads_buffer = np.empty(min(CHUNK_VEHICLES, config.n_vehicles), dtype=bool)
     for gaps in _gap_chunks(config.seed, replication, config.n_vehicles, config.arrival.rate):
         size = gaps.size
         leads = np.greater(gaps, threshold, out=leads_buffer[:size])  # the inverse of the merge mask
         if not open_size:
             leads[0] = True
-        leaders = np.flatnonzero(leads)
+        in_chunk = np.flatnonzero(leads)
         arrivals = np.cumsum(gaps, out=gaps)
-        leader_times = arrivals[leaders]
+        leaders, leader_times = in_chunk, arrivals[in_chunk]
         if open_size:
             leaders = np.concatenate(([-open_size], leaders))
             leader_times = np.concatenate(([-since_leader], leader_times))
@@ -316,9 +297,17 @@ def _replication_stats(config: SimulationConfig, replication: int) -> _Replicati
         members = np.append(sizes, size - leaders[-1])
         members[0] -= open_size
         shifts = np.subtract(arrivals, np.repeat(leader_times, members), out=arrivals)
-        open_size = size - int(leaders[-1])
         since_leader = float(shifts[-1])
-        chunk = _ReplicationStats.of(sizes, np.diff(leader_times), shifts)
+        # A leader's shift is exactly 0, so the running sum at each leader is
+        # the sum of every shift before it, and its differences are the
+        # platoons' shift sums.
+        running = np.cumsum(shifts, out=shifts)
+        leader_sums = running[in_chunk]
+        if open_size:
+            leader_sums = np.concatenate(([-open_sum], leader_sums))
+        open_sum = float(running[-1] - leader_sums[-1])
+        open_size = size - int(leaders[-1])
+        chunk = _Cycles.of(sizes, np.diff(leader_times), np.diff(leader_sums))
         stats = chunk if stats is None else stats.merge(chunk)
     return stats
 
@@ -331,7 +320,7 @@ def run_replications(config: SimulationConfig) -> EmpiricalSummary:
     not depend on the order replications execute in. It equals
     :func:`summarize` on the full in-memory runs pooled across replications,
     up to float rounding, and fails only when the pool as a whole has fewer
-    than two samples of a statistic: a confidence interval needs two.
+    than two closed platoons: a confidence interval needs two.
     """
     total = _replication_stats(config, 0)
     for rep in range(1, config.n_replications):

@@ -13,7 +13,7 @@ from platoonctl import (
     run_from_interarrivals,
     sample_interarrivals,
 )
-from platoonctl.domain import Z_95
+from platoonctl.domain import student_t_975
 
 # Nominal planning values used throughout the suite (mixed units).
 NOMINAL_RAW = dict(
@@ -49,31 +49,41 @@ def nominal_policy():
     return PlatoonPolicy(threshold=50.0)
 
 
-def reference_estimate(values, statistic):
-    """Mean and 95% half-width by numpy's ``mean`` and ``std(ddof=1)``,
-    independent of the simulator's mergeable moments."""
-    if values.size < 2:
-        raise ValueError(f"fewer than two {statistic} samples to summarize; a confidence interval needs at least two")
-    half_width = Z_95 * float(np.std(values, ddof=1)) / math.sqrt(values.size)
-    return StatEstimate(mean=float(np.mean(values)), ci_half_width=half_width, count=int(values.size))
+TOO_FEW = (
+    "fewer than two platoon-size (each run's last platoon is censored) samples to summarize; "
+    "a confidence interval needs at least two"
+)
 
 
 def run_samples(run):
-    """The (sizes, headways, shifts) samples ``summarize`` takes from a run:
-    the censored last platoon left out."""
-    return run.platoon_sizes[:-1], run.leader_headways, run.time_shifts
+    """The closed platoons' (sizes, headways, shift sums) of a run: the
+    censored last platoon left out."""
+    shift_sums = np.add.reduceat(run.time_shifts, run.leader_indices - 1)
+    return run.platoon_sizes[:-1], run.leader_headways, shift_sums[:-1]
 
 
-def reference_summary(sizes, headways, shifts):
-    """The ``EmpiricalSummary`` of raw samples, with the simulator's error
-    messages, computed by the reference estimator; the PMF covers sizes
-    1..10."""
+def reference_summary(sizes, headways, shift_sums):
+    """The ``EmpiricalSummary`` of closed platoons, with the simulator's
+    error message, by numpy's ``mean`` and ``std(ddof=1)``, independent of
+    the simulator's mergeable co-moments: the mean shift is the ratio
+    ΣS/Σm, its half-width that of the mean residual S - ratio·m over the mean
+    size. The PMF covers sizes 1..10."""
+    n = sizes.size
+    if n < 2:
+        raise ValueError(TOO_FEW)
+    t = student_t_975(n - 1) / math.sqrt(n)
+    ratio = float(np.sum(shift_sums) / np.sum(sizes))
+    residuals = shift_sums - ratio * sizes
     counts = np.bincount(sizes, minlength=11)
+
+    def estimate(mean, values, scale=1.0):
+        return StatEstimate(mean=float(mean), ci_half_width=t * float(np.std(values, ddof=1)) / scale, count=n)
+
     return EmpiricalSummary(
-        platoon_size=reference_estimate(sizes, "platoon-size (each run's last platoon is censored)"),
-        leader_headway=reference_estimate(headways, "leader-headway (one per closed platoon)"),
-        time_shift=reference_estimate(shifts, "time-shift"),
-        size_pmf={y: float(counts[y] / sizes.size) for y in range(1, 11)},
+        platoon_size=estimate(np.mean(sizes), sizes),
+        leader_headway=estimate(np.mean(headways), headways),
+        time_shift=estimate(ratio, residuals, float(np.mean(sizes))),
+        size_pmf={y: float(counts[y] / n) for y in range(1, 11)},
     )
 
 

@@ -40,7 +40,7 @@ from platoonctl import (
     total_cost_derivative,
 )
 from platoonctl.cli import main
-from platoonctl.simulator import _replication_stats, _ReplicationStats
+from platoonctl.simulator import _Cycles, _replication_stats
 
 from conftest import NOMINAL_RAW, pooled_reference, summary_mismatches
 
@@ -151,7 +151,7 @@ def test_criterion_4_grid_robustness():
             )
             stats = [_replication_stats(config, rep) for rep in range(config.n_replications)]
             per_rep = [rep_stats.summary() for rep_stats in stats]
-            aggregate = functools.reduce(_ReplicationStats.merge, stats).summary()
+            aggregate = functools.reduce(_Cycles.merge, stats).summary()
             cell = f"(rate={rate}, threshold={threshold})"
 
             # Means: 3-sigma bands from the spread of replication means.

@@ -396,16 +396,18 @@ class TestExitCodes:
 
     def test_pool_with_closed_platoons_is_compared(self, write_config, tmp_path):
         # The last of three replications closes no platoon on its own; the
-        # pool holds the other two's, so the comparison runs on them.
+        # pool holds the other two's, so the comparison runs on them, every
+        # row on the two closed platoons. Student's t at one degree of freedom
+        # gives two samples their due width, so the correct closed forms pass.
         out = tmp_path / "report.csv"
         path = write_config({
             "arrival": {"rate": 1.0},
             "policy": {"threshold": 8.0},
             "simulation": {"n_vehicles": 2000, "n_replications": 3, "seed": 1},
         })
-        assert main(["simulate", "--config", path, "--csv", str(out)]) in (0, 1)
+        assert main(["simulate", "--config", path, "--csv", str(out)]) == 0
         rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
-        assert [int(row["n_samples"]) for row in rows] == [2, 2, 6000, 2]
+        assert [int(row["n_samples"]) for row in rows] == [2, 2, 2, 2]
 
     def test_all_censored_pool_exits_2_naming_the_statistic(self, write_config, tmp_path, capsys):
         out = tmp_path / "report.csv"

@@ -180,7 +180,7 @@ def test_unknown_package_name_raises_attribute_error():
         platoonctl.no_such_name  # noqa: B018
 
 
-@pytest.mark.parametrize("name", ["SimulationConfig", "StatEstimate", "EmpiricalSummary", "Z_95", "MAX_SEED"])
+@pytest.mark.parametrize("name", ["SimulationConfig", "StatEstimate", "EmpiricalSummary", "student_t_975", "MAX_SEED"])
 def test_simulator_reexports_the_domain_objects(name):
     assert getattr(simulator, name) is getattr(domain, name)
 

@@ -22,10 +22,10 @@ from platoonctl import (
     summarize,
 )
 from platoonctl import simulator
-from platoonctl.domain import MAX_UNIT_GAP
-from platoonctl.simulator import CHUNK_VEHICLES, _gap_chunks, _Moments, _replication_stats
+from platoonctl.domain import MAX_UNIT_GAP, student_t_975
+from platoonctl.simulator import CHUNK_VEHICLES, _Cycles, _gap_chunks, _replication_stats
 
-from conftest import pooled_reference, reference_estimate, reference_summary, run_samples, summary_mismatches
+from conftest import TOO_FEW, pooled_reference, reference_summary, run_samples, summary_mismatches
 
 SEED = 20260810
 
@@ -279,6 +279,18 @@ class TestSummarize:
         assert summary.size_pmf[3] == 1.0
         assert sum(summary.size_pmf.values()) <= 1.0
 
+    def test_mean_shift_is_the_ratio_over_closed_platoons(self):
+        # Worked by hand: the closed platoons {1,2,3} and {4,5,6} have shifts
+        # (0, 3, 4) and (0, 2, 4), so S = (7, 6) and m = (3, 3); the censored
+        # leader 7 counts in no statistic. The ratio is 13/6, and the
+        # residuals S - (13/6)·m = (0.5, -0.5) have sd 1/sqrt(2), so the
+        # half-width is t(0.975, 1)·(1/sqrt(2))/(sqrt(2)·3) = t·0.5/3.
+        run = run_from_interarrivals([5.0, 3.0, 1.0, 8.0, 2.0, 2.0, 9.0], PlatoonPolicy(threshold=4.0))
+        shift = summarize(run).time_shift
+        assert shift.count == 2
+        assert shift.mean == pytest.approx(13 / 6, rel=1e-15)
+        assert shift.ci_half_width == pytest.approx(12.706204736174694 * 0.5 / 3, rel=1e-12)  # 2.1177
+
     def test_constant_sample_has_zero_half_width(self):
         run = run_from_interarrivals([10.0, 20.0, 30.0, 40.0], PlatoonPolicy(threshold=5.0))
         summary = summarize(run)
@@ -286,9 +298,10 @@ class TestSummarize:
         assert summary.time_shift.mean == 0.0
         assert summary.time_shift.ci_half_width == 0.0
 
-    def test_single_platoon_is_an_error(self):
-        run = run_from_interarrivals([5.0, 3.0, 2.0], PlatoonPolicy(threshold=4.0))
-        with pytest.raises(ValueError, match="platoon-size|leader-headway"):
+    @pytest.mark.parametrize("gaps", [[5.0, 3.0, 2.0], [5.0, 3.0, 9.0]], ids=["no closed platoon", "one"])
+    def test_fewer_than_two_closed_platoons_is_an_error(self, gaps):
+        run = run_from_interarrivals(gaps, PlatoonPolicy(threshold=4.0))
+        with pytest.raises(ValueError, match=f"^{re.escape(TOO_FEW)}$"):
             summarize(run)
 
     def test_pmf_tail_beyond_cutoff_excluded(self):
@@ -302,15 +315,13 @@ class TestSummarize:
     @pytest.mark.parametrize("x", [0.1, 1.0, 3.0])
     def test_matches_the_reference_estimator(self, x):
         # summarize() shares the kernel's mergeable estimator; the reference
-        # is numpy's mean and std(ddof=1) on the same samples. At x = 0.1
+        # is numpy's mean and std(ddof=1) on the same cycles. At x = 0.1
         # most platoons are singletons; at x = 3 many exceed the PMF cutoff.
         gaps = sample_interarrivals(SEED, 5_000, ArrivalModel(rate=0.02))
         run = run_from_interarrivals(gaps, PlatoonPolicy(threshold=x / 0.02))
         assert summary_mismatches(summarize(run), reference_summary(*run_samples(run))) == []
 
     def test_leaves_the_run_unmodified(self):
-        # The estimator computes deviations in its input's memory, so
-        # summarize must hand it copies.
         gaps = sample_interarrivals(SEED, 5000, ArrivalModel(rate=0.02))
         run = run_from_interarrivals(gaps, PlatoonPolicy(threshold=50.0))
         before = {name: getattr(run, name).copy() for name in run.__dataclass_fields__}
@@ -320,24 +331,61 @@ class TestSummarize:
 
 
 class TestMoments:
-    def test_deviations_in_place_equal_a_copy(self):
-        values = np.random.default_rng(SEED).exponential(30.0, size=10_001)
-        copy = values.copy()
-        mean = float(np.mean(copy))
-        deviations = copy - mean
-        moments = _Moments.of(values)
-        assert (moments.count, moments.mean, moments.m2) == (10_001, mean, float(np.dot(deviations, deviations)))
-        assert np.array_equal(values, deviations)  # the input now holds the deviations
+    """The closed-platoon record ``_Cycles``: what it keeps and how it merges."""
+
+    @staticmethod
+    def _cycles(k, seed):
+        rng = np.random.default_rng(seed)
+        sizes = rng.geometric(0.3, size=k).astype(np.int64)
+        return sizes, rng.exponential(30.0, size=k), sizes * rng.exponential(5.0, size=k)
+
+    def test_record_of_cycles(self):
+        sizes, headways, sums = self._cycles(10_001, SEED)
+        record = _Cycles.of(sizes, headways, sums)
+        assert (record.count, record.size_sum) == (10_001, int(sizes.sum()))
+        assert record.size_hist.tolist() == np.bincount(np.minimum(sizes, 11), minlength=12).tolist()
+        cycles = np.array([sizes, headways, sums], dtype=float)
+        assert record.mean == pytest.approx(cycles.mean(axis=1), rel=1e-14)
+        assert record.comoment == pytest.approx(np.cov(cycles) * 10_000, rel=1e-12)
+
+    @pytest.mark.parametrize("split", [0, 1, 4_000, 9_999, 10_000])
+    def test_merge_equals_the_record_of_the_whole(self, split):
+        sizes, headways, sums = self._cycles(10_000, SEED + 1)
+        whole = _Cycles.of(sizes, headways, sums)
+        merged = _Cycles.of(sizes[:split], headways[:split], sums[:split]).merge(
+            _Cycles.of(sizes[split:], headways[split:], sums[split:])
+        )
+        assert (merged.count, merged.size_sum) == (whole.count, whole.size_sum)
+        assert np.array_equal(merged.size_hist, whole.size_hist)
+        assert merged.mean == pytest.approx(whole.mean, rel=1e-13)
+        assert merged.comoment == pytest.approx(whole.comoment, rel=1e-12)
+        assert summary_mismatches(merged.summary(), reference_summary(sizes, headways, sums)) == []
+
+    def test_shift_sums_proportional_to_sizes_give_a_zero_width(self):
+        # Every residual S - ratio·m is 0. Summed from the co-moments, their
+        # squares come to -3.6e-12 by rounding here, which must not reach
+        # the square root.
+        sizes = np.arange(1, 17, dtype=np.int64)
+        shift = _Cycles.of(sizes, np.ones(16), 7.7 * sizes).summary().time_shift
+        assert shift.mean == pytest.approx(7.7, rel=1e-15)
+        assert shift.ci_half_width == 0.0
 
     def test_one_sample_is_too_few(self):
-        # One sample has no variance estimate, so no confidence interval: the
+        # One cycle has no variance estimate, so no confidence interval: the
         # estimator and the reference refuse it alike, not with half-width 0.
-        message = r"^fewer than two x samples to summarize; a confidence interval needs at least two$"
-        with pytest.raises(ValueError, match=message):
-            _Moments.of(np.array([5.0])).estimate("x")
-        with pytest.raises(ValueError, match=message):
-            reference_estimate(np.array([5.0]), "x")
-        assert _Moments.of(np.array([5.0, 7.0])).estimate("x").count == 2
+        one = (np.array([3]), np.array([12.0]), np.array([7.0]))
+        with pytest.raises(ValueError, match=f"^{re.escape(TOO_FEW)}$"):
+            _Cycles.of(*one).summary()
+        with pytest.raises(ValueError, match=f"^{re.escape(TOO_FEW)}$"):
+            reference_summary(*one)
+        two = _Cycles.of(np.array([3, 3]), np.array([12.0, 13.0]), np.array([7.0, 6.0])).summary()
+        assert (two.platoon_size.count, two.leader_headway.count, two.time_shift.count) == (2, 2, 2)
+
+
+def test_student_t_quantile_matches_scipy():
+    dfs = sorted({*range(1, 200), *np.unique(np.geomspace(200, 10**6, 400).astype(int)).tolist()})
+    worst = max(abs(student_t_975(df) / scipy_stats.t.ppf(0.975, df) - 1.0) for df in dfs)
+    assert worst < 1e-7
 
 
 class TestRunReplications:
@@ -395,8 +443,7 @@ class TestRunReplications:
         # with probability e^-50, so 100 vehicles form one platoon, which has
         # no closed size sample, in every replication.
         config = self._config(policy=PlatoonPolicy(threshold=2500.0), n_vehicles=100, n_replications=2)
-        censored = r"^fewer than two platoon-size \(each run's last platoon is censored\) samples"
-        with pytest.raises(ValueError, match=censored):
+        with pytest.raises(ValueError, match=f"^{re.escape(TOO_FEW)}$"):
             run_replications(config)
 
     def test_pool_with_closed_platoons_is_summarized(self):
@@ -407,9 +454,9 @@ class TestRunReplications:
             arrival=ArrivalModel(rate=1.0), policy=PlatoonPolicy(threshold=8.0), n_vehicles=2000, n_replications=3,
             seed=1,
         )
-        assert [_replication_stats(config, rep).size_count for rep in range(3)] == [1, 1, 0]
+        assert [_replication_stats(config, rep).count for rep in range(3)] == [1, 1, 0]
         summary = run_replications(config)
-        assert (summary.platoon_size.count, summary.leader_headway.count, summary.time_shift.count) == (2, 2, 6000)
+        assert (summary.platoon_size.count, summary.leader_headway.count, summary.time_shift.count) == (2, 2, 2)
         assert summary_mismatches(summary, pooled_reference(config)) == []
 
     def test_one_closed_platoon_fails_naming_the_statistic(self):
@@ -418,7 +465,7 @@ class TestRunReplications:
             arrival=ArrivalModel(rate=1.0), policy=PlatoonPolicy(threshold=8.0), n_vehicles=3000, n_replications=1,
             seed=1,
         )
-        assert _replication_stats(config, 0).size_count == 1
+        assert _replication_stats(config, 0).count == 1
         with pytest.raises(ValueError, match=r"^fewer than two platoon-size "):
             run_replications(config)
 
@@ -527,13 +574,17 @@ class TestStreamingKernel:
     def test_replications_of_several_chunks(self):
         config = self._config(n_vehicles=3 * C + 7, n_replications=2)
         summary = run_replications(config)
-        assert summary.time_shift.count == 2 * (3 * C + 7)
+        # One sample per closed platoon on every statistic: e^-1 of the
+        # vehicles lead, less each replication's censored last platoon.
+        counts = (summary.platoon_size.count, summary.leader_headway.count, summary.time_shift.count)
+        assert counts == (145_164,) * 3
         assert summary_mismatches(summary, pooled_reference(config)) == []
 
     def test_several_replications(self):
         config = self._config(n_vehicles=C + 1, n_replications=4)
         summary = run_replications(config)
-        assert summary.time_shift.count == 4 * (C + 1)
+        counts = (summary.platoon_size.count, summary.leader_headway.count, summary.time_shift.count)
+        assert counts == (96_701,) * 3
         assert summary_mismatches(summary, pooled_reference(config)) == []
 
     @settings(max_examples=60, deadline=None)
@@ -632,21 +683,7 @@ def coverage_misses():
     return misses
 
 
-@pytest.mark.parametrize(
-    "statistic",
-    [
-        "platoon_size",
-        "leader_headway",
-        pytest.param(
-            "time_shift",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="the time-shift half-width treats the vehicles of one platoon as independent; their shifts "
-                "are correlated, so it is too narrow (38.5% misses at x = 1, 82% at x = 3)",
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("statistic", ["platoon_size", "leader_headway", "time_shift"])
 def test_confidence_intervals_have_their_nominal_coverage(coverage_misses, statistic):
     # Every seed of the range counts. The miss share must lie in the
     # two-sided 99.9% binomial band around 5%.
