@@ -3,7 +3,7 @@
 Subcommands:
     analytic   closed-form statistics and expected cost for one scenario
     simulate   Monte Carlo replications compared against the closed forms
-    sweep      threshold sweep emitted as CSV (optionally with simulation)
+    sweep      threshold sweep as CSV, optionally simulated (each replication drawn once)
     optimize   closed-form and golden-section cost-optimal threshold
 
 Input is a single JSON config with sections ``arrival``, ``policy``,
@@ -31,7 +31,7 @@ import math
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .analytic import (
@@ -419,8 +419,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 class _ColumnRows:
-    """The rows of equal-length numpy float columns, which ``write_csv``
-    writes as CSV one block at a time."""
+    """The rows of equal-length float columns (numpy arrays or lists), which
+    ``write_csv`` writes as CSV one block at a time."""
 
     def __init__(self, columns: list) -> None:
         self._columns = columns
@@ -477,36 +477,31 @@ def sweep_rows(
     sim: SimulationConfig | None = None,
 ) -> tuple[list[str], _ColumnRows]:
     """Analytic sweep rows over the threshold grid, optionally with pooled
-    empirical columns (same seed at every grid point, so runs share draws).
+    empirical columns.
 
     An out-of-range ``r_max`` is rejected before the grid is built. The
     closed-form columns come from one array pass over the grid; each row
-    equals ``analytic_quantities`` at its threshold. The columns stay numpy
-    arrays until ``_ColumnRows.write_csv`` formats them.
-
-    The simulated points run from the largest threshold down: it expects
-    the fewest closed platoons, ``n_vehicles * e^-x`` per replication, so a
-    grid with a point of too few samples fails before the others run, and
-    the error names that point's threshold.
+    equals ``analytic_quantities`` at its threshold. The empirical columns
+    come from one simulator pass that draws each replication once and folds
+    it at every grid threshold; each row equals ``run_replications`` at its
+    threshold. The columns (numpy arrays, the empirical ones lists of floats)
+    stay unformatted until ``_ColumnRows.write_csv`` writes them.
     """
     _check_product(arrival.rate, float(spec.r_max))  # before the grid is built
     curves = _curves(params, arrival.rate, spec.thresholds())
     columns = [getattr(curves, field) for _, field in _SWEEP_COLUMNS]
     header = list(SWEEP_HEADER)
     if sim is not None:
-        import numpy as np
+        from .simulator import _summaries
 
-        from .simulator import run_replications
-
+        try:
+            summaries = _summaries(sim, curves.threshold)
+        except ValueError as exc:
+            # On the same gaps a larger threshold leads no more platoons, so
+            # when any point has too few closed platoons the largest does.
+            raise ValueError(f"threshold_s {float(curves.threshold[-1])!r}: {exc}") from exc
         header += SWEEP_SIM_HEADER
-        simulated = np.empty((len(SWEEP_SIM_HEADER), spec.n_points))
-        for point, threshold in reversed(list(enumerate(curves.threshold.tolist()))):
-            try:
-                aggregate = run_replications(replace(sim, policy=PlatoonPolicy(threshold=threshold)))
-            except ValueError as exc:
-                raise ValueError(f"threshold_s {threshold!r}: {exc}") from exc
-            simulated[:, point] = [getattr(getattr(aggregate, stat), part) for _, stat, part in _SIMULATED_COLUMNS]
-        columns += list(simulated)
+        columns += [[getattr(getattr(s, stat), part) for s in summaries] for _, stat, part in _SIMULATED_COLUMNS]
     return header, _ColumnRows(columns)
 
 

@@ -277,13 +277,15 @@ class SimulationConfig:
         _integer("n_vehicles", self.n_vehicles, 2)
         _integer("n_replications", self.n_replications, 1)
         _seed(self.seed)
-        # The horizon bounds every arrival time, headway and shift of a run, so
-        # while this product is finite every sum of their squares is too.
-        horizon = self.n_vehicles * MAX_UNIT_GAP / self.arrival.rate
-        if not math.isfinite(horizon * horizon * self.n_vehicles * self.n_replications):
+        # The horizon H bounds every arrival time, headway and shift, so a
+        # platoon's shift sum is at most n_vehicles * H. Every co-moment and
+        # each of the three terms of the mean shift's residual is then at most
+        # 2 * n_replications * (n_vehicles * H)^2, and their sum twice that.
+        span = self.n_vehicles * (self.n_vehicles * MAX_UNIT_GAP / self.arrival.rate)  # n_vehicles * H
+        if not math.isfinite(span * span * 4.0 * self.n_replications):
             raise ValueError(
                 f"arrival.rate = {self.arrival.rate!r} is too small for n_vehicles = {self.n_vehicles} "
-                f"and n_replications = {self.n_replications}: arrival times of up to n_vehicles * "
+                f"and n_replications = {self.n_replications}: shift sums of up to n_vehicles^2 * "
                 "53 ln 2 / rate seconds would overflow the float range in sums of their squares"
             )
 

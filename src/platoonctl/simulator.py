@@ -22,16 +22,16 @@ their statistics in index order.
 Every gap comes from ``_gap_chunks``, which draws a replication's stream in
 chunks of ``CHUNK_VEHICLES``. ``run_replications`` folds each chunk into
 mergeable statistics, so its memory is O(CHUNK_VEHICLES) whatever
-``n_vehicles`` and ``n_replications`` are. ``sample_interarrivals`` joins the
-chunks into one array, and ``run_from_interarrivals`` forms a whole run in
-memory (O(n)) by a different algorithm: the small-n reference the streaming
-kernel matches. ``summarize`` and the kernel share one estimator.
+``n_vehicles`` and ``n_replications`` are; it is the one-threshold case of
+``_summaries``, which draws each chunk once and folds it at every threshold
+of a grid (common random numbers). ``sample_interarrivals`` joins the chunks
+into one array, and ``run_from_interarrivals`` forms a whole run in memory
+(O(n)) by a different algorithm: the small-n reference the streaming kernel
+matches. ``summarize`` and the kernel share one estimator.
 
-Each replication allocates its chunk buffers once: the gap buffer in
-``_gap_chunks``, which the kernel turns into arrival times and then shifts in
-place, and the leader mask in the kernel. Every chunk's steps write into
-them, so a chunk ``_gap_chunks`` yields is valid only until the next one is
-drawn; a caller that keeps chunks copies them.
+Each replication allocates its chunk buffers once, and every chunk's steps
+write into them, so a chunk ``_gap_chunks`` yields is valid only until the
+next one is drawn; a caller that keeps chunks copies them.
 """
 
 from __future__ import annotations
@@ -259,70 +259,73 @@ class _Cycles:
         )
 
 
-def _replication_stats(config: SimulationConfig, replication: int) -> _Cycles:
+def _replication_stats(config: SimulationConfig, replication: int, thresholds) -> list[_Cycles]:
     """Fold one replication's gaps, chunk by chunk, into the statistics of
-    its closed platoons; memory is O(CHUNK_VEHICLES) whatever n is.
+    its closed platoons under each of ``thresholds`` (``config.policy`` is
+    not read); memory is O(CHUNK_VEHICLES + thresholds) whatever n is.
 
-    Across chunk boundaries the kernel carries the open (not yet closed)
-    platoon: its size, the time since its leader arrived (also the shift of
-    its last vehicle) and its partial shift sum. Times inside a chunk count
-    from the last vehicle of the previous chunk, so the open platoon's leader
-    sits at ``-since_leader``, and its running shift sum at ``-open_sum``. The
-    arrival times, then the shifts, then their running sum overwrite the
-    chunk's gaps; the leader mask is written into a buffer allocated once per
-    replication.
+    Each chunk is drawn once and summed once into arrival times, which every
+    threshold then folds. Across chunk boundaries each threshold carries its
+    open (not yet closed) platoon: its size, the time since its leader
+    arrived (also the shift of its last vehicle) and its partial shift sum.
+    Times inside a chunk count from the last vehicle of the previous chunk,
+    so the open platoon's leader sits at ``-since_leader``, and its running
+    shift sum at ``-open_sum``.
     """
-    threshold = config.policy.threshold
-    stats = None
-    open_size = 0  # 0 only before the first chunk: vehicle 1 always leads
-    since_leader = open_sum = 0.0
-    leads_buffer = np.empty(min(CHUNK_VEHICLES, config.n_vehicles), dtype=bool)
+    length = min(CHUNK_VEHICLES, config.n_vehicles)
+    leads_buffer, arrivals_buffer, shifts_buffer = np.empty(length, dtype=bool), np.empty(length), np.empty(length)
+    # (statistics, open size, since_leader, open_sum) per threshold; the open
+    # size is 0 only before the first chunk: vehicle 1 always leads.
+    states = [(None, 0, 0.0, 0.0)] * len(thresholds)
     for gaps in _gap_chunks(config.seed, replication, config.n_vehicles, config.arrival.rate):
         size = gaps.size
-        leads = np.greater(gaps, threshold, out=leads_buffer[:size])  # the inverse of the merge mask
-        if not open_size:
-            leads[0] = True
-        in_chunk = np.flatnonzero(leads)
-        arrivals = np.cumsum(gaps, out=gaps)
-        leaders, leader_times = in_chunk, arrivals[in_chunk]
-        if open_size:
-            leaders = np.concatenate(([-open_size], leaders))
-            leader_times = np.concatenate(([-since_leader], leader_times))
+        arrivals = np.cumsum(gaps, out=arrivals_buffer[:size])
+        for index, threshold in enumerate(thresholds):
+            stats, open_size, since_leader, open_sum = states[index]
+            leads = np.greater(gaps, threshold, out=leads_buffer[:size])  # the inverse of the merge mask
+            if not open_size:
+                leads[0] = True
+            in_chunk = np.flatnonzero(leads)
+            leaders, leader_times = in_chunk, arrivals[in_chunk]
+            if open_size:
+                leaders = np.concatenate(([-open_size], leaders))
+                leader_times = np.concatenate(([-since_leader], leader_times))
 
-        # Each vehicle's shift is its arrival minus its platoon leader's;
-        # members counts each platoon's vehicles that fall in this chunk:
-        # the closed sizes, less the open platoon's earlier vehicles, and the
-        # last platoon's vehicles up to the chunk's end.
-        sizes = np.diff(leaders)
-        members = np.append(sizes, size - leaders[-1])
-        members[0] -= open_size
-        shifts = np.subtract(arrivals, np.repeat(leader_times, members), out=arrivals)
-        since_leader = float(shifts[-1])
-        # A leader's shift is exactly 0, so the running sum at each leader is
-        # the sum of every shift before it, and its differences are the
-        # platoons' shift sums.
-        running = np.cumsum(shifts, out=shifts)
-        leader_sums = running[in_chunk]
-        if open_size:
-            leader_sums = np.concatenate(([-open_sum], leader_sums))
-        open_sum = float(running[-1] - leader_sums[-1])
-        open_size = size - int(leaders[-1])
-        chunk = _Cycles.of(sizes, np.diff(leader_times), np.diff(leader_sums))
-        stats = chunk if stats is None else stats.merge(chunk)
-    return stats
+            # Each vehicle's shift is its arrival minus its platoon leader's;
+            # members counts each platoon's vehicles that fall in this chunk:
+            # the closed sizes, less the open platoon's earlier vehicles, and
+            # the last platoon's vehicles up to the chunk's end.
+            sizes = np.diff(leaders)
+            members = np.append(sizes, size - leaders[-1])
+            members[0] -= open_size
+            shifts = np.subtract(arrivals, np.repeat(leader_times, members), out=shifts_buffer[:size])
+            # A leader's shift is exactly 0, so the running sum at each leader
+            # is the sum of every shift before it, and its differences are the
+            # platoons' shift sums.
+            running = np.cumsum(shifts, out=shifts)
+            leader_sums = running[in_chunk]
+            if open_size:
+                leader_sums = np.concatenate(([-open_sum], leader_sums))
+            chunk = _Cycles.of(sizes, np.diff(leader_times), np.diff(leader_sums))
+            stats = chunk if stats is None else stats.merge(chunk)
+            since_leader = float(arrivals[-1] - leader_times[-1])  # the last vehicle's shift
+            states[index] = (stats, size - int(leaders[-1]), since_leader, float(running[-1] - leader_sums[-1]))
+    return [stats for stats, *_ in states]
+
+
+def _summaries(config: SimulationConfig, thresholds) -> list[EmpiricalSummary]:
+    """The pooled summary of ``config``'s replications at each threshold, in
+    order, each replication drawn once for all. Replications merge in index
+    order, so no summary depends on the order they run in; a pool of fewer
+    than two closed platoons, too few for a CI, raises ``ValueError``."""
+    pools = _replication_stats(config, 0, thresholds)
+    for rep in range(1, config.n_replications):
+        pools = [pool.merge(stats) for pool, stats in zip(pools, _replication_stats(config, rep, thresholds))]
+    return [pool.summary() for pool in pools]
 
 
 def run_replications(config: SimulationConfig) -> EmpiricalSummary:
-    """Summarize every replication of ``config`` as one pool, each drawn and
-    folded in one streaming pass.
-
-    The replications' statistics merge in index order, so the summary does
-    not depend on the order replications execute in. It equals
-    :func:`summarize` on the full in-memory runs pooled across replications,
-    up to float rounding, and fails only when the pool as a whole has fewer
-    than two closed platoons: a confidence interval needs two.
-    """
-    total = _replication_stats(config, 0)
-    for rep in range(1, config.n_replications):
-        total = total.merge(_replication_stats(config, rep))
-    return total.summary()
+    """Summarize every replication of ``config`` as one pool: ``_summaries``
+    at the config's one threshold. It equals :func:`summarize` on the full
+    in-memory runs pooled across replications, up to float rounding."""
+    return _summaries(config, (config.policy.threshold,))[0]

@@ -149,7 +149,7 @@ def test_criterion_4_grid_robustness():
                 n_replications=10,
                 seed=GRID_SEED,
             )
-            stats = [_replication_stats(config, rep) for rep in range(config.n_replications)]
+            stats = [_replication_stats(config, rep, [threshold])[0] for rep in range(config.n_replications)]
             per_rep = [rep_stats.summary() for rep_stats in stats]
             aggregate = functools.reduce(_Cycles.merge, stats).summary()
             cell = f"(rate={rate}, threshold={threshold})"
@@ -341,7 +341,7 @@ def test_criterion_10_determinism(tmp_path):
         seed=MAIN_SEED,
     )
     aggregate = run_replications(sim)
-    collected = {rep: _replication_stats(sim, rep) for rep in reversed(range(sim.n_replications))}
+    collected = {rep: _replication_stats(sim, rep, [50.0])[0] for rep in reversed(range(sim.n_replications))}
     merged = collected[0]
     for rep in range(1, sim.n_replications):
         merged = merged.merge(collected[rep])

@@ -209,7 +209,7 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("simulate sampled an out-of-range scenario")
 
-        monkeypatch.setattr(simulator, "run_replications", never)
+        monkeypatch.setattr(simulator, "_gap_chunks", never)
         path = write_config(
             {"arrival": {"rate": 1.0}, "policy": {"threshold": 51.0}, "simulation": {"n_vehicles": 10**12}}
         )
@@ -223,17 +223,36 @@ class TestExitCodes:
         # At these rates 1e5 vehicles' arrival times (or their squares)
         # overflow, which would give NaN rows or infinite half-widths that
         # pass every comparison.
-        monkeypatch.setattr(simulator, "run_replications", self._never)
+        monkeypatch.setattr(simulator, "_gap_chunks", self._never)
         path = write_config({"arrival": {"rate": rate}, "policy": {"threshold": threshold}})
         assert main(["simulate", "--config", path]) == 2
         err = capsys.readouterr().err
         assert f"error: arrival.rate = {rate!r} is too small for n_vehicles = 100000" in err
 
+    def test_shift_sums_beyond_the_float_range_exit_2_before_sampling(
+        self, write_config, tmp_path, capsys, monkeypatch
+    ):
+        # At x = 12 a platoon's shift sum can reach n_vehicles times the
+        # horizon; its square overflowed in the co-moments, the residual read
+        # as 0, and the mean shift failed on a half-width of 0 (exit 1).
+        monkeypatch.setattr(simulator, "_gap_chunks", self._never)
+        out = tmp_path / "report.csv"
+        path = write_config({
+            "arrival": {"rate": 8e-144},
+            "policy": {"threshold": 1.5e144},
+            "simulation": {"n_vehicles": 1_000_000, "n_replications": 1, "seed": 0},
+        })
+        assert main(["simulate", "--config", path, "--csv", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: arrival.rate = 8e-144 is too small for n_vehicles = 1000000 ")
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", sorted(MALFORMED_CONFIGS))
     def test_malformed_config_exits_2_before_simulating(self, tmp_path, capsys, monkeypatch, kind):
         # json alone keeps the last of two equal keys and overflows the stack
         # on deep nesting; a null section is present, so not "missing".
-        monkeypatch.setattr(simulator, "run_replications", self._never)
+        monkeypatch.setattr(simulator, "_gap_chunks", self._never)
         path = tmp_path / "malformed.json"
         path.write_text(malformed_config_text(kind), encoding="utf-8")
         out = tmp_path / "report.csv"
@@ -267,7 +286,7 @@ class TestExitCodes:
     def test_bad_sigma_exits_2_before_simulating(self, write_config, capsys, monkeypatch, sigma):
         # --sigma is gone: the parser rejects it at every value, its old
         # default 3 too, rather than ignore it.
-        monkeypatch.setattr(simulator, "run_replications", self._never)
+        monkeypatch.setattr(simulator, "_gap_chunks", self._never)
         with pytest.raises(SystemExit) as exited:
             main(["simulate", "--config", write_config(), "--sigma", sigma])
         assert exited.value.code == 2
@@ -287,7 +306,7 @@ class TestExitCodes:
     def test_output_path_not_a_string_exits_2_before_any_work(
         self, write_config, capsys, monkeypatch, command
     ):
-        monkeypatch.setattr(simulator, "run_replications", self._never)
+        monkeypatch.setattr(simulator, "_gap_chunks", self._never)
         path = write_config({"output": {"json": True, "csv": ["a"]}})
         assert main([command, "--config", path]) == 2
         assert "error: config field output.json must be a non-empty" in capsys.readouterr().err
@@ -314,7 +333,7 @@ class TestExitCodes:
     ):
         # Checked before the run, whose verdict would otherwise be printed and
         # then lost to the failed write.
-        for module, name in ((simulator, "run_replications"), (cli, "_curves"), (cli, "analytic_quantities")):
+        for module, name in ((simulator, "_gap_chunks"), (cli, "_curves"), (cli, "analytic_quantities")):
             monkeypatch.setattr(module, name, self._never)
         target = {
             "missing-directory": str(tmp_path / "missing" / "out"),
@@ -358,7 +377,7 @@ class TestExitCodes:
     def test_bad_simulation_key_exits_2_before_sampling(
         self, write_config, tmp_path, capsys, monkeypatch, key, value, message
     ):
-        monkeypatch.setattr(simulator, "run_replications", self._never)
+        monkeypatch.setattr(simulator, "_gap_chunks", self._never)
         out = tmp_path / "report.csv"
         path = write_config({"simulation": {key: value}})
         assert main(["simulate", "--config", path, "--csv", str(out)]) == 2
@@ -439,27 +458,35 @@ class TestExitCodes:
         assert captured.out == ""
         assert out.read_text(encoding="utf-8") == "earlier report\n"
 
-    def test_sweep_with_simulation_stops_at_its_largest_threshold_first(
-        self, write_config, tmp_path, capsys, monkeypatch
-    ):
+    def test_sweep_with_simulation_stops_at_its_largest_threshold_first(self, write_config, tmp_path, capsys):
         # A replication expects n_vehicles * e^-x closed platoons, fewest at
-        # the largest threshold (x = 50 here, none), so that point runs first
-        # and its error names it before any other point is simulated.
-        thresholds = []
-
-        def recorded(config):
-            thresholds.append(config.policy.threshold)
-            return run_replications(config)
-
-        monkeypatch.setattr(simulator, "run_replications", recorded)
+        # the largest threshold (x = 50 here, none): on the same draws a
+        # larger threshold never closes more, so the error names that point.
         out = tmp_path / "sweep.csv"
         assert main([
             "sweep", "--config", write_config(), "--r-min", "0", "--r-max", "2500",
             "--points", "11", "--with-simulation", "--csv", str(out),
         ]) == 2
-        assert thresholds == [2500.0]
         assert capsys.readouterr().err.startswith("error: threshold_s 2500.0: fewer than two platoon-size ")
         assert not out.exists()
+
+    def test_sweep_with_simulation_draws_each_replication_once(self, nominal_params, nominal_arrival, monkeypatch):
+        # Every grid point folds the same draws: a sweep of P points and R
+        # replications draws R streams, not P * R.
+        draws = []
+        gap_chunks = simulator._gap_chunks
+
+        def counted(seed, replication, n, rate):
+            draws.append((seed, replication))
+            return gap_chunks(seed, replication, n, rate)
+
+        monkeypatch.setattr(simulator, "_gap_chunks", counted)
+        sim = SimulationConfig(
+            arrival=nominal_arrival, policy=PlatoonPolicy(threshold=50.0), n_vehicles=5000, n_replications=3, seed=1
+        )
+        header, rows = sweep_rows(nominal_params, nominal_arrival, SweepSpec(0.0, 100.0, 7), sim)
+        assert len(rows) == 7
+        assert draws == [(1, 0), (1, 1), (1, 2)]
 
 
 class TestAnalyticCommand:
@@ -939,7 +966,7 @@ class TestSweepCommand:
         def never(*args, **kwargs):
             raise AssertionError("sweep used a grid that SweepSpec should have rejected")
 
-        for module, name in ((SweepSpec, "thresholds"), (cli, "_curves"), (simulator, "run_replications")):
+        for module, name in ((SweepSpec, "thresholds"), (cli, "_curves"), (simulator, "_gap_chunks")):
             monkeypatch.setattr(module, name, never)
         out = tmp_path / "sweep.csv"
         assert main([

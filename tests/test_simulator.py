@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy import stats as scipy_stats
 
 from platoonctl import (
     ArrivalModel,
+    EmpiricalSummary,
     PlatoonPolicy,
     SimulationConfig,
     SimulationRun,
@@ -23,7 +25,7 @@ from platoonctl import (
 )
 from platoonctl import simulator
 from platoonctl.domain import MAX_UNIT_GAP, student_t_975
-from platoonctl.simulator import CHUNK_VEHICLES, _Cycles, _gap_chunks, _replication_stats
+from platoonctl.simulator import CHUNK_VEHICLES, _Cycles, _gap_chunks, _replication_stats, _summaries
 
 from conftest import TOO_FEW, pooled_reference, reference_summary, run_samples, summary_mismatches
 
@@ -422,7 +424,10 @@ class TestRunReplications:
         # must reproduce the library aggregate bit for bit.
         config = self._config()
         aggregate = run_replications(config)
-        stats = {rep: _replication_stats(config, rep) for rep in reversed(range(config.n_replications))}
+        stats = {
+            rep: _replication_stats(config, rep, [config.policy.threshold])[0]
+            for rep in reversed(range(config.n_replications))
+        }
         merged = stats[0]
         for rep in range(1, config.n_replications):
             merged = merged.merge(stats[rep])
@@ -454,7 +459,7 @@ class TestRunReplications:
             arrival=ArrivalModel(rate=1.0), policy=PlatoonPolicy(threshold=8.0), n_vehicles=2000, n_replications=3,
             seed=1,
         )
-        assert [_replication_stats(config, rep).count for rep in range(3)] == [1, 1, 0]
+        assert [_replication_stats(config, rep, [config.policy.threshold])[0].count for rep in range(3)] == [1, 1, 0]
         summary = run_replications(config)
         assert (summary.platoon_size.count, summary.leader_headway.count, summary.time_shift.count) == (2, 2, 2)
         assert summary_mismatches(summary, pooled_reference(config)) == []
@@ -465,7 +470,7 @@ class TestRunReplications:
             arrival=ArrivalModel(rate=1.0), policy=PlatoonPolicy(threshold=8.0), n_vehicles=3000, n_replications=1,
             seed=1,
         )
-        assert _replication_stats(config, 0).count == 1
+        assert _replication_stats(config, 0, [config.policy.threshold])[0].count == 1
         with pytest.raises(ValueError, match=r"^fewer than two platoon-size "):
             run_replications(config)
 
@@ -482,23 +487,42 @@ class TestRunReplications:
             self._config(policy=PlatoonPolicy(threshold=2500.0001))
 
     def test_rejects_times_beyond_the_float_range(self):
-        # The bound n * reps * H^2 < float max, with the horizon
-        # H = n * 53 ln 2 / rate, at 1% either side of its limit rate.
+        # The bound 4 * reps * (n * H)^2 < float max, with the horizon
+        # H = n * 53 ln 2 / rate, at 1% either side of its limit rate. At
+        # x = 3 the platoons' shift sums are not 0, and on the accepted side
+        # every estimate, their residuals' too, is finite.
         n, reps = 20_000, 4
-        limit = n * MAX_UNIT_GAP * math.sqrt(n * reps / sys.float_info.max)
-        singletons = PlatoonPolicy(threshold=0.0)
+        limit = 2 * n * n * MAX_UNIT_GAP * math.sqrt(reps / sys.float_info.max)
         with pytest.raises(ValueError, match=r"^arrival\.rate = \S+ is too small for n_vehicles = 20000 "):
-            self._config(arrival=ArrivalModel(rate=0.99 * limit), policy=singletons)
-        config = self._config(arrival=ArrivalModel(rate=1.01 * limit), policy=singletons)
+            self._config(arrival=ArrivalModel(rate=0.99 * limit), policy=PlatoonPolicy(threshold=3.0 / limit))
+        rate = 1.01 * limit
+        config = self._config(arrival=ArrivalModel(rate=rate), policy=PlatoonPolicy(threshold=3.0 / rate))
         aggregate = run_replications(config)
         for name in ("platoon_size", "leader_headway", "time_shift"):
             estimate = getattr(aggregate, name)
             assert math.isfinite(estimate.mean) and math.isfinite(estimate.ci_half_width)
+            assert estimate.ci_half_width > 0.0
 
-    @pytest.mark.parametrize(
-        "n,reps", [(10**300, 1), (2, 10**306), (10**200, 10**200)], ids=["n", "replications", "both"]
-    )
-    def test_horizon_check_takes_any_size_in_float_range(self, n, reps):
+    @pytest.mark.parametrize("dimension", ["n", "replications", "both"])
+    def test_horizon_check_takes_any_size_in_float_range(self, dimension):
+        # The same bound at rate 0.02, at 1% either side of its limit size in
+        # n_vehicles (one replication), in n_replications (two vehicles) and
+        # in both at once: sizes far beyond any run, checked in float
+        # arithmetic without an OverflowError.
+        most, rate = sys.float_info.max, 0.02
+        limit = {
+            "n": (most / 4) ** 0.25 * math.sqrt(rate / MAX_UNIT_GAP),
+            "replications": most / (4 * (4 * MAX_UNIT_GAP / rate) ** 2),
+            "both": (most * rate * rate / (4 * MAX_UNIT_GAP**2)) ** 0.2,
+        }[dimension]
+
+        def sizes(scale):
+            size = int(scale * limit)
+            return {"n": (size, 1), "replications": (2, size), "both": (size, size)}[dimension]
+
+        n, reps = sizes(0.99)
+        self._config(n_vehicles=n, n_replications=reps)
+        n, reps = sizes(1.01)
         with pytest.raises(ValueError, match="too small for n_vehicles"):
             self._config(n_vehicles=n, n_replications=reps)
 
@@ -615,6 +639,21 @@ class TestStreamingKernel:
                 return
             summary = run_replications(config)
         assert summary_mismatches(summary, reference) == []
+
+    @pytest.mark.parametrize("n", [C + 1, 3 * C + 7])
+    def test_grid_equals_the_per_point_path(self, n):
+        # Every threshold of a grid folds the same draws, so each grid
+        # summary is the one a config of that threshold alone gives, field
+        # for field and bit for bit (equal reprs). x runs from 0 to 12, where
+        # this seed's pool still closes two platoons, and 100 s appears twice.
+        config = self._config(n_vehicles=n, n_replications=3)
+        grid = [0.0, 25.0, 50.0, 100.0, 100.0, 200.0, 400.0, 600.0]
+        summaries = _summaries(config, grid)
+        assert len(summaries) == len(grid)
+        for threshold, summary in zip(grid, summaries):
+            alone = run_replications(replace(config, policy=PlatoonPolicy(threshold=threshold)))
+            for field in fields(EmpiricalSummary):
+                assert repr(getattr(summary, field.name)) == repr(getattr(alone, field.name)), (threshold, field.name)
 
     def test_stale_buffers_do_not_change_the_summary(self, monkeypatch):
         # Every buffer allocated during the run starts as garbage (NaN floats,
