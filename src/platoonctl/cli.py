@@ -484,7 +484,7 @@ def sweep_rows(
     equals ``analytic_quantities`` at its threshold. The empirical columns
     come from one simulator pass that draws each replication once and folds
     it at every grid threshold; each row equals ``run_replications`` at its
-    threshold. The columns (numpy arrays, the empirical ones lists of floats)
+    threshold, and only its six floats are kept. The columns (numpy arrays)
     stay unformatted until ``_ColumnRows.write_csv`` writes them.
     """
     _check_product(arrival.rate, float(spec.r_max))  # before the grid is built
@@ -492,16 +492,20 @@ def sweep_rows(
     columns = [getattr(curves, field) for _, field in _SWEEP_COLUMNS]
     header = list(SWEEP_HEADER)
     if sim is not None:
+        import numpy as np
+
         from .simulator import _summaries
 
+        simulated = np.empty((len(_SIMULATED_COLUMNS), curves.threshold.size))
         try:
-            summaries = _summaries(sim, curves.threshold)
+            for point, s in enumerate(_summaries(sim, curves.threshold)):
+                simulated[:, point] = [getattr(getattr(s, stat), part) for _, stat, part in _SIMULATED_COLUMNS]
         except ValueError as exc:
             # On the same gaps a larger threshold leads no more platoons, so
             # when any point has too few closed platoons the largest does.
             raise ValueError(f"threshold_s {float(curves.threshold[-1])!r}: {exc}") from exc
         header += SWEEP_SIM_HEADER
-        columns += [[getattr(getattr(s, stat), part) for s in summaries] for _, stat, part in _SIMULATED_COLUMNS]
+        columns += list(simulated)
     return header, _ColumnRows(columns)
 
 

@@ -20,14 +20,14 @@ order (or in parallel) without changing the pooled summary, which merges
 their statistics in index order.
 
 Every gap comes from ``_gap_chunks``, which draws a replication's stream in
-chunks of ``CHUNK_VEHICLES``. ``run_replications`` folds each chunk into
-mergeable statistics, so its memory is O(CHUNK_VEHICLES) whatever
-``n_vehicles`` and ``n_replications`` are; it is the one-threshold case of
-``_summaries``, which draws each chunk once and folds it at every threshold
-of a grid (common random numbers). ``sample_interarrivals`` joins the chunks
-into one array, and ``run_from_interarrivals`` forms a whole run in memory
-(O(n)) by a different algorithm: the small-n reference the streaming kernel
-matches. ``summarize`` and the kernel share one estimator.
+chunks of ``CHUNK_VEHICLES``. ``run_replications`` folds each chunk, by one
+segmented sum, into mergeable statistics, so its memory is O(CHUNK_VEHICLES)
+whatever ``n_vehicles`` and ``n_replications`` are; it is the one-threshold
+case of ``_summaries``, which draws each chunk once and folds it at every
+threshold of a grid (common random numbers). ``sample_interarrivals`` joins
+the chunks into one array, and ``run_from_interarrivals`` forms a whole run
+in memory (O(n)) by a different algorithm: the small-n reference the
+streaming kernel matches. ``summarize`` and the kernel share one estimator.
 
 Each replication allocates its chunk buffers once, and every chunk's steps
 write into them, so a chunk ``_gap_chunks`` yields is valid only until the
@@ -180,38 +180,39 @@ def summarize(run: SimulationRun) -> EmpiricalSummary:
     it), so it is left out of every statistic.
     """
     shift_sums = np.add.reduceat(run.time_shifts, run.leader_indices - 1)
-    return _Cycles.of(run.platoon_sizes[:-1], run.leader_headways, shift_sums[:-1]).summary()
+    return _Cycles.of(run.platoon_sizes[:-1].copy(), run.leader_headways.copy(), shift_sums[:-1]).summary()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class _Cycles:
     """Mergeable statistics of closed platoons, each an i.i.d. renewal cycle
     of (size m, leader headway h, shift sum S).
 
     It holds the cycle count, the exact integer size sum, a size histogram
-    whose last bin holds every size above ``PMF_CUTOFF``, and the mean vector
-    and co-moment matrix (sums of products of deviations) of (m, h, S),
-    merged pairwise (Chan, Golub & LeVeque 1979).
+    whose last bin holds every size above ``PMF_CUTOFF``, the means of
+    (m, h, S) and the co-moments (sums of products of deviations) mm, hh, SS
+    and mS, merged pairwise (Chan, Golub & LeVeque 1979).
     """
 
     count: int
     size_sum: int
     size_hist: np.ndarray
-    mean: np.ndarray
-    comoment: np.ndarray
+    mean: tuple[float, float, float]
+    comoment: tuple[float, float, float, float]
 
     @classmethod
     def of(cls, sizes: np.ndarray, headways: np.ndarray, shift_sums: np.ndarray) -> _Cycles:
         """The statistics of closed platoons' ``sizes`` (int64), leader
-        ``headways`` and ``shift_sums``, any number of them."""
-        hist = np.bincount(np.minimum(sizes, PMF_CUTOFF + 1), minlength=PMF_CUTOFF + 2)
-        if not sizes.size:
-            return cls(0, 0, hist, np.zeros(3), np.zeros((3, 3)))
-        cycles = np.array((sizes, headways, shift_sums), dtype=float)
-        mean = cycles.mean(axis=1)
-        deviations = np.subtract(cycles, mean[:, None], out=cycles)
-        comoment = np.array([[np.dot(a, b) for b in deviations] for a in deviations])
-        return cls(int(sizes.size), int(sizes.sum()), hist, mean, comoment)
+        ``headways`` and ``shift_sums``, any number of them; it overwrites all three."""
+        count, size_sum = sizes.size, int(sizes.sum())
+        if not count:
+            return cls(0, 0, np.zeros(PMF_CUTOFF + 2, dtype=np.int64), (0.0,) * 3, (0.0,) * 4)
+        mean = (size_sum / count, float(headways.mean()), float(shift_sums.mean()))
+        h, s = np.subtract(headways, mean[1], out=headways), np.subtract(shift_sums, mean[2], out=shift_sums)
+        hh = float(np.dot(h, h))
+        m = np.subtract(sizes, mean[0], out=headways)  # over h, which hh has read
+        hist = np.bincount(np.minimum(sizes, PMF_CUTOFF + 1, out=sizes), minlength=PMF_CUTOFF + 2)
+        return cls(count, size_sum, hist, mean, (float(np.dot(m, m)), hh, float(np.dot(s, s)), float(np.dot(m, s))))
 
     def merge(self, other: _Cycles) -> _Cycles:
         if other.count == 0:
@@ -219,13 +220,15 @@ class _Cycles:
         if self.count == 0:
             return other
         count = self.count + other.count
-        delta = other.mean - self.mean
+        dm, dh, ds = delta = [b - a for a, b in zip(self.mean, other.mean)]
+        weight = self.count * other.count / count
+        products = (dm * dm, dh * dh, ds * ds, dm * ds)
         return _Cycles(
             count,
             self.size_sum + other.size_sum,
             self.size_hist + other.size_hist,
-            self.mean + delta * (other.count / count),
-            self.comoment + other.comoment + np.outer(delta, delta) * (self.count * other.count / count),
+            tuple(a + d * (other.count / count) for a, d in zip(self.mean, delta)),
+            tuple(a + b + p * weight for a, b, p in zip(self.comoment, other.comoment, products)),
         )
 
     def summary(self) -> EmpiricalSummary:
@@ -242,7 +245,7 @@ class _Cycles:
             )
         size = self.size_sum / n  # exact integers, so rounded once
         shift = self.mean[2] / size
-        (mm, _, ms), (_, hh, _), (_, _, ss) = self.comoment.tolist()
+        mm, hh, ss, ms = self.comoment
         # When S is exactly proportional to m the residuals are all 0, and the
         # rounding of this difference can take it below 0.
         residual = max(0.0, ss - 2.0 * shift * ms + shift * shift * mm)
@@ -264,19 +267,23 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds) -
     its closed platoons under each of ``thresholds`` (``config.policy`` is
     not read); memory is O(CHUNK_VEHICLES + thresholds) whatever n is.
 
-    Each chunk is drawn once and summed once into arrival times, which every
-    threshold then folds. Across chunk boundaries each threshold carries its
-    open (not yet closed) platoon: its size, the time since its leader
-    arrived (also the shift of its last vehicle) and its partial shift sum.
-    Times inside a chunk count from the last vehicle of the previous chunk,
-    so the open platoon's leader sits at ``-since_leader``, and its running
-    shift sum at ``-open_sum``.
+    Each chunk is drawn once and summed once into arrival times, counted
+    from the previous chunk's last vehicle, which every threshold then
+    folds. A platoon's shift sum is its arrivals' sum less its size times
+    its leader's arrival: one ``np.add.reduceat`` from the leaders gives
+    every platoon's, exactly 0 for a singleton. Across chunk boundaries each
+    threshold carries its open (not yet closed) platoon: its size, the time
+    since its leader arrived (also the shift of its last vehicle) and its
+    partial shift sum.
     """
     length = min(CHUNK_VEHICLES, config.n_vehicles)
-    leads_buffer, arrivals_buffer, shifts_buffer = np.empty(length, dtype=bool), np.empty(length), np.empty(length)
+    leads_buffer, arrivals_buffer = np.empty(length, dtype=bool), np.empty(length)
+    # Per platoon of a chunk, its vehicles there, leader time and shift sum:
+    # slot 0 holds the one open at the chunk's start, slot k (of k leaders) at its end.
+    counts, (times, sums, scratch) = np.empty(length + 1, dtype=np.int64), np.empty((3, length + 1))
     # (statistics, open size, since_leader, open_sum) per threshold; the open
     # size is 0 only before the first chunk: vehicle 1 always leads.
-    states = [(None, 0, 0.0, 0.0)] * len(thresholds)
+    states = [(_Cycles.of(counts[:0], times[:0], sums[:0]), 0, 0.0, 0.0)] * len(thresholds)
     for gaps in _gap_chunks(config.seed, replication, config.n_vehicles, config.arrival.rate):
         size = gaps.size
         arrivals = np.cumsum(gaps, out=arrivals_buffer[:size])
@@ -285,47 +292,36 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds) -
             leads = np.greater(gaps, threshold, out=leads_buffer[:size])  # the inverse of the merge mask
             if not open_size:
                 leads[0] = True
-            in_chunk = np.flatnonzero(leads)
-            leaders, leader_times = in_chunk, arrivals[in_chunk]
-            if open_size:
-                leaders = np.concatenate(([-open_size], leaders))
-                leader_times = np.concatenate(([-since_leader], leader_times))
-
-            # Each vehicle's shift is its arrival minus its platoon leader's;
-            # members counts each platoon's vehicles that fall in this chunk:
-            # the closed sizes, less the open platoon's earlier vehicles, and
-            # the last platoon's vehicles up to the chunk's end.
-            sizes = np.diff(leaders)
-            members = np.append(sizes, size - leaders[-1])
-            members[0] -= open_size
-            shifts = np.subtract(arrivals, np.repeat(leader_times, members), out=shifts_buffer[:size])
-            # A leader's shift is exactly 0, so the running sum at each leader
-            # is the sum of every shift before it, and its differences are the
-            # platoons' shift sums.
-            running = np.cumsum(shifts, out=shifts)
-            leader_sums = running[in_chunk]
-            if open_size:
-                leader_sums = np.concatenate(([-open_sum], leader_sums))
-            chunk = _Cycles.of(sizes, np.diff(leader_times), np.diff(leader_sums))
-            stats = chunk if stats is None else stats.merge(chunk)
-            since_leader = float(arrivals[-1] - leader_times[-1])  # the last vehicle's shift
-            states[index] = (stats, size - int(leaders[-1]), since_leader, float(running[-1] - leader_sums[-1]))
+            leaders = np.flatnonzero(leads)
+            k = leaders.size
+            counts[:k], counts[k] = leaders, size
+            counts[1 : k + 1] -= leaders
+            times[0] = -since_leader
+            np.take(arrivals, leaders, out=times[1 : k + 1], mode="clip")  # "clip" writes unbuffered
+            sums[0] = arrivals[: counts[0]].sum() + open_sum
+            np.add.reduceat(arrivals, leaders, out=sums[1 : k + 1])
+            sums[: k + 1] -= np.multiply(counts[: k + 1], times[: k + 1], out=scratch[: k + 1])
+            counts[0] += open_size
+            closed = 0 if open_size else 1  # slot 0 is empty in the first chunk
+            headways = np.subtract(times[closed + 1 : k + 1], times[closed:k], out=scratch[closed:k])
+            stats = stats.merge(_Cycles.of(counts[closed:k], headways, sums[closed:k]))
+            states[index] = (stats, int(counts[k]), float(arrivals[-1] - times[k]), float(sums[k]))
     return [stats for stats, *_ in states]
 
 
-def _summaries(config: SimulationConfig, thresholds) -> list[EmpiricalSummary]:
-    """The pooled summary of ``config``'s replications at each threshold, in
-    order, each replication drawn once for all. Replications merge in index
-    order, so no summary depends on the order they run in; a pool of fewer
-    than two closed platoons, too few for a CI, raises ``ValueError``."""
+def _summaries(config: SimulationConfig, thresholds):
+    """Yield the pooled summary of ``config``'s replications at each
+    threshold, in order, each replication drawn once for all. Replications
+    merge in index order, so no summary depends on the order they run in; a
+    pool of fewer than two closed platoons, too few for a CI, raises ``ValueError``."""
     pools = _replication_stats(config, 0, thresholds)
     for rep in range(1, config.n_replications):
         pools = [pool.merge(stats) for pool, stats in zip(pools, _replication_stats(config, rep, thresholds))]
-    return [pool.summary() for pool in pools]
+    yield from (pool.summary() for pool in pools)
 
 
 def run_replications(config: SimulationConfig) -> EmpiricalSummary:
     """Summarize every replication of ``config`` as one pool: ``_summaries``
     at the config's one threshold. It equals :func:`summarize` on the full
     in-memory runs pooled across replications, up to float rounding."""
-    return _summaries(config, (config.policy.threshold,))[0]
+    return next(_summaries(config, (config.policy.threshold,)))

@@ -341,21 +341,28 @@ class TestMoments:
         sizes = rng.geometric(0.3, size=k).astype(np.int64)
         return sizes, rng.exponential(30.0, size=k), sizes * rng.exponential(5.0, size=k)
 
+    @staticmethod
+    def _of(*cycles):
+        # ``of`` overwrites the arrays it is given, so it gets copies.
+        return _Cycles.of(*(array.copy() for array in cycles))
+
     def test_record_of_cycles(self):
         sizes, headways, sums = self._cycles(10_001, SEED)
-        record = _Cycles.of(sizes, headways, sums)
+        record = self._of(sizes, headways, sums)
         assert (record.count, record.size_sum) == (10_001, int(sizes.sum()))
         assert record.size_hist.tolist() == np.bincount(np.minimum(sizes, 11), minlength=12).tolist()
         cycles = np.array([sizes, headways, sums], dtype=float)
-        assert record.mean == pytest.approx(cycles.mean(axis=1), rel=1e-14)
-        assert record.comoment == pytest.approx(np.cov(cycles) * 10_000, rel=1e-12)
+        assert record.mean == pytest.approx(tuple(cycles.mean(axis=1)), rel=1e-14)
+        # The four co-moments summary() reads: (mm, hh, SS, mS).
+        cov = np.cov(cycles) * 10_000
+        assert record.comoment == pytest.approx((cov[0, 0], cov[1, 1], cov[2, 2], cov[0, 2]), rel=1e-12)
 
     @pytest.mark.parametrize("split", [0, 1, 4_000, 9_999, 10_000])
     def test_merge_equals_the_record_of_the_whole(self, split):
         sizes, headways, sums = self._cycles(10_000, SEED + 1)
-        whole = _Cycles.of(sizes, headways, sums)
-        merged = _Cycles.of(sizes[:split], headways[:split], sums[:split]).merge(
-            _Cycles.of(sizes[split:], headways[split:], sums[split:])
+        whole = self._of(sizes, headways, sums)
+        merged = self._of(sizes[:split], headways[:split], sums[:split]).merge(
+            self._of(sizes[split:], headways[split:], sums[split:])
         )
         assert (merged.count, merged.size_sum) == (whole.count, whole.size_sum)
         assert np.array_equal(merged.size_hist, whole.size_hist)
@@ -377,7 +384,7 @@ class TestMoments:
         # estimator and the reference refuse it alike, not with half-width 0.
         one = (np.array([3]), np.array([12.0]), np.array([7.0]))
         with pytest.raises(ValueError, match=f"^{re.escape(TOO_FEW)}$"):
-            _Cycles.of(*one).summary()
+            self._of(*one).summary()
         with pytest.raises(ValueError, match=f"^{re.escape(TOO_FEW)}$"):
             reference_summary(*one)
         two = _Cycles.of(np.array([3, 3]), np.array([12.0, 13.0]), np.array([7.0, 6.0])).summary()
@@ -648,12 +655,21 @@ class TestStreamingKernel:
         # this seed's pool still closes two platoons, and 100 s appears twice.
         config = self._config(n_vehicles=n, n_replications=3)
         grid = [0.0, 25.0, 50.0, 100.0, 100.0, 200.0, 400.0, 600.0]
-        summaries = _summaries(config, grid)
+        summaries = list(_summaries(config, grid))
         assert len(summaries) == len(grid)
         for threshold, summary in zip(grid, summaries):
             alone = run_replications(replace(config, policy=PlatoonPolicy(threshold=threshold)))
             for field in fields(EmpiricalSummary):
                 assert repr(getattr(summary, field.name)) == repr(getattr(alone, field.name)), (threshold, field.name)
+
+    def test_singletons_have_a_shift_of_exactly_zero(self):
+        # At threshold 0 every platoon is a singleton. Its shift sum is its
+        # leader's arrival less 1 times that arrival, exactly 0.0, so the
+        # mean shift and its half-width are 0.0, not a rounding residue.
+        config = self._config(policy=PlatoonPolicy(threshold=0.0), n_vehicles=3 * C + 7, n_replications=2)
+        summary = run_replications(config)
+        assert summary.size_pmf[1] == 1.0
+        assert (summary.time_shift.mean, summary.time_shift.ci_half_width) == (0.0, 0.0)
 
     def test_stale_buffers_do_not_change_the_summary(self, monkeypatch):
         # Every buffer allocated during the run starts as garbage (NaN floats,
