@@ -253,10 +253,7 @@ def load_scenario(path: str | Path) -> Scenario:
             seed=_config_integer(sect, "seed", "simulation"),
         )
 
-    output = cfg.get("output", {})
-    if not isinstance(output, dict):
-        raise ValueError("config section 'output' must be an object")
-    _known_keys(output, "output")
+    output = _section(cfg, "output") if "output" in cfg else {}
     for key in ("json", "csv"):
         if key in output and not (isinstance(output[key], str) and output[key]):
             raise ValueError(f"config field output.{key} must be a non-empty file path string")
@@ -340,17 +337,12 @@ _ANALYTIC_COLUMNS = (("merge_probability", "merge_probability"), *_CLOSED_FORMS)
 _SWEEP_COLUMNS = (("threshold_s", "threshold"), *_CLOSED_FORMS)
 SWEEP_HEADER = [name for name, _ in _SWEEP_COLUMNS]
 
-# (output name, EmpiricalSummary field, StatEstimate field) of each column
-# that ``sweep --with-simulation`` appends, in output order.
-_SIMULATED_COLUMNS = (
-    ("sim_platoon_size", "platoon_size", "mean"),
-    ("sim_platoon_size_hw", "platoon_size", "ci_half_width"),
-    ("sim_leader_headway_s", "leader_headway", "mean"),
-    ("sim_leader_headway_hw", "leader_headway", "ci_half_width"),
-    ("sim_time_shift_s", "time_shift", "mean"),
-    ("sim_time_shift_hw", "time_shift", "ci_half_width"),
-)
-SWEEP_SIM_HEADER = [name for name, _, _ in _SIMULATED_COLUMNS]
+# The columns ``sweep --with-simulation`` appends, in output order: the
+# simulated mean size, headway and shift, each followed by its CI half-width.
+SWEEP_SIM_HEADER = [
+    "sim_platoon_size", "sim_platoon_size_hw", "sim_leader_headway_s",
+    "sim_leader_headway_hw", "sim_time_shift_s", "sim_time_shift_hw",
+]
 
 
 def analytic_quantities(params: CostParameters, arrival: ArrivalModel, policy: PlatoonPolicy) -> dict[str, float]:
@@ -492,14 +484,10 @@ def sweep_rows(
     columns = [getattr(curves, field) for _, field in _SWEEP_COLUMNS]
     header = list(SWEEP_HEADER)
     if sim is not None:
-        import numpy as np
+        from .simulator import _estimates, _pooled_stats
 
-        from .simulator import _summaries
-
-        simulated = np.empty((len(_SIMULATED_COLUMNS), curves.threshold.size))
         try:
-            for point, s in enumerate(_summaries(sim, curves.threshold)):
-                simulated[:, point] = [getattr(getattr(s, stat), part) for _, stat, part in _SIMULATED_COLUMNS]
+            simulated = _estimates(*_pooled_stats(sim, curves.threshold))
         except ValueError as exc:
             # On the same gaps a larger threshold leads no more platoons, so
             # when any point has too few closed platoons the largest does.

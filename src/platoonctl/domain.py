@@ -278,9 +278,11 @@ class SimulationConfig:
         _integer("n_replications", self.n_replications, 1)
         _seed(self.seed)
         # The horizon H bounds every arrival time, headway and shift, so a
-        # platoon's shift sum is at most n_vehicles * H. Every co-moment and
-        # each of the three terms of the mean shift's residual is then at most
-        # 2 * n_replications * (n_vehicles * H)^2, and their sum twice that.
+        # platoon of m vehicles has S and S - q·m (q, one platoon's mean shift)
+        # within m * H of 0. Every sum of squares or products of times in a
+        # closed-platoon record, and each of the three terms of the mean
+        # shift's residual, is then at most 2 * n_replications *
+        # (n_vehicles * H)^2 in magnitude, and the terms' sum twice that.
         span = self.n_vehicles * (self.n_vehicles * MAX_UNIT_GAP / self.arrival.rate)  # n_vehicles * H
         if not math.isfinite(span * span * 4.0 * self.n_replications):
             raise ValueError(

@@ -15,19 +15,20 @@ closed, is censored.
 Randomness contract: gaps come from numpy's PCG64 generator (period 2^128)
 seeded with ``SeedSequence((seed, replication))``. The master seed plus the
 replication index fully determines every draw, so runs reproduce
-bit-for-bit, and replications own disjoint streams that could execute in any
-order (or in parallel) without changing the pooled summary, which merges
-their statistics in index order.
+bit-for-bit, and replications own disjoint streams: given the centers that a
+pool's first closed platoons set, they could execute in any order (or in
+parallel) without changing the pooled records, added in index order.
 
 Every gap comes from ``_gap_chunks``, which draws a replication's stream in
 chunks of ``CHUNK_VEHICLES``. ``run_replications`` folds each chunk, by one
-segmented sum, into mergeable statistics, so its memory is O(CHUNK_VEHICLES)
-whatever ``n_vehicles`` and ``n_replications`` are; it is the one-threshold
-case of ``_summaries``, which draws each chunk once and folds it at every
-threshold of a grid (common random numbers). ``sample_interarrivals`` joins
-the chunks into one array, and ``run_from_interarrivals`` forms a whole run
-in memory (O(n)) by a different algorithm: the small-n reference the
-streaming kernel matches. ``summarize`` and the kernel share one estimator.
+segmented sum, into a record of sums of its closed platoons, so its memory is
+O(CHUNK_VEHICLES) whatever ``n_vehicles`` and ``n_replications`` are; it is
+the one-threshold case of ``_pooled_stats``, which draws each chunk once and
+folds it into one record row per threshold of a grid (common random
+numbers). ``sample_interarrivals`` joins the chunks into one array, and
+``run_from_interarrivals`` forms a whole run in memory (O(n)) by a different
+algorithm: the small-n reference the streaming kernel matches. One
+estimator, ``_estimates``, reads every record.
 
 Each replication allocates its chunk buffers once, and every chunk's steps
 write into them, so a chunk ``_gap_chunks`` yields is valid only until the
@@ -61,6 +62,16 @@ CHUNK_VEHICLES = 1 << 16
 
 # Sizes 1..PMF_CUTOFF get their own entry in a summary's ``size_pmf``.
 PMF_CUTOFF = 10
+
+# A record of closed platoons, each a renewal cycle of (size m, leader
+# headway h, shift sum S), is one float64 row of sums, so records merge by
+# addition: the count, Σ(m - 1), Σ(m - 1)², Σv, Σv², Σw, Σw², Σmw, then a
+# size histogram whose last bin holds every size above PMF_CUTOFF. Sizes
+# enter as m - 1, 0 for a singleton, in exact integer sums. v = h - c and
+# w = S - q·m are taken about a center (c, q) that every record of a pool
+# shares, the first closed platoon's headway and shift per vehicle, so the
+# variances do not cancel where the samples are few and close together.
+_RECORD_WIDTH = 8 + PMF_CUTOFF + 2
 
 
 @dataclass(frozen=True)
@@ -179,93 +190,71 @@ def summarize(run: SimulationRun) -> EmpiricalSummary:
     The final platoon is right-censored (no gap > threshold ever terminated
     it), so it is left out of every statistic.
     """
-    shift_sums = np.add.reduceat(run.time_shifts, run.leader_indices - 1)
-    return _Cycles.of(run.platoon_sizes[:-1].copy(), run.leader_headways.copy(), shift_sums[:-1]).summary()
+    sizes, headways = run.platoon_sizes[:-1], run.leader_headways
+    shift_sums = np.add.reduceat(run.time_shifts, run.leader_indices - 1)[:-1]
+    center = np.array([headways[0], shift_sums[0] / sizes[0]]) if sizes.size else np.zeros(2)
+    record = np.zeros(_RECORD_WIDTH)
+    cycles = (sizes - 1.0, headways - center[0], shift_sums - center[1] * sizes)
+    _add_cycles(record, cycles, np.minimum(sizes, PMF_CUTOFF + 1))
+    return _summary(record, center)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class _Cycles:
-    """Mergeable statistics of closed platoons, each an i.i.d. renewal cycle
-    of (size m, leader headway h, shift sum S).
+def _add_cycles(record: np.ndarray, cycles, bins: np.ndarray) -> None:
+    """Add to the ``record`` row the sums of closed platoons whose m - 1,
+    centered headways v and centered shift sums w are the three arrays of
+    ``cycles``, and whose sizes' histogram bins, each size m clipped at
+    ``PMF_CUTOFF + 1``, are the ints ``bins``."""
+    totals = [part.sum() for part in cycles]
+    record[0] += bins.size
+    record[1:7:2] += totals
+    record[2:7:2] += [np.dot(part, part) for part in cycles]
+    record[7] += np.dot(cycles[0], cycles[2]) + totals[2]  # Σmw = Σ(m - 1)w + Σw
+    record[8:] += np.bincount(bins, minlength=PMF_CUTOFF + 2)
 
-    It holds the cycle count, the exact integer size sum, a size histogram
-    whose last bin holds every size above ``PMF_CUTOFF``, the means of
-    (m, h, S) and the co-moments (sums of products of deviations) mm, hh, SS
-    and mS, merged pairwise (Chan, Golub & LeVeque 1979).
-    """
 
-    count: int
-    size_sum: int
-    size_hist: np.ndarray
-    mean: tuple[float, float, float]
-    comoment: tuple[float, float, float, float]
-
-    @classmethod
-    def of(cls, sizes: np.ndarray, headways: np.ndarray, shift_sums: np.ndarray) -> _Cycles:
-        """The statistics of closed platoons' ``sizes`` (int64), leader
-        ``headways`` and ``shift_sums``, any number of them; it overwrites all three."""
-        count, size_sum = sizes.size, int(sizes.sum())
-        if not count:
-            return cls(0, 0, np.zeros(PMF_CUTOFF + 2, dtype=np.int64), (0.0,) * 3, (0.0,) * 4)
-        mean = (size_sum / count, float(headways.mean()), float(shift_sums.mean()))
-        h, s = np.subtract(headways, mean[1], out=headways), np.subtract(shift_sums, mean[2], out=shift_sums)
-        hh = float(np.dot(h, h))
-        m = np.subtract(sizes, mean[0], out=headways)  # over h, which hh has read
-        hist = np.bincount(np.minimum(sizes, PMF_CUTOFF + 1, out=sizes), minlength=PMF_CUTOFF + 2)
-        return cls(count, size_sum, hist, mean, (float(np.dot(m, m)), hh, float(np.dot(s, s)), float(np.dot(m, s))))
-
-    def merge(self, other: _Cycles) -> _Cycles:
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            return other
-        count = self.count + other.count
-        dm, dh, ds = delta = [b - a for a, b in zip(self.mean, other.mean)]
-        weight = self.count * other.count / count
-        products = (dm * dm, dh * dh, ds * ds, dm * ds)
-        return _Cycles(
-            count,
-            self.size_sum + other.size_sum,
-            self.size_hist + other.size_hist,
-            tuple(a + d * (other.count / count) for a, d in zip(self.mean, delta)),
-            tuple(a + b + p * weight for a, b, p in zip(self.comoment, other.comoment, products)),
+def _estimates(records: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The mean size, mean headway and mean shift of each row of
+    ``records``, about its column of ``centers``, each followed by its
+    Student-t half-width at count - 1 degrees of freedom, as the six rows of
+    one array. The mean shift is the ratio ΣS/Σm, and its half-width the
+    delta-method one, sd(S - ratio·m) / (sqrt(count)·mean size) (Asmussen &
+    Glynn 2007, ch. IV.4). A row of fewer than two cycles, too few for a CI,
+    raises ``ValueError``."""
+    n, e, ee, v, vv, w, ww, mw = records[:, :8].T  # e is m - 1
+    if n.min() < 2:
+        raise ValueError(
+            "fewer than two platoon-size (each run's last platoon is censored) samples to summarize; "
+            "a confidence interval needs at least two"
         )
-
-    def summary(self) -> EmpiricalSummary:
-        """The mean size and headway, and the mean shift as the ratio
-        ΣS/Σm, each with a Student-t half-width at count - 1 degrees of
-        freedom. The ratio's is the delta-method one,
-        sd(S - ratio·m) / (sqrt(count)·mean size) (Asmussen & Glynn 2007,
-        ch. IV.4), its residuals' sum of squares read from the co-moments."""
-        n = self.count
-        if n < 2:
-            raise ValueError(
-                "fewer than two platoon-size (each run's last platoon is censored) samples to summarize; "
-                "a confidence interval needs at least two"
-            )
-        size = self.size_sum / n  # exact integers, so rounded once
-        shift = self.mean[2] / size
-        mm, hh, ss, ms = self.comoment
-        # When S is exactly proportional to m the residuals are all 0, and the
-        # rounding of this difference can take it below 0.
-        residual = max(0.0, ss - 2.0 * shift * ms + shift * shift * mm)
-        scale = student_t_975(n - 1) / math.sqrt(n)
-
-        def estimate(mean: float, m2: float) -> StatEstimate:
-            return StatEstimate(mean=float(mean), ci_half_width=scale * math.sqrt(m2 / (n - 1)), count=n)
-
-        return EmpiricalSummary(
-            platoon_size=estimate(size, mm),
-            leader_headway=estimate(self.mean[1], hh),
-            time_shift=estimate(shift, residual / (size * size)),
-            size_pmf={y: float(self.size_hist[y] / n) for y in range(1, PMF_CUTOFF + 1)},
-        )
+    sizes = e + n  # Σm: exact integers, so the mean size is rounded once
+    drift = w / sizes  # the ratio less q, as S - ratio·m = w - drift·m
+    means = np.array([sizes / n, centers[0] + v / n, centers[1] + drift])
+    residual = ww - 2.0 * drift * mw + drift * drift * (ee + 2.0 * e + n)  # Σ(S - ratio·m)²
+    # The sums of squared deviations. Where the deviations are all 0 (S
+    # exactly proportional to m, say), rounding can take one below 0.
+    m2 = np.maximum([ee - e * e / n, vv - v * v / n, residual / (means[0] * means[0])], 0.0)
+    scale = np.array([student_t_975(int(count) - 1) for count in n]) / np.sqrt(n)
+    return np.stack([means, scale * np.sqrt(m2 / (n - 1))], axis=1).reshape(6, -1)
 
 
-def _replication_stats(config: SimulationConfig, replication: int, thresholds) -> list[_Cycles]:
-    """Fold one replication's gaps, chunk by chunk, into the statistics of
-    its closed platoons under each of ``thresholds`` (``config.policy`` is
-    not read); memory is O(CHUNK_VEHICLES + thresholds) whatever n is.
+def _summary(record: np.ndarray, center: np.ndarray) -> EmpiricalSummary:
+    """The ``EmpiricalSummary`` of one record row about ``center``, its PMF
+    read from the size histogram."""
+    n = int(record[0])
+    means_and_widths = _estimates(record[None], center[:, None]).reshape(3, 2).tolist()
+    return EmpiricalSummary(
+        *(StatEstimate(mean=mean, ci_half_width=width, count=n) for mean, width in means_and_widths),
+        size_pmf={y: float(record[8 + y] / record[0]) for y in range(1, PMF_CUTOFF + 1)},
+    )
+
+
+def _replication_stats(config: SimulationConfig, replication: int, thresholds, centers: np.ndarray) -> np.ndarray:
+    """Fold one replication's gaps, chunk by chunk, into the record of its
+    closed platoons under each of ``thresholds``, row by row of one array
+    (``config.policy`` is not read); memory is O(CHUNK_VEHICLES +
+    thresholds) whatever n is. Row i is about column i of the (2,
+    thresholds) ``centers``; a column still NaN takes the first platoon
+    this replication closes at that threshold.
 
     Each chunk is drawn once and summed once into arrival times, counted
     from the previous chunk's last vehicle, which every threshold then
@@ -276,19 +265,23 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds) -
     since its leader arrived (also the shift of its last vehicle) and its
     partial shift sum.
     """
-    length = min(CHUNK_VEHICLES, config.n_vehicles)
+    length, points = min(CHUNK_VEHICLES, config.n_vehicles), len(thresholds)
     leads_buffer, arrivals_buffer = np.empty(length, dtype=bool), np.empty(length)
-    # Per platoon of a chunk, its vehicles there, leader time and shift sum:
-    # slot 0 holds the one open at the chunk's start, slot k (of k leaders) at its end.
-    counts, (times, sums, scratch) = np.empty(length + 1, dtype=np.int64), np.empty((3, length + 1))
-    # (statistics, open size, since_leader, open_sum) per threshold; the open
-    # size is 0 only before the first chunk: vehicle 1 always leads.
-    states = [(_Cycles.of(counts[:0], times[:0], sums[:0]), 0, 0.0, 0.0)] * len(thresholds)
+    # Per platoon of a chunk, its vehicles there, and as columns of
+    # ``cycles`` its leader's time (then m - 1), a scratch value (then v) and
+    # its shift sum S (then w): slot 0 holds the one open at the chunk's
+    # start, slot k (of k leaders) at its end.
+    counts, cycles = np.empty(length + 1, dtype=np.int64), np.empty((3, length + 1))
+    times, scratch, sums = cycles
+    records = np.zeros((points, _RECORD_WIDTH))
+    # Per threshold, the open platoon's size, time since its leader and shift
+    # sum; the size is 0 only before the first chunk: vehicle 1 always leads.
+    open_sizes, since_leader, open_sums = np.zeros(points, dtype=np.int64), np.zeros(points), np.zeros(points)
     for gaps in _gap_chunks(config.seed, replication, config.n_vehicles, config.arrival.rate):
         size = gaps.size
         arrivals = np.cumsum(gaps, out=arrivals_buffer[:size])
         for index, threshold in enumerate(thresholds):
-            stats, open_size, since_leader, open_sum = states[index]
+            open_size = open_sizes[index]
             leads = np.greater(gaps, threshold, out=leads_buffer[:size])  # the inverse of the merge mask
             if not open_size:
                 leads[0] = True
@@ -296,32 +289,44 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds) -
             k = leaders.size
             counts[:k], counts[k] = leaders, size
             counts[1 : k + 1] -= leaders
-            times[0] = -since_leader
+            times[0] = -since_leader[index]
             np.take(arrivals, leaders, out=times[1 : k + 1], mode="clip")  # "clip" writes unbuffered
-            sums[0] = arrivals[: counts[0]].sum() + open_sum
+            sums[0] = arrivals[: counts[0]].sum() + open_sums[index]
             np.add.reduceat(arrivals, leaders, out=sums[1 : k + 1])
             sums[: k + 1] -= np.multiply(counts[: k + 1], times[: k + 1], out=scratch[: k + 1])
             counts[0] += open_size
             closed = 0 if open_size else 1  # slot 0 is empty in the first chunk
-            headways = np.subtract(times[closed + 1 : k + 1], times[closed:k], out=scratch[closed:k])
-            stats = stats.merge(_Cycles.of(counts[closed:k], headways, sums[closed:k]))
-            states[index] = (stats, int(counts[k]), float(arrivals[-1] - times[k]), float(sums[k]))
-    return [stats for stats, *_ in states]
+            np.subtract(times[closed + 1 : k + 1], times[closed:k], out=scratch[closed:k])
+            if k > closed and math.isnan(centers[0, index]):
+                centers[:, index] = scratch[closed], sums[closed] / counts[closed]
+            scratch[closed:k] -= centers[0, index]
+            # Over the times h has read; times[k] stays.
+            sums[closed:k] -= np.multiply(counts[closed:k], centers[1, index], out=times[closed:k])
+            np.subtract(counts[closed:k], 1, out=times[closed:k])
+            bins = np.minimum(counts[closed:k], PMF_CUTOFF + 1, out=counts[closed:k])  # over m, which m - 1 has read
+            _add_cycles(records[index], cycles[:, closed:k], bins)
+            open_sizes[index], since_leader[index], open_sums[index] = counts[k], arrivals[-1] - times[k], sums[k]
+    return records
 
 
-def _summaries(config: SimulationConfig, thresholds):
-    """Yield the pooled summary of ``config``'s replications at each
-    threshold, in order, each replication drawn once for all. Replications
-    merge in index order, so no summary depends on the order they run in; a
-    pool of fewer than two closed platoons, too few for a CI, raises ``ValueError``."""
-    pools = _replication_stats(config, 0, thresholds)
+def _pooled_stats(config: SimulationConfig, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """The record of ``config``'s replications at each threshold, row by
+    row, each replication drawn once for all, and the centers it is about:
+    at each threshold, the first closed platoon of the lowest-indexed
+    replication that closes one. Replications' records add in index order,
+    so, given the centers, no record depends on the order they run in."""
+    centers = np.full((2, len(thresholds)), np.nan)
+    pool = _replication_stats(config, 0, thresholds, centers)
     for rep in range(1, config.n_replications):
-        pools = [pool.merge(stats) for pool, stats in zip(pools, _replication_stats(config, rep, thresholds))]
-    yield from (pool.summary() for pool in pools)
+        pool += _replication_stats(config, rep, thresholds, centers)
+    return pool, centers
 
 
 def run_replications(config: SimulationConfig) -> EmpiricalSummary:
-    """Summarize every replication of ``config`` as one pool: ``_summaries``
-    at the config's one threshold. It equals :func:`summarize` on the full
-    in-memory runs pooled across replications, up to float rounding."""
-    return next(_summaries(config, (config.policy.threshold,)))
+    """Summarize every replication of ``config`` as one pool: the record of
+    ``_pooled_stats`` at the config's one threshold. It equals
+    :func:`summarize` on the full in-memory runs pooled across replications,
+    up to float rounding. A pool of fewer than two closed platoons, too few
+    for a CI, raises ``ValueError``."""
+    pool, centers = _pooled_stats(config, (config.policy.threshold,))
+    return _summary(pool[0], centers[:, 0])

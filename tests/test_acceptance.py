@@ -40,7 +40,7 @@ from platoonctl import (
     total_cost_derivative,
 )
 from platoonctl.cli import main
-from platoonctl.simulator import _Cycles, _replication_stats
+from platoonctl.simulator import _replication_stats, _summary
 
 from conftest import NOMINAL_RAW, pooled_reference, summary_mismatches
 
@@ -149,9 +149,10 @@ def test_criterion_4_grid_robustness():
                 n_replications=10,
                 seed=GRID_SEED,
             )
-            stats = [_replication_stats(config, rep, [threshold])[0] for rep in range(config.n_replications)]
-            per_rep = [rep_stats.summary() for rep_stats in stats]
-            aggregate = functools.reduce(_Cycles.merge, stats).summary()
+            centers = np.full((2, 1), np.nan)
+            stats = [_replication_stats(config, rep, [threshold], centers)[0] for rep in range(config.n_replications)]
+            per_rep = [_summary(record, centers[:, 0]) for record in stats]
+            aggregate = _summary(functools.reduce(np.add, stats), centers[:, 0])
             cell = f"(rate={rate}, threshold={threshold})"
 
             # Means: 3-sigma bands from the spread of replication means.
@@ -329,8 +330,9 @@ def test_criterion_10_determinism(tmp_path):
     if csv_a.read_bytes() != csv_b.read_bytes():
         failures.append("CSV output differs between identical invocations")
 
-    # Aggregation is order-independent: compute the per-replication
-    # statistics in reverse and merge them by index; the result must equal
+    # Aggregation is order-independent: about the centers replication 0
+    # sets, compute the per-replication records in reverse and add them by
+    # index; the result must equal
     # the library aggregate bit for bit. Against the pooled in-memory
     # reference, integer statistics are exact and float ones within 1e-12.
     sim = SimulationConfig(
@@ -341,11 +343,13 @@ def test_criterion_10_determinism(tmp_path):
         seed=MAIN_SEED,
     )
     aggregate = run_replications(sim)
-    collected = {rep: _replication_stats(sim, rep, [50.0])[0] for rep in reversed(range(sim.n_replications))}
+    centers = np.full((2, 1), np.nan)
+    _replication_stats(sim, 0, [50.0], centers)
+    collected = {rep: _replication_stats(sim, rep, [50.0], centers)[0] for rep in reversed(range(sim.n_replications))}
     merged = collected[0]
     for rep in range(1, sim.n_replications):
-        merged = merged.merge(collected[rep])
-    if merged.summary() != aggregate:
+        merged = merged + collected[rep]
+    if _summary(merged, centers[:, 0]) != aggregate:
         failures.append("aggregate depends on replication execution order")
     failures.extend(summary_mismatches(aggregate, pooled_reference(sim)))
     conclude(10, "byte-identical CSV output and order-independent aggregation", failures)

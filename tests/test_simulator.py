@@ -2,7 +2,7 @@ import math
 import re
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from scipy import stats as scipy_stats
 
 from platoonctl import (
     ArrivalModel,
-    EmpiricalSummary,
     PlatoonPolicy,
     SimulationConfig,
     SimulationRun,
@@ -25,7 +24,16 @@ from platoonctl import (
 )
 from platoonctl import simulator
 from platoonctl.domain import MAX_UNIT_GAP, student_t_975
-from platoonctl.simulator import CHUNK_VEHICLES, _Cycles, _gap_chunks, _replication_stats, _summaries
+from platoonctl.simulator import (
+    _RECORD_WIDTH,
+    CHUNK_VEHICLES,
+    _add_cycles,
+    _estimates,
+    _gap_chunks,
+    _pooled_stats,
+    _replication_stats,
+    _summary,
+)
 
 from conftest import TOO_FEW, pooled_reference, reference_summary, run_samples, summary_mismatches
 
@@ -333,7 +341,8 @@ class TestSummarize:
 
 
 class TestMoments:
-    """The closed-platoon record ``_Cycles``: what it keeps and how it merges."""
+    """The closed-platoon record: one float64 row of sums about a center,
+    which merges with a record about the same center by addition."""
 
     @staticmethod
     def _cycles(k, seed):
@@ -342,53 +351,91 @@ class TestMoments:
         return sizes, rng.exponential(30.0, size=k), sizes * rng.exponential(5.0, size=k)
 
     @staticmethod
-    def _of(*cycles):
-        # ``of`` overwrites the arrays it is given, so it gets copies.
-        return _Cycles.of(*(array.copy() for array in cycles))
+    def _of(sizes, headways, sums, center):
+        record = np.zeros(_RECORD_WIDTH)
+        _add_cycles(record, (sizes - 1.0, headways - center[0], sums - center[1] * sizes), np.minimum(sizes, 11))
+        return record
+
+    def _summary_of(self, sizes, headways, sums):
+        # About the first cycle's headway and shift per vehicle, as summarize.
+        center = np.array([headways[0], sums[0] / sizes[0]])
+        return _summary(self._of(sizes, headways, sums, center), center)
 
     def test_record_of_cycles(self):
-        sizes, headways, sums = self._cycles(10_001, SEED)
-        record = self._of(sizes, headways, sums)
-        assert (record.count, record.size_sum) == (10_001, int(sizes.sum()))
-        assert record.size_hist.tolist() == np.bincount(np.minimum(sizes, 11), minlength=12).tolist()
-        cycles = np.array([sizes, headways, sums], dtype=float)
-        assert record.mean == pytest.approx(tuple(cycles.mean(axis=1)), rel=1e-14)
-        # The four co-moments summary() reads: (mm, hh, SS, mS).
-        cov = np.cov(cycles) * 10_000
-        assert record.comoment == pytest.approx((cov[0, 0], cov[1, 1], cov[2, 2], cov[0, 2]), rel=1e-12)
+        sizes, headways, sums = cycles = self._cycles(10_001, SEED)
+        before = [array.copy() for array in cycles]
+        record = self._of(sizes, headways, sums, np.zeros(2))
+        for array, copy in zip(cycles, before):
+            assert np.array_equal(array, copy)
+        # The count, Σ(m - 1), Σ(m - 1)² and the histogram are exact integers.
+        excess = sizes - 1
+        assert record[:3].tolist() == [10_001, int(excess.sum()), int(np.dot(excess, excess))]
+        assert record[8:].tolist() == np.bincount(np.minimum(sizes, 11), minlength=12).tolist()
+        # About the center (0, 0): Σh, Σh², ΣS, ΣS², ΣmS.
+        want = [headways.sum(), np.dot(headways, headways), sums.sum(), np.dot(sums, sums), np.dot(sizes, sums)]
+        assert record[3:8].tolist() == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("split", [0, 1, 4_000, 9_999, 10_000])
     def test_merge_equals_the_record_of_the_whole(self, split):
         sizes, headways, sums = self._cycles(10_000, SEED + 1)
-        whole = self._of(sizes, headways, sums)
-        merged = self._of(sizes[:split], headways[:split], sums[:split]).merge(
-            self._of(sizes[split:], headways[split:], sums[split:])
+        center = np.array([headways[0], sums[0] / sizes[0]])
+        whole = self._of(sizes, headways, sums, center)
+        merged = self._of(sizes[:split], headways[:split], sums[:split], center) + self._of(
+            sizes[split:], headways[split:], sums[split:], center
         )
-        assert (merged.count, merged.size_sum) == (whole.count, whole.size_sum)
-        assert np.array_equal(merged.size_hist, whole.size_hist)
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-13)
-        assert merged.comoment == pytest.approx(whole.comoment, rel=1e-12)
-        assert summary_mismatches(merged.summary(), reference_summary(sizes, headways, sums)) == []
+        assert np.array_equal(merged[:3], whole[:3])
+        assert np.array_equal(merged[8:], whole[8:])
+        assert merged[3:8].tolist() == pytest.approx(whole[3:8].tolist(), rel=1e-13)
+        assert summary_mismatches(_summary(merged, center), reference_summary(sizes, headways, sums)) == []
 
     def test_shift_sums_proportional_to_sizes_give_a_zero_width(self):
-        # Every residual S - ratio·m is 0. Summed from the co-moments, their
-        # squares come to -3.6e-12 by rounding here, which must not reach
-        # the square root.
+        # Every residual S - ratio·m is 0. From the record's sums their sum
+        # of squares comes to exactly 0 about the first cycle, where the
+        # kernel centers, and about (0, 0) at 7.7 s per vehicle. About (0, 0)
+        # at 3.3 s it rounds to -3.6e-12, which must not reach the square root.
         sizes = np.arange(1, 17, dtype=np.int64)
-        shift = _Cycles.of(sizes, np.ones(16), 7.7 * sizes).summary().time_shift
-        assert shift.mean == pytest.approx(7.7, rel=1e-15)
-        assert shift.ci_half_width == 0.0
+        for per_vehicle in (7.7, 3.3):
+            for center in (np.array([1.0, per_vehicle]), np.zeros(2)):
+                record = self._of(sizes, np.ones(16), per_vehicle * sizes, center)
+                shift = _summary(record, center).time_shift
+                assert shift.mean == pytest.approx(per_vehicle, rel=1e-15)
+                assert shift.ci_half_width == 0.0
 
     def test_one_sample_is_too_few(self):
         # One cycle has no variance estimate, so no confidence interval: the
         # estimator and the reference refuse it alike, not with half-width 0.
         one = (np.array([3]), np.array([12.0]), np.array([7.0]))
         with pytest.raises(ValueError, match=f"^{re.escape(TOO_FEW)}$"):
-            self._of(*one).summary()
+            self._summary_of(*one)
         with pytest.raises(ValueError, match=f"^{re.escape(TOO_FEW)}$"):
             reference_summary(*one)
-        two = _Cycles.of(np.array([3, 3]), np.array([12.0, 13.0]), np.array([7.0, 6.0])).summary()
+        two = self._summary_of(np.array([3, 3]), np.array([12.0, 13.0]), np.array([7.0, 6.0]))
         assert (two.platoon_size.count, two.leader_headway.count, two.time_shift.count) == (2, 2, 2)
+
+    def test_close_cycles_keep_their_spread(self):
+        # Two platoons whose headways, and shifts per vehicle, are 0.1% apart.
+        # From raw sums of h, h², S, S² and mS their half-widths miss the
+        # reference's by 1e-10; about the first cycle the sums keep them.
+        cycles = (np.array([2, 3]), np.array([100.0, 100.1]), np.array([2 * 30.0, 3 * 30.03]))
+        assert summary_mismatches(self._summary_of(*cycles), reference_summary(*cycles)) == []
+
+    def test_half_widths_hold_where_almost_every_platoon_is_a_singleton(self):
+        # At x = 1e-5 a platoon has two vehicles with probability 1e-5, so of
+        # 10^6 cycles about ten are not singletons. Sizes enter the record as
+        # m - 1, whose sums are small exact integers, and the size
+        # half-width comes out within 2.2e-16 of the reference's. From sums
+        # of m itself, Σm² - (Σm)²/count cancels about 11 digits: the
+        # half-width then misses by 2e-13 to 4e-12, depending on the seed.
+        x = 1e-5
+        rng = np.random.default_rng(SEED)
+        sizes = rng.geometric(math.exp(-x), size=1_000_000).astype(np.int64)
+        assert 0 < np.count_nonzero(sizes > 1) < 100
+        headways = rng.exponential(1.0, size=sizes.size) + x * (sizes - 1)
+        sums = (sizes - 1) * rng.uniform(0.0, x, size=sizes.size)
+        summary = self._summary_of(sizes, headways, sums)
+        reference = reference_summary(sizes, headways, sums)
+        assert summary_mismatches(summary, reference) == []
+        assert math.isclose(summary.platoon_size.ci_half_width, reference.platoon_size.ci_half_width, rel_tol=1e-14)
 
 
 def test_student_t_quantile_matches_scipy():
@@ -426,19 +473,22 @@ class TestRunReplications:
         assert first == second
 
     def test_aggregate_independent_of_execution_order(self):
-        # Replication streams derive from (seed, index) alone, so computing
-        # the per-replication statistics in reverse and merging them by index
-        # must reproduce the library aggregate bit for bit.
+        # Replication streams derive from (seed, index) alone, so, about the
+        # centers replication 0 sets, computing the per-replication records
+        # in reverse and adding them by index must reproduce the library
+        # aggregate bit for bit.
         config = self._config()
         aggregate = run_replications(config)
-        stats = {
-            rep: _replication_stats(config, rep, [config.policy.threshold])[0]
+        centers = np.full((2, 1), np.nan)
+        _replication_stats(config, 0, [config.policy.threshold], centers)
+        records = {
+            rep: _replication_stats(config, rep, [config.policy.threshold], centers)[0]
             for rep in reversed(range(config.n_replications))
         }
-        merged = stats[0]
+        merged = records[0]
         for rep in range(1, config.n_replications):
-            merged = merged.merge(stats[rep])
-        assert merged.summary() == aggregate
+            merged = merged + records[rep]
+        assert _summary(merged, centers[:, 0]) == aggregate
         assert summary_mismatches(aggregate, pooled_reference(config)) == []
 
     def test_split_replications_consistent_with_single_run(self):
@@ -466,7 +516,8 @@ class TestRunReplications:
             arrival=ArrivalModel(rate=1.0), policy=PlatoonPolicy(threshold=8.0), n_vehicles=2000, n_replications=3,
             seed=1,
         )
-        assert [_replication_stats(config, rep, [config.policy.threshold])[0].count for rep in range(3)] == [1, 1, 0]
+        centers = np.full((2, 1), np.nan)
+        assert [_replication_stats(config, rep, [8.0], centers)[0, 0] for rep in range(3)] == [1, 1, 0]
         summary = run_replications(config)
         assert (summary.platoon_size.count, summary.leader_headway.count, summary.time_shift.count) == (2, 2, 2)
         assert summary_mismatches(summary, pooled_reference(config)) == []
@@ -477,7 +528,7 @@ class TestRunReplications:
             arrival=ArrivalModel(rate=1.0), policy=PlatoonPolicy(threshold=8.0), n_vehicles=3000, n_replications=1,
             seed=1,
         )
-        assert _replication_stats(config, 0, [config.policy.threshold])[0].count == 1
+        assert _replication_stats(config, 0, [8.0], np.full((2, 1), np.nan))[0, 0] == 1
         with pytest.raises(ValueError, match=r"^fewer than two platoon-size "):
             run_replications(config)
 
@@ -649,18 +700,36 @@ class TestStreamingKernel:
 
     @pytest.mark.parametrize("n", [C + 1, 3 * C + 7])
     def test_grid_equals_the_per_point_path(self, n):
-        # Every threshold of a grid folds the same draws, so each grid
-        # summary is the one a config of that threshold alone gives, field
-        # for field and bit for bit (equal reprs). x runs from 0 to 12, where
-        # this seed's pool still closes two platoons, and 100 s appears twice.
+        # Every threshold of a grid folds the same draws, so each grid row is
+        # the record a config of that threshold alone gives, about the same
+        # center, bit for bit, and its six columns are that config's means
+        # and half-widths (equal reprs). x runs from 0 to 12, where this
+        # seed's pool still closes two platoons, and 100 s appears twice.
         config = self._config(n_vehicles=n, n_replications=3)
         grid = [0.0, 25.0, 50.0, 100.0, 100.0, 200.0, 400.0, 600.0]
-        summaries = list(_summaries(config, grid))
-        assert len(summaries) == len(grid)
-        for threshold, summary in zip(grid, summaries):
-            alone = run_replications(replace(config, policy=PlatoonPolicy(threshold=threshold)))
-            for field in fields(EmpiricalSummary):
-                assert repr(getattr(summary, field.name)) == repr(getattr(alone, field.name)), (threshold, field.name)
+        records, centers = _pooled_stats(config, grid)
+        columns = _estimates(records, centers)
+        assert records.shape == (len(grid), _RECORD_WIDTH) and columns.shape == (6, len(grid))
+        for point, threshold in enumerate(grid):
+            config_alone = replace(config, policy=PlatoonPolicy(threshold=threshold))
+            record, center = _pooled_stats(config_alone, [threshold])
+            assert np.array_equal(records[point], record[0]), threshold
+            assert np.array_equal(centers[:, point], center[:, 0]), threshold
+            alone = run_replications(config_alone)
+            want = [
+                getattr(getattr(alone, name), part)
+                for name in ("platoon_size", "leader_headway", "time_shift")
+                for part in ("mean", "ci_half_width")
+            ]
+            assert [repr(value) for value in columns[:, point].tolist()] == [repr(value) for value in want], threshold
+
+    def test_two_close_headways_keep_their_spread(self):
+        # These 5 vehicles close two platoons at x = 0.5, with headways of
+        # 77.06 s and 76.46 s. Raw sums of h and h² would lose 5 of their
+        # variance's 16 digits (7e-12 in the half-width); sums about the
+        # first platoon's headway keep it.
+        config = self._config(policy=PlatoonPolicy(threshold=25.0), n_vehicles=5, seed=1_021_324_869)
+        assert summary_mismatches(run_replications(config), pooled_reference(config)) == []
 
     def test_singletons_have_a_shift_of_exactly_zero(self):
         # At threshold 0 every platoon is a singleton. Its shift sum is its
