@@ -20,15 +20,19 @@ pool's first closed platoons set, they could execute in any order (or in
 parallel) without changing the pooled records, added in index order.
 
 Every gap comes from ``_gap_chunks``, which draws a replication's stream in
-chunks of ``CHUNK_VEHICLES``. ``run_replications`` folds each chunk, by one
-segmented sum, into a record of sums of its closed platoons, so its memory is
+chunks of ``CHUNK_VEHICLES``, as ln(1 - U): the gaps in units of 1/rate,
+negated. The process depends on rate and threshold only through x =
+rate·threshold, so ``run_replications`` folds each chunk in those units,
+with no divide per vehicle, by one segmented sum, into a record of sums of
+its closed platoons, scaled to seconds once per replication. Its memory is
 O(CHUNK_VEHICLES) whatever ``n_vehicles`` and ``n_replications`` are; it is
 the one-threshold case of ``_pooled_stats``, which draws each chunk once and
 folds it into one record row per threshold of a grid (common random
-numbers). ``sample_interarrivals`` joins the chunks into one array, and
-``run_from_interarrivals`` forms a whole run in memory (O(n)) by a different
-algorithm: the small-n reference the streaming kernel matches. One
-estimator, ``_estimates``, reads every record.
+numbers). ``sample_interarrivals`` divides each chunk by -rate into one
+array of gaps in seconds, and ``run_from_interarrivals`` forms a whole run
+in memory (O(n)) by a different algorithm, in seconds: the small-n
+reference the streaming kernel matches. One estimator, ``_estimates``,
+reads every record.
 
 Each replication allocates its chunk buffers once, and every chunk's steps
 write into them, so a chunk ``_gap_chunks`` yields is valid only until the
@@ -57,8 +61,10 @@ from .domain import (  # re-exported: the simulator's types live in domain, whic
 )
 
 # Vehicles drawn and folded per step of ``run_replications``; its working
-# memory is a few arrays of this length, whatever the number of vehicles.
-CHUNK_VEHICLES = 1 << 16
+# memory is a few arrays of this length, about 49 bytes per vehicle (1.7 MiB),
+# whatever the number of vehicles. Halving it again adds per-chunk calls
+# that a sweep of many thresholds pays at every point.
+CHUNK_VEHICLES = 1 << 15
 
 # Sizes 1..PMF_CUTOFF get their own entry in a summary's ``size_pmf``.
 PMF_CUTOFF = 10
@@ -70,7 +76,9 @@ PMF_CUTOFF = 10
 # enter as m - 1, 0 for a singleton, in exact integer sums. v = h - c and
 # w = S - q·m are taken about a center (c, q) that every record of a pool
 # shares, the first closed platoon's headway and shift per vehicle, so the
-# variances do not cancel where the samples are few and close together.
+# variances do not cancel where the samples are few and close together. The
+# kernel keeps these sums in units of 1/rate and scales them to seconds once
+# per replication; the centers are in seconds.
 _RECORD_WIDTH = 8 + PMF_CUTOFF + 2
 
 
@@ -107,22 +115,23 @@ class SimulationRun:
             raise ValueError("time shifts must be exactly 0 at platoon leaders")
 
 
-def _gap_chunks(seed: int, replication: int, n: int, rate: float):
-    """Yield the ``n`` gaps of replication stream (seed, replication) in
-    chunks of ``CHUNK_VEHICLES``. PCG64 draws split into chunks equal one
-    long draw, so the chunk size never changes a gap. ``1 - rng.random``
-    lies in (0, 1] by construction, so the transform needs no check.
+def _gap_chunks(seed: int, replication: int, n: int):
+    """Yield ln(1 - U) for the ``n`` uniforms U of replication stream (seed,
+    replication), in chunks of ``CHUNK_VEHICLES``: the gaps in units of
+    1/rate, negated (a gap of -ln(1 - U) / rate seconds is ln(1 - U) / -rate).
+    PCG64 draws split into chunks equal one long draw, so the chunk size
+    never changes a gap. ``1 - rng.random`` lies in (0, 1] by construction,
+    so the transform needs no check.
 
-    Every chunk is a view of one buffer, transformed in place (-ln(1 - U) /
-    rate as ln(1 - U) / -rate, bit for bit): a chunk is valid only until the
-    next one is drawn, and the caller may overwrite it."""
+    Every chunk is a view of one buffer, transformed in place: a chunk is
+    valid only until the next one is drawn, and the caller may overwrite
+    it."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, replication)))
     buffer = np.empty(min(CHUNK_VEHICLES, n))
     for start in range(0, n, CHUNK_VEHICLES):
         u = rng.random(out=buffer[: min(CHUNK_VEHICLES, n - start)])
         np.subtract(1.0, u, out=u)
-        np.log(u, out=u)
-        yield np.divide(u, -rate, out=u)
+        yield np.log(u, out=u)
 
 
 def sample_interarrivals(
@@ -132,7 +141,7 @@ def sample_interarrivals(
 
     Deterministic in (seed, replication); distinct replication indices give
     statistically independent streams from the same master seed. These are
-    the gaps ``run_replications`` draws chunk by chunk, joined.
+    the chunks ``run_replications`` draws, each divided by -rate, joined.
     """
     _integer("n", n, 1)
     _seed(seed)
@@ -144,8 +153,8 @@ def sample_interarrivals(
         )
     gaps = np.empty(n)
     start = 0
-    for chunk in _gap_chunks(seed, replication, n, arrival.rate):
-        gaps[start : start + chunk.size] = chunk
+    for chunk in _gap_chunks(seed, replication, n):
+        np.divide(chunk, -arrival.rate, out=gaps[start : start + chunk.size])
         start += chunk.size
     return gaps
 
@@ -200,16 +209,17 @@ def summarize(run: SimulationRun) -> EmpiricalSummary:
 
 
 def _add_cycles(record: np.ndarray, cycles, bins: np.ndarray) -> None:
-    """Add to the ``record`` row the sums of closed platoons whose m - 1,
-    centered headways v and centered shift sums w are the three arrays of
-    ``cycles``, and whose sizes' histogram bins, each size m clipped at
-    ``PMF_CUTOFF + 1``, are the ints ``bins``."""
-    totals = [part.sum() for part in cycles]
-    record[0] += bins.size
-    record[1:7:2] += totals
-    record[2:7:2] += [np.dot(part, part) for part in cycles]
-    record[7] += np.dot(cycles[0], cycles[2]) + totals[2]  # Σmw = Σ(m - 1)w + Σw
-    record[8:] += np.bincount(bins, minlength=PMF_CUTOFF + 2)
+    """Add to the ``record`` row, by one vector add, the sums of closed
+    platoons whose m - 1, centered headways v and centered shift sums w are
+    the three rows of ``cycles``, and whose sizes' histogram bins, each size
+    m clipped at ``PMF_CUTOFF + 1``, are the ints ``bins``."""
+    e, v, w = cycles
+    row = np.empty(_RECORD_WIDTH)
+    np.add.reduce(cycles, axis=1, out=row[1:7:2])
+    row[0], row[2], row[4], row[6] = bins.size, np.dot(e, e), np.dot(v, v), np.dot(w, w)
+    row[7] = np.dot(e, w) + row[5]  # Σmw = Σ(m - 1)w + Σw
+    row[8:] = np.bincount(bins, minlength=PMF_CUTOFF + 2)
+    record += row
 
 
 def _estimates(records: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -253,59 +263,81 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds, c
     closed platoons under each of ``thresholds``, row by row of one array
     (``config.policy`` is not read); memory is O(CHUNK_VEHICLES +
     thresholds) whatever n is. Row i is about column i of the (2,
-    thresholds) ``centers``; a column still NaN takes the first platoon
-    this replication closes at that threshold.
+    thresholds) ``centers``, in seconds; a column still NaN takes the first
+    platoon this replication closes at that threshold.
+
+    The fold runs in units of 1/rate, on the chunks of ``_gap_chunks``, so
+    no gap is divided: a vehicle leads iff ln(1 - U) < -rate·threshold, and
+    times count down from 0. The record is scaled to seconds once, before
+    it is returned; the fold is about the unit-time center that one
+    multiplication derives from ``centers``, also in the replication that
+    sets them, so that, given the centers, no record depends on which
+    replication set them.
 
     Each chunk is drawn once and summed once into arrival times, counted
     from the previous chunk's last vehicle, which every threshold then
     folds. A platoon's shift sum is its arrivals' sum less its size times
     its leader's arrival: one ``np.add.reduceat`` from the leaders gives
-    every platoon's, exactly 0 for a singleton. Across chunk boundaries each
-    threshold carries its open (not yet closed) platoon: its size, the time
-    since its leader arrived (also the shift of its last vehicle) and its
-    partial shift sum.
+    every platoon's, exactly 0 for a singleton. A second subtraction
+    centers it: size times (leader's arrival plus center) in one would round
+    every leader of a binade by the same amount, a bias of 7.6e-13 in the
+    mean shift at 1e6 vehicles. Across chunk boundaries each threshold
+    carries its open (not yet closed) platoon, in Python scalars: its size,
+    its leader's time and its partial shift sum.
     """
+    rate = config.arrival.rate
+    scale = -1.0 / rate  # seconds per unit of the fold's (negated) time
     length, points = min(CHUNK_VEHICLES, config.n_vehicles), len(thresholds)
     leads_buffer, arrivals_buffer = np.empty(length, dtype=bool), np.empty(length)
     # Per platoon of a chunk, its vehicles there, and as columns of
-    # ``cycles`` its leader's time (then m - 1), a scratch value (then v) and
-    # its shift sum S (then w): slot 0 holds the one open at the chunk's
+    # ``cycles`` its leader's time (then m - 1), its headway (then v) and
+    # its shift sum (then w): slot 0 holds the one open at the chunk's
     # start, slot k (of k leaders) at its end.
     counts, cycles = np.empty(length + 1, dtype=np.int64), np.empty((3, length + 1))
-    times, scratch, sums = cycles
+    times, headways, sums = cycles
     records = np.zeros((points, _RECORD_WIDTH))
-    # Per threshold, the open platoon's size, time since its leader and shift
-    # sum; the size is 0 only before the first chunk: vehicle 1 always leads.
-    open_sizes, since_leader, open_sums = np.zeros(points, dtype=np.int64), np.zeros(points), np.zeros(points)
-    for gaps in _gap_chunks(config.seed, replication, config.n_vehicles, config.arrival.rate):
+    limits = [-(rate * threshold) for threshold in thresholds]
+    headway_centers, shift_centers = (centers * -rate).tolist()
+    # Per threshold, the open platoon's size, its leader's time counted from
+    # the chunk's start and its partial shift sum; the size is 0 only before
+    # the first chunk: vehicle 1 always leads.
+    open_sizes, leader_times, open_sums = [0] * points, [0.0] * points, [0.0] * points
+    for gaps in _gap_chunks(config.seed, replication, config.n_vehicles):
         size = gaps.size
         arrivals = np.cumsum(gaps, out=arrivals_buffer[:size])
-        for index, threshold in enumerate(thresholds):
-            open_size = open_sizes[index]
-            leads = np.greater(gaps, threshold, out=leads_buffer[:size])  # the inverse of the merge mask
+        last = arrivals.item(-1)
+        for index, limit in enumerate(limits):
+            open_size, leader_time = open_sizes[index], leader_times[index]
+            leads = np.less(gaps, limit, out=leads_buffer[:size])
             if not open_size:
                 leads[0] = True
-            leaders = np.flatnonzero(leads)
+            leaders = leads.nonzero()[0]
             k = leaders.size
+            head = leaders.item(0) if k else size  # the open platoon's vehicles in this chunk
+            open_sum = open_sums[index] + (float(np.add.reduce(arrivals[:head])) - head * leader_time)
             counts[:k], counts[k] = leaders, size
             counts[1 : k + 1] -= leaders
-            times[0] = -since_leader[index]
-            np.take(arrivals, leaders, out=times[1 : k + 1], mode="clip")  # "clip" writes unbuffered
-            sums[0] = arrivals[: counts[0]].sum() + open_sums[index]
+            arrivals.take(leaders, out=times[1 : k + 1], mode="clip")  # "clip" writes unbuffered
             np.add.reduceat(arrivals, leaders, out=sums[1 : k + 1])
-            sums[: k + 1] -= np.multiply(counts[: k + 1], times[: k + 1], out=scratch[: k + 1])
-            counts[0] += open_size
+            sums[1 : k + 1] -= np.multiply(counts[1 : k + 1], times[1 : k + 1], out=headways[1 : k + 1])
+            counts[0], times[0], sums[0] = open_size + head, leader_time, open_sum
             closed = 0 if open_size else 1  # slot 0 is empty in the first chunk
-            np.subtract(times[closed + 1 : k + 1], times[closed:k], out=scratch[closed:k])
-            if k > closed and math.isnan(centers[0, index]):
-                centers[:, index] = scratch[closed], sums[closed] / counts[closed]
-            scratch[closed:k] -= centers[0, index]
-            # Over the times h has read; times[k] stays.
-            sums[closed:k] -= np.multiply(counts[closed:k], centers[1, index], out=times[closed:k])
-            np.subtract(counts[closed:k], 1, out=times[closed:k])
-            bins = np.minimum(counts[closed:k], PMF_CUTOFF + 1, out=counts[closed:k])  # over m, which m - 1 has read
-            _add_cycles(records[index], cycles[:, closed:k], bins)
-            open_sizes[index], since_leader[index], open_sums[index] = counts[k], arrivals[-1] - times[k], sums[k]
+            if k > closed:
+                if math.isnan(headway_centers[index]):  # the pool's first closed platoon sets its center
+                    center_h = (times.item(closed + 1) - times.item(closed)) * scale
+                    center_q = sums.item(closed) / counts.item(closed) * scale
+                    centers[:, index] = center_h, center_q
+                    headway_centers[index], shift_centers[index] = center_h * -rate, center_q * -rate
+                np.subtract(times[closed + 1 : k + 1], times[closed:k], out=headways[closed:k])
+                headways[closed:k] -= headway_centers[index]
+                # Over the leaders' times, which the headways have read; times[k] stays.
+                sums[closed:k] -= np.multiply(counts[closed:k], shift_centers[index], out=times[closed:k])
+                np.subtract(counts[closed:k], 1, out=times[closed:k])
+                bins = np.minimum(counts[closed:k], PMF_CUTOFF + 1, out=counts[closed:k])  # over m, which m - 1 has read
+                _add_cycles(records[index], cycles[:, closed:k], bins)
+            open_sizes[index], leader_times[index], open_sums[index] = counts.item(k), times.item(k) - last, sums.item(k)
+    records[:, 3:8] *= scale  # Σv, Σw and Σmw to seconds, and Σv², Σw² halfway
+    records[:, 4:7:2] *= scale
     return records
 
 

@@ -605,15 +605,17 @@ class TestStreamingKernel:
 
     def test_chunks_equal_one_shot_draw(self):
         # The randomness contract, written out: one PCG64 draw of n uniforms
-        # from SeedSequence((seed, replication)), mapped by -ln(1 - v) / rate.
+        # from SeedSequence((seed, replication)). The chunks are ln(1 - v),
+        # the gaps in units of 1/rate, negated; sample_interarrivals maps
+        # them to -ln(1 - v) / rate seconds, bit for bit.
         arrival = ArrivalModel(rate=0.02)
         n = 3 * C + 7
         # Chunks share one buffer, so each is copied before the next is drawn.
-        chunks = [chunk.copy() for chunk in _gap_chunks(SEED, 3, n, arrival.rate)]
+        chunks = [chunk.copy() for chunk in _gap_chunks(SEED, 3, n)]
         assert [c.size for c in chunks] == [C, C, C, 7]
         v = np.random.default_rng(np.random.SeedSequence((SEED, 3))).random(n)
+        assert np.array_equal(np.concatenate(chunks), np.log(1.0 - v))
         one_shot = -np.log(1.0 - v) / arrival.rate
-        assert np.array_equal(np.concatenate(chunks), one_shot)
         assert np.array_equal(sample_interarrivals(SEED, n, arrival, replication=3), one_shot)
 
     def test_chunks_are_not_validated_again(self, monkeypatch):
@@ -636,12 +638,19 @@ class TestStreamingKernel:
             counts.append(dict(calls))
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("rate, threshold, pooled", [(0.02, 50.0, 8), (0.05, 60.0, 60)], ids=["x=1", "x=3"])
     @pytest.mark.parametrize("n", [2, C - 1, C, C + 1, 3 * C + 7])
-    def test_matches_reference_at_chunk_boundaries(self, n):
-        # Two vehicles close at most one platoon, too few samples for a
-        # confidence interval, so n = 2 pools eight replications (three
-        # closed platoons at this seed).
-        config = self._config(n_vehicles=n, n_replications=8 if n == 2 else 1)
+    def test_matches_reference_at_chunk_boundaries(self, n, rate, threshold, pooled):
+        # The two configs of the oracle_large benchmark. Two vehicles close
+        # at most one platoon, too few samples for a confidence interval, so
+        # n = 2 pools several replications (three closed platoons of eight
+        # at x = 1 and this seed).
+        config = self._config(
+            arrival=ArrivalModel(rate=rate),
+            policy=PlatoonPolicy(threshold=threshold),
+            n_vehicles=n,
+            n_replications=pooled if n == 2 else 1,
+        )
         summary = run_replications(config)
         assert summary_mismatches(summary, pooled_reference(config)) == []
 
@@ -654,7 +663,7 @@ class TestStreamingKernel:
         assert summary_mismatches(summary, reference_summary(*run_samples(run))) == []
 
     def test_replications_of_several_chunks(self):
-        config = self._config(n_vehicles=3 * C + 7, n_replications=2)
+        config = self._config(n_vehicles=196_615, n_replications=2)
         summary = run_replications(config)
         # One sample per closed platoon on every statistic: e^-1 of the
         # vehicles lead, less each replication's censored last platoon.
@@ -663,7 +672,7 @@ class TestStreamingKernel:
         assert summary_mismatches(summary, pooled_reference(config)) == []
 
     def test_several_replications(self):
-        config = self._config(n_vehicles=C + 1, n_replications=4)
+        config = self._config(n_vehicles=65_537, n_replications=4)
         summary = run_replications(config)
         counts = (summary.platoon_size.count, summary.leader_headway.count, summary.time_shift.count)
         assert counts == (96_701,) * 3
@@ -698,7 +707,7 @@ class TestStreamingKernel:
             summary = run_replications(config)
         assert summary_mismatches(summary, reference) == []
 
-    @pytest.mark.parametrize("n", [C + 1, 3 * C + 7])
+    @pytest.mark.parametrize("n", [65_537, 196_615])
     def test_grid_equals_the_per_point_path(self, n):
         # Every threshold of a grid folds the same draws, so each grid row is
         # the record a config of that threshold alone gives, about the same
@@ -765,6 +774,26 @@ class TestStreamingKernel:
         run_replications(self._config(policy=PlatoonPolicy(threshold=150.0), n_vehicles=2 * C + 1, seed=SEED + 1))
         assert run_replications(config) == first
         assert summary_mismatches(first, pooled_reference(config)) == []
+
+    @pytest.mark.parametrize("rate, threshold", [(0.02, 50.0), (0.05, 60.0)], ids=["x=1", "x=3"])
+    def test_working_set_is_a_few_chunk_buffers(self, rate, threshold):
+        # A replication keeps about 49 bytes per vehicle of a chunk: its
+        # gaps, arrival times and leader mask, and per platoon its vehicles,
+        # leader time, headway and shift sum; then the leaders' indices.
+        # At 32,768 vehicles a chunk that is about 1.7 MiB. A small run
+        # first makes the first draw's imports, so the traced peak is the
+        # kernel's own.
+        config = self._config(
+            arrival=ArrivalModel(rate=rate), policy=PlatoonPolicy(threshold=threshold), n_vehicles=500_000, n_replications=2
+        )
+        run_replications(replace(config, n_vehicles=1_000))
+        tracemalloc.start()
+        try:
+            run_replications(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
 
     def test_memory_is_flat_in_n(self):
         peaks = {}
