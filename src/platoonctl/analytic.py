@@ -85,14 +85,16 @@ def _threshold_arg(name: str, value, rule, arrival: ArrivalModel) -> float:
 
 def _libm(fn, x):
     """``fn`` (``math.exp`` or ``math.expm1``) at ``x``, elementwise when ``x``
-    is an array. numpy's own exp and expm1 differ from libm in the last bit at
-    some arguments, so arrays go through ``math`` as well and every element
-    equals the scalar result at that threshold."""
+    is a 1-D float64 array. numpy's own exp and expm1 differ from libm in the
+    last bit at some arguments, so arrays go through ``math`` as well and
+    every element equals the scalar result at that threshold. ``map`` reads
+    the array's doubles through a ``memoryview``, one float at a time, so no
+    list of the whole grid is built."""
     if isinstance(x, (int, float)):
         return fn(x)
     import numpy as np  # x is an array, so numpy is already loaded
 
-    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+    return np.fromiter(map(fn, memoryview(x)), dtype=float, count=x.size)
 
 
 def _merge_probability(x):

@@ -16,10 +16,11 @@ comparison failure, 2 usage or configuration error (an unwritable output
 path or too few samples for a CI too), 3 out of memory.
 
 numpy is imported only by ``simulate`` and ``sweep``, which build arrays,
-and orjson only by ``sweep``, which formats its float columns with it
-(each value outside orjson's ``repr`` notation range with ``repr``);
-``analytic``, ``optimize`` and every configuration error run without
-either.
+and orjson only by ``sweep``, which formats its float columns with it, a
+block of rows per call (each value outside orjson's ``repr`` notation
+range with ``repr``), and splits the block's text into CSV lines with
+numpy; ``analytic``, ``optimize`` and every configuration error run
+without either.
 """
 
 from __future__ import annotations
@@ -290,9 +291,9 @@ def _output_path(path: str | None) -> str | None:
     raise ValueError(f"cannot write output file {path!r}: {problem}")
 
 
-# Rows formatted per write call for a sweep; the text of one block is the
-# only text held in memory.
-CSV_BLOCK_ROWS = 4096
+# Rows formatted per write call for a sweep; the text of one block, in at
+# most two copies, is the only text held in memory.
+CSV_BLOCK_ROWS = 2048
 
 # orjson (Ryu) writes the same shortest round-trip digits as ``repr``, but in
 # ``repr``'s notation only for magnitudes in this range: it writes 0.00001
@@ -425,41 +426,47 @@ class _ColumnRows:
 
         The rows go one block of ``CSV_BLOCK_ROWS`` at a time. The columns of
         a block are stacked into one C-contiguous ``(rows, columns)`` float64
-        array and formatted by a single ``orjson.dumps`` call, whose
-        ``[[a,b],[c,d]]`` becomes ``a,b\\nc,d`` with one ``bytes.replace``.
-        Each value outside ``_RYU_NOTATION_RANGE`` (zero, NaN and the
-        infinities too) is set to NaN first, which orjson writes as ``null``,
-        and each ``null`` is then replaced, in row-major order, by that
-        value's ``repr``. No other value is written as ``null``.
+        array, and its row-major flattening is formatted by a single
+        ``orjson.dumps`` call as ``[a,b,c,d]``. Each value outside
+        ``_RYU_NOTATION_RANGE`` (zero, NaN and the infinities too) is set to
+        NaN first, which orjson writes as ``null``, and each ``null`` is then
+        replaced, in row-major order, by that value's ``repr``. No other
+        value is written as ``null``, and no value's text holds a comma. So
+        the text becomes ``a,b\\nc,d\\n`` in one vectorized pass over a
+        writable copy of its bytes: every ``columns``-th comma, found with
+        ``np.flatnonzero``, and the closing bracket become line feeds, and
+        the opening bracket is not written.
         """
         import numpy as np
         import orjson
 
         low, high = _RYU_NOTATION_RANGE
+        width = len(self._columns)
 
-        def block_text(start: int) -> bytes:
+        def block_text(start: int):
             block = np.stack([column[start:start + CSV_BLOCK_ROWS] for column in self._columns], axis=1)
             magnitude = np.abs(block)
             outside = ~((magnitude >= low) & (magnitude < high))
             del magnitude
             outliers = block[outside].tolist()
             block[outside] = np.nan
-            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-            # Each step frees the text before it, and the stacked array goes
-            # before the first copy, so at most two copies of the text are
-            # held at once, and none outlives its block's write.
+            text = orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
             del block
-            text = text.replace(b"],[", b"\n")
             if outliers:
                 # ``%a`` writes ``ascii(value)``, which for a float is its
-                # repr; the text holds no other ``%``.
+                # repr; the text holds no other ``%`` and a repr no comma.
                 text = text.replace(b"null", b"%a")
                 text %= tuple(outliers)
-            return text
+            # Each copy replaces the one before it, so at most two copies of
+            # the text are held at once, and none outlives its block's write.
+            text = np.frombuffer(text, dtype=np.uint8).copy()  # writable
+            commas = np.flatnonzero(text == ord(","))
+            text[commas[width - 1::width]] = ord("\n")  # each row's last comma
+            text[-1] = ord("\n")  # the closing bracket
+            return text[1:]
 
         for start in range(0, len(self), CSV_BLOCK_ROWS):
-            fh.write(memoryview(block_text(start))[2:-2])
-            fh.write(b"\n")
+            fh.write(block_text(start))
 
 
 def sweep_rows(

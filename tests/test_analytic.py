@@ -513,3 +513,13 @@ class TestThresholdCurves:
             want = [fn(PlatoonPolicy(threshold=r)).hex() for r in grid.tolist()]
             got = [value.hex() for value in getattr(curves, name).tolist()]
             assert got == want, name
+
+    @pytest.mark.parametrize("rate", [0.02, 0.125])
+    @pytest.mark.parametrize("fn", [math.exp, math.expm1], ids=["exp", "expm1"])
+    def test_libm_equals_the_scalar_calls_bit_for_bit(self, rate, fn):
+        # x up to 8 at rate 0.02 and up to 50 at rate 0.125; negated, strided
+        # and reversed views read through the same buffer as the grid.
+        x = rate * np.linspace(0.0, 400.0, 100_001)
+        for values in (x, -x, x[::3], x[::-1]):
+            want = np.array([fn(v) for v in values.tolist()])
+            assert analytic._libm(fn, values).view(np.int64).tolist() == want.view(np.int64).tolist()

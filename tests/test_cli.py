@@ -807,6 +807,9 @@ SWEEP_GRIDS = {
     "cruise_30km": ({}, 0.0, 400.0, 2001),
     "cruise_80km": ({"cost": {"cruise_zone_km": 80.0}}, 0.0, 400.0, 2001),
     "unbounded_decreasing": ({"cost": {"value_of_time_per_h": 100.0}}, 0.0, 400.0, 2001),
+    # Two whole blocks and one row, with the fallback zeros of threshold 0 in
+    # the first block.
+    "two_blocks_and_a_row": ({}, 0.0, 400.0, 2 * CSV_BLOCK_ROWS + 1),
 }
 
 
