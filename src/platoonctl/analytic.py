@@ -105,12 +105,36 @@ def _platoon_size(x):
     return _libm(math.exp, x)
 
 
-def _time_reduction(rate, threshold, x):
-    value = _libm(math.expm1, x) / rate - threshold
-    if isinstance(value, float):
-        return max(0.0, value)
-    value[~(value > 0.0)] = 0.0  # max(0.0, value) elementwise, on a fresh array
-    return value
+# (expm1(x) - x)/x = x/2! + x^2/3! + x^3/4! + ...; the coefficients 1/18!
+# down to 1/2! of the sum over x, in Horner's order. At x < 1 the subtraction
+# would cancel digits of expm1(x) (all of them as x -> 0), so the series is
+# taken there; the terms it leaves out add up to less than 2^-54 of it.
+_EXCESS_SERIES_BELOW = 1.0
+_EXCESS_SERIES = tuple(1 / math.factorial(k) for k in range(18, 1, -1))
+
+
+def _excess_series(x):
+    """(expm1(x) - x)/x at ``x`` (a number or an array) by Horner's rule."""
+    acc = _EXCESS_SERIES[0]
+    for coefficient in _EXCESS_SERIES[1:]:
+        acc = acc * x + coefficient
+    return acc * x
+
+
+def _time_reduction(threshold, x):
+    """threshold * (expm1(x) - x)/x, which equals expm1(x)/rate - threshold
+    without that form's cancellation at small x. Each step is one rounded
+    float operation, the same for a number and for each array element."""
+    if isinstance(x, (int, float)):
+        return threshold * (_excess_series(x) if x < _EXCESS_SERIES_BELOW else (math.expm1(x) - x) / x)
+    import numpy as np  # x is an array, so numpy is already loaded
+
+    ratio = np.empty_like(x)
+    small = x < _EXCESS_SERIES_BELOW
+    ratio[small] = _excess_series(x[small])
+    large = x[~small]
+    ratio[~small] = (_libm(math.expm1, large) - large) / large
+    return threshold * ratio
 
 
 def _fuel_increase(params: CostParameters, time_reduction):
@@ -148,7 +172,7 @@ def _statistics(rate, threshold) -> PlatoonStatistics:
         merge_probability=_merge_probability(x),
         expected_platoon_size=size,
         expected_platoon_headway=size / rate,
-        expected_time_reduction=_time_reduction(rate, threshold, x),
+        expected_time_reduction=_time_reduction(threshold, x),
     )
 
 
@@ -194,8 +218,11 @@ def expected_platoon_headway(arrival: ArrivalModel, policy: PlatoonPolicy) -> fl
 def expected_time_reduction(arrival: ArrivalModel, policy: PlatoonPolicy) -> float:
     """Mean per-vehicle merging-zone traverse-time reduction, seconds.
 
-    Closed form (expm1(rate * threshold) / rate) - threshold; zero at
-    threshold 0 and non-negative everywhere since e^x - 1 >= x.
+    Closed form (expm1(rate * threshold) / rate) - threshold, computed as
+    threshold * (expm1(x) - x) / x with x = rate * threshold, and below
+    x = 1 from that ratio's Taylor series, which keeps full precision at
+    small x where the closed form cancels. Zero at threshold 0 and
+    non-negative everywhere, since every term of the series is.
     """
     return platoon_statistics(arrival, policy).expected_time_reduction
 

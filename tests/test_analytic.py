@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,6 +113,21 @@ class TestExpectedStatistics:
         assert expected_time_reduction(nominal_arrival, nominal_policy) == pytest.approx(
             50.0 * math.e - 100.0, rel=1e-14
         )
+
+    @pytest.mark.parametrize("threshold", [1e-9, 1e-6, 1e-3, 0.025, 25.0])
+    def test_time_reduction_keeps_full_precision_at_small_x(self, threshold):
+        # Exact rational reference: (e^x - 1 - x) / rate = threshold * sum over
+        # k >= 2 of x^(k-1) / k!, at x = rate * threshold of the two doubles.
+        # expm1(x) / rate - threshold lost up to 7 of 16 digits at 1e-9 s.
+        rate = 0.02
+        x = Fraction(rate) * Fraction(threshold)
+        exact, term, k = Fraction(0), Fraction(threshold), 1
+        while term > exact * Fraction(1, 10**40):
+            k += 1
+            term = term * x / k
+            exact += term
+        got = expected_time_reduction(ArrivalModel(rate=rate), PlatoonPolicy(threshold=threshold))
+        assert abs(Fraction(got) - exact) <= 2 * Fraction(math.ulp(float(exact)))
 
     def test_time_reduction_small_threshold_is_quadratic(self):
         # Second-order behavior: about rate * threshold^2 / 2 for small products.
