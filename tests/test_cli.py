@@ -799,8 +799,7 @@ def reference_sweep_rows(params, arrival, r_min, r_max, points):
 # dense grids numpy's exp/expm1 differ from libm's in the last bit at about
 # 5% of the points, so an array pass through them fails the byte comparison.
 SWEEP_GRIDS = {
-    # Sub-ulp thresholds, where the time reduction comes from its series
-    # (expm1(x) / rate - threshold would round to 0 or below there).
+    # Sub-ulp thresholds, where the time reduction comes from its series.
     "tiny_thresholds": ({}, 0.0, 1e-16, 101),
     "x50_boundary": ({"arrival": {"rate": 0.125}}, 0.0, 400.0, 2001),
     "cruise_5km": ({"cost": {"cruise_zone_km": 5.0}}, 0.0, 400.0, 2001),
