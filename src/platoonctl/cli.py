@@ -494,7 +494,7 @@ def sweep_rows(
         from .simulator import _estimates, _pooled_stats
 
         try:
-            simulated = _estimates(*_pooled_stats(sim, curves.threshold))
+            simulated = _estimates(*_pooled_stats(sim, curves.threshold), 1.0 / sim.arrival.rate)
         except ValueError as exc:
             # On the same gaps a larger threshold leads no more platoons, so
             # when any point has too few closed platoons the largest does.

@@ -283,9 +283,9 @@ class SimulationConfig:
         # closed-platoon record, and each of the three terms of the mean
         # shift's residual, is then at most 2 * n_replications *
         # (n_vehicles * H)^2 in magnitude, and the terms' sum twice that.
-        # The simulator keeps a record's sums in units of 1/rate and scales
-        # each replication's to seconds once (by -1/rate, a square twice);
-        # the bound covers the scaled values.
+        # The check bounds these sums in seconds. The simulator's, in units of
+        # 1/rate, are up to rate^2 larger at rate > 1; in those units H is at
+        # most n_vehicles * 53 ln 2, so they overflow only past ~1e76 vehicles.
         span = self.n_vehicles * (self.n_vehicles * MAX_UNIT_GAP / self.arrival.rate)  # n_vehicles * H
         if not math.isfinite(span * span * 4.0 * self.n_replications):
             raise ValueError(

@@ -24,7 +24,8 @@ chunks of ``CHUNK_VEHICLES``, as ln(1 - U): the gaps in units of 1/rate,
 negated. The process depends on rate and threshold only through x =
 rate·threshold, so ``run_replications`` folds each chunk in those units,
 with no divide per vehicle, by one segmented sum, into a record of sums of
-its closed platoons, scaled to seconds once per replication. Its memory is
+its closed platoons, also in units of 1/rate; seconds enter only where the
+estimator multiplies its headway and shift rows by 1/rate. Its memory is
 O(CHUNK_VEHICLES) whatever ``n_vehicles`` and ``n_replications`` are; it is
 the one-threshold case of ``_pooled_stats``, which draws each chunk once and
 folds it into one record row per threshold of a grid (common random
@@ -77,8 +78,8 @@ PMF_CUTOFF = 10
 # w = S - q·m are taken about a center (c, q) that every record of a pool
 # shares, the first closed platoon's headway and shift per vehicle, so the
 # variances do not cancel where the samples are few and close together. The
-# kernel keeps these sums in units of 1/rate and scales them to seconds once
-# per replication; the centers are in seconds.
+# kernel keeps these sums and the centers in units of 1/rate; ``summarize``,
+# in seconds.
 _RECORD_WIDTH = 8 + PMF_CUTOFF + 2
 
 
@@ -205,7 +206,7 @@ def summarize(run: SimulationRun) -> EmpiricalSummary:
     record = np.zeros(_RECORD_WIDTH)
     cycles = (sizes - 1.0, headways - center[0], shift_sums - center[1] * sizes)
     _add_cycles(record, cycles, np.minimum(sizes, PMF_CUTOFF + 1))
-    return _summary(record, center)
+    return _summary(record, center, 1.0)
 
 
 def _add_cycles(record: np.ndarray, cycles, bins: np.ndarray) -> None:
@@ -222,14 +223,15 @@ def _add_cycles(record: np.ndarray, cycles, bins: np.ndarray) -> None:
     record += row
 
 
-def _estimates(records: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _estimates(records: np.ndarray, centers: np.ndarray, unit: float) -> np.ndarray:
     """The mean size, mean headway and mean shift of each row of
     ``records``, about its column of ``centers``, each followed by its
     Student-t half-width at count - 1 degrees of freedom, as the six rows of
     one array. The mean shift is the ratio ΣS/Σm, and its half-width the
     delta-method one, sd(S - ratio·m) / (sqrt(count)·mean size) (Asmussen &
-    Glynn 2007, ch. IV.4). A row of fewer than two cycles, too few for a CI,
-    raises ``ValueError``."""
+    Glynn 2007, ch. IV.4). Times are in units of ``unit`` seconds, so the
+    headway and shift rows are multiplied by it. A row of fewer than two
+    cycles, too few for a CI, raises ``ValueError``."""
     n, e, ee, v, vv, w, ww, mw = records[:, :8].T  # e is m - 1
     if n.min() < 2:
         raise ValueError(
@@ -244,14 +246,16 @@ def _estimates(records: np.ndarray, centers: np.ndarray) -> np.ndarray:
     # exactly proportional to m, say), rounding can take one below 0.
     m2 = np.maximum([ee - e * e / n, vv - v * v / n, residual / (means[0] * means[0])], 0.0)
     scale = np.array([student_t_975(int(count) - 1) for count in n]) / np.sqrt(n)
-    return np.stack([means, scale * np.sqrt(m2 / (n - 1))], axis=1).reshape(6, -1)
+    estimates = np.stack([means, scale * np.sqrt(m2 / (n - 1))], axis=1).reshape(6, -1)
+    estimates[2:] *= unit
+    return estimates
 
 
-def _summary(record: np.ndarray, center: np.ndarray) -> EmpiricalSummary:
-    """The ``EmpiricalSummary`` of one record row about ``center``, its PMF
-    read from the size histogram."""
+def _summary(record: np.ndarray, center: np.ndarray, unit: float) -> EmpiricalSummary:
+    """The ``EmpiricalSummary`` of one record row about ``center``, in units
+    of ``unit`` seconds, its PMF read from the size histogram."""
     n = int(record[0])
-    means_and_widths = _estimates(record[None], center[:, None]).reshape(3, 2).tolist()
+    means_and_widths = _estimates(record[None], center[:, None], unit).reshape(3, 2).tolist()
     return EmpiricalSummary(
         *(StatEstimate(mean=mean, ci_half_width=width, count=n) for mean, width in means_and_widths),
         size_pmf={y: float(record[8 + y] / record[0]) for y in range(1, PMF_CUTOFF + 1)},
@@ -263,21 +267,18 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds, c
     closed platoons under each of ``thresholds``, row by row of one array
     (``config.policy`` is not read); memory is O(CHUNK_VEHICLES +
     thresholds) whatever n is. Row i is about column i of the (2,
-    thresholds) ``centers``, in seconds; a column still NaN takes the first
-    platoon this replication closes at that threshold.
+    thresholds) ``centers``; a column still NaN takes the first platoon
+    this replication closes at that threshold.
 
-    The fold runs in units of 1/rate, on the chunks of ``_gap_chunks``, so
-    no gap is divided: a vehicle leads iff ln(1 - U) < -rate·threshold, and
-    times count down from 0. The record is scaled to seconds once, before
-    it is returned; the fold is about the unit-time center that one
-    multiplication derives from ``centers``, also in the replication that
-    sets them, so that, given the centers, no record depends on which
-    replication set them.
+    Records and centers are in units of 1/rate: the fold runs on the chunks
+    of ``_gap_chunks``, so no gap is divided. A vehicle leads iff
+    ln(1 - U) < -rate·threshold, and times count down from 0, so a headway
+    is the earlier leader's time less the later one's.
 
     Each chunk is drawn once and summed once into arrival times, counted
     from the previous chunk's last vehicle, which every threshold then
-    folds. A platoon's shift sum is its arrivals' sum less its size times
-    its leader's arrival: one ``np.add.reduceat`` from the leaders gives
+    folds. A platoon's shift sum is its size times its leader's arrival
+    less its arrivals' sum: one ``np.add.reduceat`` from the leaders gives
     every platoon's, exactly 0 for a singleton. A second subtraction
     centers it: size times (leader's arrival plus center) in one would round
     every leader of a binade by the same amount, a bias of 7.6e-13 in the
@@ -285,8 +286,6 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds, c
     carries its open (not yet closed) platoon, in Python scalars: its size,
     its leader's time and its partial shift sum.
     """
-    rate = config.arrival.rate
-    scale = -1.0 / rate  # seconds per unit of the fold's (negated) time
     length, points = min(CHUNK_VEHICLES, config.n_vehicles), len(thresholds)
     leads_buffer, arrivals_buffer = np.empty(length, dtype=bool), np.empty(length)
     # Per platoon of a chunk, its vehicles there, and as columns of
@@ -296,8 +295,8 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds, c
     counts, cycles = np.empty(length + 1, dtype=np.int64), np.empty((3, length + 1))
     times, headways, sums = cycles
     records = np.zeros((points, _RECORD_WIDTH))
-    limits = [-(rate * threshold) for threshold in thresholds]
-    headway_centers, shift_centers = (centers * -rate).tolist()
+    limits = [-(config.arrival.rate * threshold) for threshold in thresholds]
+    headway_centers, shift_centers = centers.tolist()
     # Per threshold, the open platoon's size, its leader's time counted from
     # the chunk's start and its partial shift sum; the size is 0 only before
     # the first chunk: vehicle 1 always leads.
@@ -314,21 +313,21 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds, c
             leaders = leads.nonzero()[0]
             k = leaders.size
             head = leaders.item(0) if k else size  # the open platoon's vehicles in this chunk
-            open_sum = open_sums[index] + (float(np.add.reduce(arrivals[:head])) - head * leader_time)
+            open_sum = open_sums[index] + (head * leader_time - float(np.add.reduce(arrivals[:head])))
             counts[:k], counts[k] = leaders, size
             counts[1 : k + 1] -= leaders
             arrivals.take(leaders, out=times[1 : k + 1], mode="clip")  # "clip" writes unbuffered
             np.add.reduceat(arrivals, leaders, out=sums[1 : k + 1])
-            sums[1 : k + 1] -= np.multiply(counts[1 : k + 1], times[1 : k + 1], out=headways[1 : k + 1])
+            leader_sums = np.multiply(counts[1 : k + 1], times[1 : k + 1], out=headways[1 : k + 1])
+            np.subtract(leader_sums, sums[1 : k + 1], out=sums[1 : k + 1])
             counts[0], times[0], sums[0] = open_size + head, leader_time, open_sum
             closed = 0 if open_size else 1  # slot 0 is empty in the first chunk
             if k > closed:
                 if math.isnan(headway_centers[index]):  # the pool's first closed platoon sets its center
-                    center_h = (times.item(closed + 1) - times.item(closed)) * scale
-                    center_q = sums.item(closed) / counts.item(closed) * scale
-                    centers[:, index] = center_h, center_q
-                    headway_centers[index], shift_centers[index] = center_h * -rate, center_q * -rate
-                np.subtract(times[closed + 1 : k + 1], times[closed:k], out=headways[closed:k])
+                    headway_centers[index] = times.item(closed) - times.item(closed + 1)
+                    shift_centers[index] = sums.item(closed) / counts.item(closed)
+                    centers[:, index] = headway_centers[index], shift_centers[index]
+                np.subtract(times[closed:k], times[closed + 1 : k + 1], out=headways[closed:k])
                 headways[closed:k] -= headway_centers[index]
                 # Over the leaders' times, which the headways have read; times[k] stays.
                 sums[closed:k] -= np.multiply(counts[closed:k], shift_centers[index], out=times[closed:k])
@@ -336,8 +335,6 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds, c
                 bins = np.minimum(counts[closed:k], PMF_CUTOFF + 1, out=counts[closed:k])  # over m, which m - 1 has read
                 _add_cycles(records[index], cycles[:, closed:k], bins)
             open_sizes[index], leader_times[index], open_sums[index] = counts.item(k), times.item(k) - last, sums.item(k)
-    records[:, 3:8] *= scale  # Σv, Σw and Σmw to seconds, and Σv², Σw² halfway
-    records[:, 4:7:2] *= scale
     return records
 
 
@@ -361,4 +358,4 @@ def run_replications(config: SimulationConfig) -> EmpiricalSummary:
     up to float rounding. A pool of fewer than two closed platoons, too few
     for a CI, raises ``ValueError``."""
     pool, centers = _pooled_stats(config, (config.policy.threshold,))
-    return _summary(pool[0], centers[:, 0])
+    return _summary(pool[0], centers[:, 0], 1.0 / config.arrival.rate)

@@ -151,8 +151,8 @@ def test_criterion_4_grid_robustness():
             )
             centers = np.full((2, 1), np.nan)
             stats = [_replication_stats(config, rep, [threshold], centers)[0] for rep in range(config.n_replications)]
-            per_rep = [_summary(record, centers[:, 0]) for record in stats]
-            aggregate = _summary(functools.reduce(np.add, stats), centers[:, 0])
+            per_rep = [_summary(record, centers[:, 0], 1.0 / rate) for record in stats]
+            aggregate = _summary(functools.reduce(np.add, stats), centers[:, 0], 1.0 / rate)
             cell = f"(rate={rate}, threshold={threshold})"
 
             # Means: 3-sigma bands from the spread of replication means.
@@ -349,7 +349,7 @@ def test_criterion_10_determinism(tmp_path):
     merged = collected[0]
     for rep in range(1, sim.n_replications):
         merged = merged + collected[rep]
-    if _summary(merged, centers[:, 0]) != aggregate:
+    if _summary(merged, centers[:, 0], 1.0 / sim.arrival.rate) != aggregate:
         failures.append("aggregate depends on replication execution order")
     failures.extend(summary_mismatches(aggregate, pooled_reference(sim)))
     conclude(10, "byte-identical CSV output and order-independent aggregation", failures)

@@ -359,7 +359,7 @@ class TestMoments:
     def _summary_of(self, sizes, headways, sums):
         # About the first cycle's headway and shift per vehicle, as summarize.
         center = np.array([headways[0], sums[0] / sizes[0]])
-        return _summary(self._of(sizes, headways, sums, center), center)
+        return _summary(self._of(sizes, headways, sums, center), center, 1.0)
 
     def test_record_of_cycles(self):
         sizes, headways, sums = cycles = self._cycles(10_001, SEED)
@@ -386,7 +386,7 @@ class TestMoments:
         assert np.array_equal(merged[:3], whole[:3])
         assert np.array_equal(merged[8:], whole[8:])
         assert merged[3:8].tolist() == pytest.approx(whole[3:8].tolist(), rel=1e-13)
-        assert summary_mismatches(_summary(merged, center), reference_summary(sizes, headways, sums)) == []
+        assert summary_mismatches(_summary(merged, center, 1.0), reference_summary(sizes, headways, sums)) == []
 
     def test_shift_sums_proportional_to_sizes_give_a_zero_width(self):
         # Every residual S - ratio·m is 0. From the record's sums their sum
@@ -397,7 +397,7 @@ class TestMoments:
         for per_vehicle in (7.7, 3.3):
             for center in (np.array([1.0, per_vehicle]), np.zeros(2)):
                 record = self._of(sizes, np.ones(16), per_vehicle * sizes, center)
-                shift = _summary(record, center).time_shift
+                shift = _summary(record, center, 1.0).time_shift
                 assert shift.mean == pytest.approx(per_vehicle, rel=1e-15)
                 assert shift.ci_half_width == 0.0
 
@@ -488,7 +488,7 @@ class TestRunReplications:
         merged = records[0]
         for rep in range(1, config.n_replications):
             merged = merged + records[rep]
-        assert _summary(merged, centers[:, 0]) == aggregate
+        assert _summary(merged, centers[:, 0], 1.0 / config.arrival.rate) == aggregate
         assert summary_mismatches(aggregate, pooled_reference(config)) == []
 
     def test_split_replications_consistent_with_single_run(self):
@@ -717,7 +717,7 @@ class TestStreamingKernel:
         config = self._config(n_vehicles=n, n_replications=3)
         grid = [0.0, 25.0, 50.0, 100.0, 100.0, 200.0, 400.0, 600.0]
         records, centers = _pooled_stats(config, grid)
-        columns = _estimates(records, centers)
+        columns = _estimates(records, centers, 1.0 / config.arrival.rate)
         assert records.shape == (len(grid), _RECORD_WIDTH) and columns.shape == (6, len(grid))
         for point, threshold in enumerate(grid):
             config_alone = replace(config, policy=PlatoonPolicy(threshold=threshold))
@@ -732,6 +732,39 @@ class TestStreamingKernel:
             ]
             assert [repr(value) for value in columns[:, point].tolist()] == [repr(value) for value in want], threshold
 
+    def test_the_kernel_reads_rate_only_through_x(self):
+        # The process depends on rate and threshold only through x, with
+        # time in units of 1/rate. At x = 1 four rates fold the same draws
+        # into the same records and centers, bit for bit, and each run's
+        # headway and shift rows are those shared unit estimates times 1/rate.
+        cases = [(0.02, 50.0), (0.05, 20.0), (1.0, 1.0), (0.125, 8.0)]
+        assert all(rate * threshold == 1.0 for rate, threshold in cases)
+        configs = [
+            self._config(
+                arrival=ArrivalModel(rate=rate),
+                policy=PlatoonPolicy(threshold=threshold),
+                n_vehicles=200_003,
+                n_replications=3,
+                seed=7,
+            )
+            for rate, threshold in cases
+        ]
+        pools = [_pooled_stats(config, [config.policy.threshold]) for config in configs]
+        records, centers = pools[0]
+        for (rate, _), (other_records, other_centers) in zip(cases[1:], pools[1:]):
+            assert np.array_equal(other_records, records), rate
+            assert np.array_equal(other_centers, centers), rate
+        unit = _estimates(records, centers, 1.0)[:, 0]
+        for (rate, _), config in zip(cases, configs):
+            summary = run_replications(config)
+            got = [
+                getattr(getattr(summary, name), part)
+                for name in ("platoon_size", "leader_headway", "time_shift")
+                for part in ("mean", "ci_half_width")
+            ]
+            want = unit[:2].tolist() + (unit[2:] * (1.0 / rate)).tolist()
+            assert [repr(value) for value in got] == [repr(value) for value in want], rate
+
     def test_two_close_headways_keep_their_spread(self):
         # These 5 vehicles close two platoons at x = 0.5, with headways of
         # 77.06 s and 76.46 s. Raw sums of h and h² would lose 5 of their
@@ -741,13 +774,14 @@ class TestStreamingKernel:
         assert summary_mismatches(run_replications(config), pooled_reference(config)) == []
 
     def test_singletons_have_a_shift_of_exactly_zero(self):
-        # At threshold 0 every platoon is a singleton. Its shift sum is its
-        # leader's arrival less 1 times that arrival, exactly 0.0, so the
-        # mean shift and its half-width are 0.0, not a rounding residue.
+        # At threshold 0 every platoon is a singleton. Its shift sum is 1 times
+        # its leader's arrival less that arrival, exactly 0.0, so the
+        # mean shift and its half-width are 0.0, not a rounding residue, and
+        # not -0.0, which the CSVs would print.
         config = self._config(policy=PlatoonPolicy(threshold=0.0), n_vehicles=3 * C + 7, n_replications=2)
         summary = run_replications(config)
         assert summary.size_pmf[1] == 1.0
-        assert (summary.time_shift.mean, summary.time_shift.ci_half_width) == (0.0, 0.0)
+        assert [repr(summary.time_shift.mean), repr(summary.time_shift.ci_half_width)] == ["0.0", "0.0"]
 
     def test_stale_buffers_do_not_change_the_summary(self, monkeypatch):
         # Every buffer allocated during the run starts as garbage (NaN floats,
