@@ -151,23 +151,17 @@ class Scenario:
     output: dict
 
 
-# The keys of every config section; any other section or key is an error.
-_SECTION_KEYS = {
-    "arrival": ("rate",),
-    "policy": ("threshold",),
-    "cost": tuple(f.name for f in dataclasses.fields(RawCostConfig)),
-    "simulation": ("n_vehicles", "n_replications", "seed"),
-    "output": ("json", "csv"),
+# The dataclass each numeric config section is read into. Its number fields,
+# annotated ``int`` or ``float`` (as strings: ``domain`` postpones its
+# annotations), are the section's keys in field order; any other section or
+# key is an error.
+_SECTION_TYPES = dict(arrival=ArrivalModel, policy=PlatoonPolicy, cost=RawCostConfig, simulation=SimulationConfig)
+_CHECKS = {"int": _integer, "float": _number}
+_SECTION_FIELDS = {
+    name: tuple(f for f in dataclasses.fields(cls) if f.type in _CHECKS) for name, cls in _SECTION_TYPES.items()
 }
-
-
-def _known_keys(sect: dict, name: str) -> dict:
-    unknown = [key for key in sect if key not in _SECTION_KEYS[name]]
-    if unknown:
-        raise ValueError(
-            f"config field {name}.{unknown[0]} is not a known key; '{name}' takes {', '.join(_SECTION_KEYS[name])}"
-        )
-    return sect
+_SECTION_KEYS = {name: tuple(f.name for f in fields) for name, fields in _SECTION_FIELDS.items()}
+_SECTION_KEYS["output"] = ("json", "csv")
 
 
 def _section(cfg: dict, name: str) -> dict:
@@ -176,23 +170,36 @@ def _section(cfg: dict, name: str) -> dict:
     sect = cfg[name]
     if not isinstance(sect, dict):
         raise ValueError(f"config section '{name}' must be an object")
-    return _known_keys(sect, name)
+    unknown = [key for key in sect if key not in _SECTION_KEYS[name]]
+    if unknown:
+        raise ValueError(
+            f"config field {name}.{unknown[0]} is not a known key; '{name}' takes {', '.join(_SECTION_KEYS[name])}"
+        )
+    return sect
 
 
-def _field(sect: dict, key: str, where: str, default=None):
-    if key in sect:
-        return sect[key]
-    if default is None:
-        raise ValueError(f"config field {where}.{key} is missing")
-    return default
+# The one config rule that is not its dataclass's: a run names its seed,
+# though ``SimulationConfig`` defaults it to 0 for library callers.
+_REQUIRED_KEYS = ("simulation.seed",)
 
 
-def _config_number(sect: dict, key: str, where: str, default: float | None = None) -> float:
-    return _number(f"config field {where}.{key}", _field(sect, key, where, default))
+def _read_section(cfg: dict, name: str, **given):
+    """Config section ``name`` as its ``_SECTION_TYPES`` dataclass, built
+    from ``given`` and the section's keys.
 
-
-def _config_integer(sect: dict, key: str, where: str, default: int | None = None) -> int:
-    return _integer(f"config field {where}.{key}", _field(sect, key, where, default))
+    Each key is checked in field order, as ``config field <name>.<key>``:
+    with ``_integer`` if its field is an ``int``, else with ``_number``. A key
+    whose field has no default, or that ``_REQUIRED_KEYS`` names, must be
+    given; any other that is left out takes its field's default.
+    """
+    sect = _section(cfg, name)
+    for field in _SECTION_FIELDS[name]:
+        where = f"config field {name}.{field.name}"
+        if field.name in sect:
+            given[field.name] = _CHECKS[field.type](where, sect[field.name])
+        elif field.default is dataclasses.MISSING or f"{name}.{field.name}" in _REQUIRED_KEYS:
+            raise ValueError(f"{where} is missing")
+    return _SECTION_TYPES[name](**given)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -231,29 +238,10 @@ def load_scenario(path: str | Path) -> Scenario:
             "always leads, so every run starts at a regeneration point and has no start-up bias to discard"
         )
 
-    arrival = ArrivalModel(rate=_config_number(_section(cfg, "arrival"), "rate", "arrival"))
-    policy = PlatoonPolicy(threshold=_config_number(_section(cfg, "policy"), "threshold", "policy"))
-
-    cost = None
-    if "cost" in cfg:
-        sect = _section(cfg, "cost")
-        raw = RawCostConfig(**{
-            f.name: _config_number(sect, f.name, "cost", None if f.default is dataclasses.MISSING else f.default)
-            for f in dataclasses.fields(RawCostConfig)
-        })
-        cost = normalize_units(raw)
-
-    simulation = None
-    if "simulation" in cfg:
-        sect = _section(cfg, "simulation")
-        simulation = SimulationConfig(
-            arrival=arrival,
-            policy=policy,
-            n_vehicles=_config_integer(sect, "n_vehicles", "simulation"),
-            n_replications=_config_integer(sect, "n_replications", "simulation", default=1),
-            seed=_config_integer(sect, "seed", "simulation"),
-        )
-
+    arrival = _read_section(cfg, "arrival")
+    policy = _read_section(cfg, "policy")
+    cost = normalize_units(_read_section(cfg, "cost")) if "cost" in cfg else None
+    simulation = _read_section(cfg, "simulation", arrival=arrival, policy=policy) if "simulation" in cfg else None
     output = _section(cfg, "output") if "output" in cfg else {}
     for key in ("json", "csv"):
         if key in output and not (isinstance(output[key], str) and output[key]):

@@ -213,12 +213,16 @@ def _add_cycles(record: np.ndarray, cycles, bins: np.ndarray) -> None:
     """Add to the ``record`` row, by one vector add, the sums of closed
     platoons whose m - 1, centered headways v and centered shift sums w are
     the three rows of ``cycles``, and whose sizes' histogram bins, each size
-    m clipped at ``PMF_CUTOFF + 1``, are the ints ``bins``."""
+    m clipped at ``PMF_CUTOFF + 1``, are the ints ``bins``. The squares and
+    products overwrite the rows of ``cycles``, so none is allocated, and
+    every sum is numpy's pairwise ``np.add.reduce``: a BLAS dot splits a
+    long vector across threads, so its sums would follow their count."""
     e, v, w = cycles
     row = np.empty(_RECORD_WIDTH)
     np.add.reduce(cycles, axis=1, out=row[1:7:2])
-    row[0], row[2], row[4], row[6] = bins.size, np.dot(e, e), np.dot(v, v), np.dot(w, w)
-    row[7] = np.dot(e, w) + row[5]  # Σmw = Σ(m - 1)w + Σw
+    row[0], row[4] = bins.size, np.add.reduce(np.square(v, out=v))
+    row[7] = np.add.reduce(np.multiply(e, w, out=v)) + row[5]  # Σmw = Σ(m - 1)w + Σw
+    row[2], row[6] = np.add.reduce(np.square(e, out=e)), np.add.reduce(np.square(w, out=w))
     row[8:] = np.bincount(bins, minlength=PMF_CUTOFF + 2)
     record += row
 

@@ -4,13 +4,17 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import platoonctl
 from platoonctl import (
     ArrivalModel,
     PlatoonPolicy,
@@ -121,21 +125,6 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match="'arrival'"):
             load_scenario(path)
 
-    def test_missing_field_names_it(self, write_config):
-        path = write_config({"cost": {"fuel_price_per_l": None}})
-        with pytest.raises(ValueError, match="cost.fuel_price_per_l"):
-            load_scenario(path)
-
-    def test_non_numeric_field_names_it(self, write_config):
-        path = write_config({"arrival": {"rate": "0.02"}})
-        with pytest.raises(ValueError, match="arrival.rate"):
-            load_scenario(path)
-
-    def test_non_integer_seed_rejected(self, write_config):
-        path = write_config({"simulation": {"seed": 1.5}})
-        with pytest.raises(ValueError, match="simulation.seed"):
-            load_scenario(path)
-
     @pytest.mark.parametrize("key", ["json", "csv"])
     @pytest.mark.parametrize(
         "value", [1, 5, True, ["a"], "", {}], ids=["1", "5", "true", "list", "empty", "object"]
@@ -167,6 +156,57 @@ class TestConfigLoading:
     def test_removed_warmup_key_is_rejected_at_any_other_value(self, write_config, value):
         with pytest.raises(ValueError, match=r"^config field simulation\.warmup_vehicles was removed"):
             load_scenario(write_config({"simulation": {"warmup_vehicles": value}}))
+
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            *[(section, key, None, f"config field {section}.{key} is missing") for section, key in (
+                ("arrival", "rate"), ("policy", "threshold"), ("cost", "value_of_time_per_h"),
+                ("cost", "fuel_price_per_l"), ("cost", "drag_fuel_coeff"), ("cost", "fuel_per_100km"),
+                ("cost", "fuel_saving_fraction"), ("cost", "cruise_speed_mph"), ("cost", "merge_zone_km"),
+                ("cost", "cruise_zone_km"), ("simulation", "n_vehicles"), ("simulation", "seed"),
+            )],
+            ("arrival", "rate", "fast", "config field arrival.rate must be a number, got 'fast'"),
+            ("policy", "threshold", [50], "config field policy.threshold must be a number, got [50]"),
+            ("cost", "merge_zone_km", "2.5", "config field cost.merge_zone_km must be a number, got '2.5'"),
+            ("cost", "nominal_merge_time_s", {}, "config field cost.nominal_merge_time_s must be a number, got {}"),
+            ("simulation", "n_vehicles", "many", "config field simulation.n_vehicles must be an integer, got 'many'"),
+            ("arrival", "rate", True, "config field arrival.rate must be a number, got True"),
+            ("policy", "threshold", False, "config field policy.threshold must be a number, got False"),
+            ("cost", "fuel_saving_fraction", True, "config field cost.fuel_saving_fraction must be a number, got True"),
+            ("simulation", "n_vehicles", True, "config field simulation.n_vehicles must be an integer, got True"),
+            ("simulation", "n_replications", True,
+             "config field simulation.n_replications must be an integer, got True"),
+            ("simulation", "seed", False, "config field simulation.seed must be an integer, got False"),
+            ("simulation", "n_vehicles", 1000.0, "config field simulation.n_vehicles must be an integer, got 1000.0"),
+            ("simulation", "n_replications", 2.5,
+             "config field simulation.n_replications must be an integer, got 2.5"),
+            ("simulation", "seed", 1.5, "config field simulation.seed must be an integer, got 1.5"),
+            ("arrival", "rates", 1, "config field arrival.rates is not a known key; 'arrival' takes rate"),
+            ("policy", "threshold_s", 1,
+             "config field policy.threshold_s is not a known key; 'policy' takes threshold"),
+            ("cost", "fuel_price", 1, "config field cost.fuel_price is not a known key; 'cost' takes "
+             "value_of_time_per_h, fuel_price_per_l, drag_fuel_coeff, fuel_per_100km, fuel_saving_fraction, "
+             "cruise_speed_mph, merge_zone_km, cruise_zone_km, nominal_merge_time_s"),
+            ("simulation", "n_replication", 1,
+             "config field simulation.n_replication is not a known key; 'simulation' takes n_vehicles, "
+             "n_replications, seed"),
+            ("output", "jsn", 1, "config field output.jsn is not a known key; 'output' takes json, csv"),
+        ],
+    )
+    def test_config_error_messages(self, write_config, section, key, value, message):
+        # None leaves the key out. The seed is required, though
+        # SimulationConfig defaults it to 0: a run always names its seed.
+        with pytest.raises(ValueError) as raised:
+            load_scenario(write_config({section: {key: value}}))
+        assert str(raised.value) == message
+
+    def test_optional_keys_take_their_defaults(self, write_config):
+        scenario = load_scenario(write_config({
+            "simulation": {"n_replications": None}, "cost": {"nominal_merge_time_s": None},
+        }))
+        assert scenario.simulation.n_replications == 1
+        assert scenario.cost.nominal_merge_time == 0.0
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -352,6 +392,18 @@ class TestExitCodes:
         assert not (tmp_path / "missing").exists()
         assert not (tmp_path / "read-only" / "out").exists()
 
+    def test_permission_denied_exits_2_before_any_work(self, write_config, tmp_path, capsys, monkeypatch):
+        # The read-only cases above skip as root, who may write anywhere; an
+        # access check that denies reaches the same message under any user.
+        monkeypatch.setattr(simulator, "_gap_chunks", self._never)
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        target = str(tmp_path / "out.csv")
+        assert main(["simulate", "--config", write_config(), "--csv", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write output file {target!r}: permission denied\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out.csv").exists()
+
     @staticmethod
     def _never(*args, **kwargs):
         raise AssertionError("the command simulated before rejecting its input")
@@ -532,6 +584,28 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", path, "--csv", str(csv1)]) == 0
         assert main(["simulate", "--config", path, "--csv", str(csv2)]) == 0
         assert csv1.read_bytes() == csv2.read_bytes()
+
+    def test_csv_bytes_do_not_depend_on_the_blas_thread_count(self, write_config, tmp_path):
+        # A BLAS dot product splits a long vector across its threads, so its
+        # sum would follow their count. x = 1 closes about 12,000 platoons a
+        # chunk, long enough to split.
+        path = write_config({"simulation": {"n_vehicles": 200_000, "n_replications": 2, "seed": 7}})
+        src = str(Path(platoonctl.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            env = {
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads),
+            }
+            done = subprocess.run(
+                [sys.executable, "-m", "platoonctl.cli", "simulate", "--config", path, "--csv", str(out)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_warmup_key_at_zero_changes_no_output_byte(self, write_config, tmp_path, capsys):
         # Configs written before the option was removed hold it at 0.
