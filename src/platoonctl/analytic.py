@@ -84,25 +84,17 @@ def _threshold_arg(name: str, value, rule, arrival: ArrivalModel) -> float:
 
 
 def _libm(fn, x):
-    """``fn`` (``math.exp`` or ``math.expm1``) at ``x``, elementwise when ``x``
-    is a 1-D float64 array. numpy's own exp and expm1 differ from libm in the
-    last bit at some arguments, so arrays go through ``math`` as well and
-    every element equals the scalar result at that threshold. ``map`` reads
-    the array's doubles through a ``memoryview``, one float at a time, so no
-    list of the whole grid is built."""
+    """``fn`` (``math.expm1``: every closed form comes from g = e^x - 1) at
+    ``x``, elementwise when ``x`` is a 1-D float64 array. numpy's expm1
+    differs from libm in the last bit at some arguments, so arrays go
+    through ``math`` as well and every element equals the scalar result at
+    that threshold. ``map`` reads the array's doubles through a
+    ``memoryview``, one float at a time: no list of the grid is built."""
     if isinstance(x, (int, float)):
         return fn(x)
     import numpy as np  # x is an array, so numpy is already loaded
 
     return np.fromiter(map(fn, memoryview(x)), dtype=float, count=x.size)
-
-
-def _merge_probability(x):
-    return -_libm(math.expm1, -x)
-
-
-def _platoon_size(x):
-    return _libm(math.exp, x)
 
 
 # (expm1(x) - x)/x = x/2! + x^2/3! + x^3/4! + ...; the coefficients 1/18!
@@ -121,19 +113,19 @@ def _excess_series(x):
     return acc * x
 
 
-def _time_reduction(threshold, x):
-    """threshold * (expm1(x) - x)/x, which equals expm1(x)/rate - threshold
-    without that form's cancellation at small x. Each step is one rounded
-    float operation, the same for a number and for each array element."""
+def _time_reduction(threshold, x, growth):
+    """threshold * (g - x)/x with g = ``growth`` = expm1(x), which equals
+    g/rate - threshold without that form's cancellation at small x. Each
+    step is one rounded float operation, for a number and for each element."""
     if isinstance(x, (int, float)):
-        return threshold * (_excess_series(x) if x < _EXCESS_SERIES_BELOW else (math.expm1(x) - x) / x)
+        return threshold * (_excess_series(x) if x < _EXCESS_SERIES_BELOW else (growth - x) / x)
     import numpy as np  # x is an array, so numpy is already loaded
 
     ratio = np.empty_like(x)
     small = x < _EXCESS_SERIES_BELOW
     ratio[small] = _excess_series(x[small])
     large = x[~small]
-    ratio[~small] = (_libm(math.expm1, large) - large) / large
+    ratio[~small] = (growth[~small] - large) / large
     return threshold * ratio
 
 
@@ -149,30 +141,20 @@ def _total_cost(params: CostParameters, time_reduction, merge):
     return merge_time_cost_rate(params) * time_reduction - params.drafting_value * merge
 
 
-def platoon_size_pmf(arrival: ArrivalModel, policy: PlatoonPolicy, y: int) -> float:
-    """Probability that a platoon contains exactly ``y`` vehicles.
-
-    Platoon sizes are geometric: a platoon ends exactly when a gap exceeds
-    the threshold, which happens with probability exp(-rate * threshold).
-    """
-    _check_product(arrival.rate, policy.threshold)
-    _integer("y", y, 1)
-    boundary_p = math.exp(-arrival.rate * policy.threshold)
-    return boundary_p * (1.0 - boundary_p) ** (y - 1)
-
-
 def _statistics(rate, threshold) -> PlatoonStatistics:
     """The four closed-form statistics at ``threshold``: a number, or an
     array of thresholds that gives one array per field. The product limit
-    is checked first, on the largest threshold."""
+    is checked first, on the largest threshold. All four come from one
+    g = expm1(x) per threshold: size g + 1, merge g / size."""
     _check_product(rate, threshold if isinstance(threshold, (int, float)) else float(threshold.max()))
     x = rate * threshold
-    size = _platoon_size(x)
+    growth = _libm(math.expm1, x)
+    size = growth + 1.0
     return PlatoonStatistics(
-        merge_probability=_merge_probability(x),
+        merge_probability=growth / size,
         expected_platoon_size=size,
         expected_platoon_headway=size / rate,
-        expected_time_reduction=_time_reduction(threshold, x),
+        expected_time_reduction=_time_reduction(threshold, x, growth),
     )
 
 
@@ -195,14 +177,27 @@ def platoon_statistics(arrival: ArrivalModel, policy: PlatoonPolicy) -> PlatoonS
     return _statistics(arrival.rate, policy.threshold)
 
 
+def platoon_size_pmf(arrival: ArrivalModel, policy: PlatoonPolicy, y: int) -> float:
+    """Probability that a platoon contains exactly ``y`` vehicles.
+
+    Platoon sizes are geometric: a platoon ends exactly when a gap exceeds
+    the threshold, which happens with probability e^-x = 1/size, so the
+    PMF is merge^(y - 1) / size, both from the one g = expm1(x).
+    """
+    stats = platoon_statistics(arrival, policy)
+    _integer("y", y, 1)
+    return stats.merge_probability ** (y - 1) / stats.expected_platoon_size
+
+
 def merge_probability(arrival: ArrivalModel, policy: PlatoonPolicy) -> float:
     """Probability that an arriving vehicle joins the platoon ahead:
-    P(gap <= threshold) = 1 - exp(-rate * threshold)."""
+    P(gap <= threshold) = 1 - e^-x, taken as g / (g + 1) with
+    g = expm1(x), x = rate * threshold."""
     return platoon_statistics(arrival, policy).merge_probability
 
 
 def expected_platoon_size(arrival: ArrivalModel, policy: PlatoonPolicy) -> float:
-    """Mean number of vehicles per platoon: exp(rate * threshold)."""
+    """Mean number of vehicles per platoon: e^x = expm1(x) + 1."""
     return platoon_statistics(arrival, policy).expected_platoon_size
 
 
@@ -284,12 +279,12 @@ def expected_total_cost(
 
 def total_cost_derivative(params: CostParameters, arrival: ArrivalModel, r: float) -> float:
     """Derivative of expected_total_cost with respect to the threshold,
-    currency per vehicle per second, evaluated at threshold ``r``."""
+    currency per vehicle per second, evaluated at threshold ``r``:
+    net_rate * g - drafting_value * rate / (g + 1) with g = expm1(rate * r)."""
     _threshold_arg("r", r, _non_negative, arrival)
     rate = arrival.rate
-    net_rate = merge_time_cost_rate(params)
-    growth = math.exp(rate * r)
-    return (net_rate * (growth * growth - growth) - params.drafting_value * rate) / growth
+    growth = math.expm1(rate * r)
+    return merge_time_cost_rate(params) * growth - params.drafting_value * rate / (growth + 1.0)
 
 
 def optimal_threshold(
@@ -301,9 +296,11 @@ def optimal_threshold(
     grows, so the best admissible choice is r_max (regime
     ``unbounded_decreasing``). Otherwise the unique stationary point
 
-        (1/rate) * ln(1/2 + 1/2 * sqrt(4 * drafting_value * rate / net_rate + 1))
+        (1/rate) * ln(1/2 + 1/2 * sqrt(4 * c + 1)),  c = drafting_value * rate / net_rate,
 
-    is returned, clamped to r_max (``clamped`` flags that case).
+    is returned, clamped to r_max (``clamped`` flags that case), as
+    (1/rate) * log1p(g) with g = 2c / (1 + sqrt(1 + 4c)), the root of
+    g * (g + 1) = c: no digits cancel when c is small.
     """
     r_max = _threshold_arg("r_max", r_max, _positive, arrival)
 
@@ -314,8 +311,8 @@ def optimal_threshold(
         clamped = False
     else:
         regime = ThresholdRegime.INTERIOR_OPTIMUM
-        root = math.sqrt(4.0 * params.drafting_value * arrival.rate / net_rate + 1.0)
-        stationary = math.log(0.5 + 0.5 * root) / arrival.rate
+        c = params.drafting_value * arrival.rate / net_rate
+        stationary = math.log1p(2.0 * c / (1.0 + math.sqrt(1.0 + 4.0 * c))) / arrival.rate
         clamped = stationary > r_max
         best = min(stationary, r_max)
 

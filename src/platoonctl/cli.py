@@ -39,7 +39,6 @@ from .analytic import (
     _curves,
     numeric_optimal_threshold,
     optimal_threshold,
-    platoon_size_pmf,
     platoon_statistics,
 )
 from .domain import (
@@ -112,7 +111,7 @@ def build_comparison(
     # The singleton frequency is a binomial share with a known null
     # probability, so its half-width uses that probability: the empirical
     # share's own Wald width is 0 when the pool holds no singleton.
-    singleton_p = platoon_size_pmf(arrival, policy, 1)
+    singleton_p = 1.0 / stats.expected_platoon_size  # e^-x, platoon_size_pmf(..., 1)
     n_platoons = summary.platoon_size.count
     singleton = StatEstimate(
         summary.size_pmf.get(1, 0.0),

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +34,33 @@ def with_cruise_km(params, km):
     return dataclasses.replace(params, cruise_zone_len=km * 1000.0)
 
 
+# Ulp budgets of the closed forms built on g = expm1(x), which libm gives
+# within about 1 ulp: size = g + 1 rounds once more, merge = g / size twice,
+# and merge^(y - 1) / size carries merge's error y - 1 times plus size's and
+# two more roundings. The worst seen over 300,000 log-uniform x in
+# [1e-9, 50] was 1.25 ulp (size) and 2.29 ulp (merge).
+SIZE_ULPS = 1.5
+MERGE_ULPS = 2.5
+
+
+def pmf_ulps(y):
+    return MERGE_ULPS * (y - 1) + SIZE_ULPS + 1
+
+
+def ulps_off(got, reference):
+    """|got - reference| in units of the last place of ``reference``, a
+    50-digit Decimal."""
+    return abs(Decimal(got) - reference) / Decimal(math.ulp(float(reference)))
+
+
+def decimal_pmf(x, y):
+    """e^-x * (1 - e^-x)^(y - 1) to 50 digits at the exact double ``x``."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        boundary = (-Decimal(x)).exp()
+        return boundary * (1 - boundary) ** (y - 1)
+
+
 class TestPlatoonSizePmf:
     def test_zero_threshold_means_all_singletons(self):
         arrival = ArrivalModel(rate=0.02)
@@ -57,6 +86,13 @@ class TestPlatoonSizePmf:
     def test_rejects_non_integer_size(self, nominal_arrival, nominal_policy):
         with pytest.raises(ValueError, match="y must be"):
             platoon_size_pmf(nominal_arrival, nominal_policy, 1.5)
+
+    @pytest.mark.parametrize("x", [1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize("y", [2, 5])
+    def test_keeps_full_precision_at_small_x(self, x, y):
+        # 1 - e^-x cancels as x -> 0; merge^(y - 1) / size from expm1(x) does not.
+        got = platoon_size_pmf(ArrivalModel(rate=1.0), PlatoonPolicy(threshold=x), y)
+        assert ulps_off(got, decimal_pmf(x, y)) <= pmf_ulps(y)
 
     @pytest.mark.parametrize("rate,threshold", [(0.02, 50.0), (0.01, 10.0), (0.05, 100.0), (0.1, 3.0)])
     def test_truncated_sum_matches_geometric_tail(self, rate, threshold):
@@ -194,6 +230,25 @@ class TestExpectedStatistics:
         assert stats.expected_platoon_size >= 1.0
         assert stats.expected_platoon_headway >= 1.0 / rate
         assert stats.expected_time_reduction >= 0.0
+
+    def test_size_merge_and_pmf_within_their_ulp_budget(self):
+        # About 2,000 x log-uniform in [1e-9, 50], each the exact double that
+        # the closed forms see (rate 1), after the worst size and merge x seen.
+        rng = random.Random(2019)
+        xs = [37.13223492582455, 0.0077865225280965775]
+        xs += [math.exp(rng.uniform(math.log(1e-9), math.log(50.0))) for _ in range(2000)]
+        arrival = ArrivalModel(rate=1.0)
+        for x in xs:
+            policy = PlatoonPolicy(threshold=x)
+            stats = platoon_statistics(arrival, policy)
+            with localcontext() as ctx:
+                ctx.prec = 50
+                size = Decimal(x).exp()
+                merge = 1 - 1 / size
+            assert ulps_off(stats.expected_platoon_size, size) <= SIZE_ULPS, x
+            assert ulps_off(stats.merge_probability, merge) <= MERGE_ULPS, x
+            for y in (2, 5, 10):
+                assert ulps_off(platoon_size_pmf(arrival, policy, y), decimal_pmf(x, y)) <= pmf_ulps(y), (x, y)
 
     def test_huge_threshold_product_rejected(self):
         arrival = ArrivalModel(rate=0.5)
@@ -412,6 +467,18 @@ class TestOptimalThreshold:
     def test_rejects_non_positive_r_max(self, nominal_params, nominal_arrival):
         with pytest.raises(ValueError, match="r_max"):
             optimal_threshold(nominal_params, nominal_arrival, 0.0)
+
+    @pytest.mark.parametrize("rate", [1e-5, 1e-8, 1e-11])
+    def test_keeps_full_precision_at_small_rates(self, nominal_params, rate):
+        # ln(1/2 + 1/2 * sqrt(4c + 1)) cancels as c = drafting * rate / net -> 0;
+        # log1p(2c / (1 + sqrt(1 + 4c))) does not.
+        result = optimal_threshold(nominal_params, ArrivalModel(rate=rate), 49.0 / rate)
+        assert not result.clamped
+        with localcontext() as ctx:
+            ctx.prec = 50
+            c = Decimal(nominal_params.drafting_value) * Decimal(rate) / Decimal(merge_time_cost_rate(nominal_params))
+            reference = (Decimal("0.5") + Decimal("0.5") * (4 * c + 1).sqrt()).ln() / Decimal(rate)
+        assert ulps_off(result.threshold, reference) <= 4
 
 
 class TestNumericOptimalThreshold:
