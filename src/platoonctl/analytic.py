@@ -83,18 +83,18 @@ def _threshold_arg(name: str, value, rule, arrival: ArrivalModel) -> float:
 # Numbers never touch numpy.
 
 
-def _libm(fn, x):
-    """``fn`` (``math.expm1``: every closed form comes from g = e^x - 1) at
-    ``x``, elementwise when ``x`` is a 1-D float64 array. numpy's expm1
-    differs from libm in the last bit at some arguments, so arrays go
-    through ``math`` as well and every element equals the scalar result at
-    that threshold. ``map`` reads the array's doubles through a
-    ``memoryview``, one float at a time: no list of the grid is built."""
+def _expm1(x):
+    """e^x - 1, from which every closed form comes, at ``x``, elementwise
+    when ``x`` is a 1-D float64 array. numpy's expm1 differs from libm in
+    the last bit at some arguments, so arrays go through ``math.expm1`` as
+    well and every element equals the scalar result at that threshold.
+    ``map`` reads the array's doubles through a ``memoryview``, one float
+    at a time: no list of the grid is built."""
     if isinstance(x, (int, float)):
-        return fn(x)
+        return math.expm1(x)
     import numpy as np  # x is an array, so numpy is already loaded
 
-    return np.fromiter(map(fn, memoryview(x)), dtype=float, count=x.size)
+    return np.fromiter(map(math.expm1, memoryview(x)), dtype=float, count=x.size)
 
 
 # (expm1(x) - x)/x = x/2! + x^2/3! + x^3/4! + ...; the coefficients 1/18!
@@ -148,7 +148,7 @@ def _statistics(rate, threshold) -> PlatoonStatistics:
     g = expm1(x) per threshold: size g + 1, merge g / size."""
     _check_product(rate, threshold if isinstance(threshold, (int, float)) else float(threshold.max()))
     x = rate * threshold
-    growth = _libm(math.expm1, x)
+    growth = _expm1(x)
     size = growth + 1.0
     return PlatoonStatistics(
         merge_probability=growth / size,

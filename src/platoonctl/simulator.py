@@ -32,8 +32,9 @@ folds it into one record row per threshold of a grid (common random
 numbers). ``sample_interarrivals`` divides each chunk by -rate into one
 array of gaps in seconds, and ``run_from_interarrivals`` forms a whole run
 in memory (O(n)) by a different algorithm, in seconds: the small-n
-reference the streaming kernel matches. One estimator, ``_estimates``,
-reads every record.
+reference the streaming kernel matches. One encoder, ``_add_cycles``,
+writes every record from raw closed cycles, and one estimator,
+``_estimates``, reads it.
 
 Each replication allocates its chunk buffers once, and every chunk's steps
 write into them, so a chunk ``_gap_chunks`` yields is valid only until the
@@ -55,8 +56,8 @@ from .domain import (  # re-exported: the simulator's types live in domain, whic
     PlatoonPolicy,
     SimulationConfig,
     StatEstimate,
-    _float_array,
     _integer,
+    _number,
     _seed,
     student_t_975,
 )
@@ -77,9 +78,9 @@ PMF_CUTOFF = 10
 # enter as m - 1, 0 for a singleton, in exact integer sums. v = h - c and
 # w = S - q·m are taken about a center (c, q) that every record of a pool
 # shares, the first closed platoon's headway and shift per vehicle, so the
-# variances do not cancel where the samples are few and close together. The
-# kernel keeps these sums and the centers in units of 1/rate; ``summarize``,
-# in seconds.
+# variances do not cancel where the samples are few and close together.
+# ``_add_cycles`` alone encodes a cycle and picks the center, in units of
+# 1/rate in the kernel and of seconds in ``summarize``.
 _RECORD_WIDTH = 8 + PMF_CUTOFF + 2
 
 
@@ -160,6 +161,22 @@ def sample_interarrivals(
     return gaps
 
 
+def _float_array(name: str, values, malformed: str):
+    """``values`` as a float ndarray: an int or float ndarray converted as a
+    whole, any other iterable element by element with ``_number``. A
+    ``ValueError`` with ``malformed`` if ``values`` is not iterable; the
+    caller checks the shape and range."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        return np.asarray(values, dtype=float)
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    try:
+        elements = list(values)
+    except TypeError:
+        raise ValueError(malformed) from None
+    return np.array([_number(name, value) for value in elements], dtype=float)
+
+
 def run_from_interarrivals(interarrivals, policy: PlatoonPolicy) -> SimulationRun:
     """Group vehicles into platoons under the inclusive threshold rule and
     assemble the full run record for a given gap sequence.
@@ -200,24 +217,32 @@ def summarize(run: SimulationRun) -> EmpiricalSummary:
     The final platoon is right-censored (no gap > threshold ever terminated
     it), so it is left out of every statistic.
     """
-    sizes, headways = run.platoon_sizes[:-1], run.leader_headways
+    sizes = run.platoon_sizes[:-1].copy()  # the encoder writes its bins over it
     shift_sums = np.add.reduceat(run.time_shifts, run.leader_indices - 1)[:-1]
-    center = np.array([headways[0], shift_sums[0] / sizes[0]]) if sizes.size else np.zeros(2)
-    record = np.zeros(_RECORD_WIDTH)
-    cycles = (sizes - 1.0, headways - center[0], shift_sums - center[1] * sizes)
-    _add_cycles(record, cycles, np.minimum(sizes, PMF_CUTOFF + 1))
+    cycles = np.array([shift_sums, run.leader_headways, shift_sums])  # row 0 is scratch
+    center, record = [math.nan, math.nan], np.zeros(_RECORD_WIDTH)
+    if sizes.size:
+        _add_cycles(record, center, sizes, cycles)
     return _summary(record, center, 1.0)
 
 
-def _add_cycles(record: np.ndarray, cycles, bins: np.ndarray) -> None:
+def _add_cycles(record: np.ndarray, center, sizes: np.ndarray, cycles: np.ndarray) -> None:
     """Add to the ``record`` row, by one vector add, the sums of closed
-    platoons whose m - 1, centered headways v and centered shift sums w are
-    the three rows of ``cycles``, and whose sizes' histogram bins, each size
-    m clipped at ``PMF_CUTOFF + 1``, are the ints ``bins``. The squares and
-    products overwrite the rows of ``cycles``, so none is allocated, and
-    every sum is numpy's pairwise ``np.add.reduce``: a BLAS dot splits a
-    long vector across threads, so its sums would follow their count."""
+    cycles of sizes m (the ints ``sizes``), headways h and shift sums S
+    (rows 1 and 2 of ``cycles``; row 0 is scratch), about the pool's [c, q]
+    ``center``, which takes the first cycle's headway and shift per vehicle
+    while still NaN. m - 1, v = h - c, w = S - q·m, then their squares and
+    products overwrite ``cycles``, and the bins, each m clipped at
+    ``PMF_CUTOFF + 1``, ``sizes``: nothing per cycle is allocated. Every sum is
+    numpy's pairwise ``np.add.reduce``: a BLAS dot splits a long vector
+    across threads, so its sums would follow their count."""
     e, v, w = cycles
+    if math.isnan(center[0]):  # the pool's first closed platoon sets its center
+        center[:] = v.item(0), w.item(0) / sizes.item(0)
+    v -= center[0]
+    w -= np.multiply(sizes, center[1], out=e)
+    np.subtract(sizes, 1, out=e)
+    bins = np.minimum(sizes, PMF_CUTOFF + 1, out=sizes)  # over m, which m - 1 has read
     row = np.empty(_RECORD_WIDTH)
     np.add.reduce(cycles, axis=1, out=row[1:7:2])
     row[0], row[4] = bins.size, np.add.reduce(np.square(v, out=v))
@@ -255,24 +280,24 @@ def _estimates(records: np.ndarray, centers: np.ndarray, unit: float) -> np.ndar
     return estimates
 
 
-def _summary(record: np.ndarray, center: np.ndarray, unit: float) -> EmpiricalSummary:
-    """The ``EmpiricalSummary`` of one record row about ``center``, in units
-    of ``unit`` seconds, its PMF read from the size histogram."""
+def _summary(record: np.ndarray, center, unit: float) -> EmpiricalSummary:
+    """The ``EmpiricalSummary`` of one record row about ``center`` (c, q), in
+    units of ``unit`` seconds, its PMF read from the size histogram."""
     n = int(record[0])
-    means_and_widths = _estimates(record[None], center[:, None], unit).reshape(3, 2).tolist()
+    means_and_widths = _estimates(record[None], np.reshape(center, (2, 1)), unit).reshape(3, 2).tolist()
     return EmpiricalSummary(
         *(StatEstimate(mean=mean, ci_half_width=width, count=n) for mean, width in means_and_widths),
         size_pmf={y: float(record[8 + y] / record[0]) for y in range(1, PMF_CUTOFF + 1)},
     )
 
 
-def _replication_stats(config: SimulationConfig, replication: int, thresholds, centers: np.ndarray) -> np.ndarray:
+def _replication_stats(config: SimulationConfig, replication: int, thresholds, centers: list) -> np.ndarray:
     """Fold one replication's gaps, chunk by chunk, into the record of its
     closed platoons under each of ``thresholds``, row by row of one array
     (``config.policy`` is not read); memory is O(CHUNK_VEHICLES +
-    thresholds) whatever n is. Row i is about column i of the (2,
-    thresholds) ``centers``; a column still NaN takes the first platoon
-    this replication closes at that threshold.
+    thresholds) whatever n is. The fold only forms raw cycles (size,
+    headway, shift sum); ``_add_cycles`` encodes them into row i about the
+    [c, q] list ``centers[i]``, and sets it while it is still NaN.
 
     Records and centers are in units of 1/rate: the fold runs on the chunks
     of ``_gap_chunks``, so no gap is divided. A vehicle leads iff
@@ -283,8 +308,8 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds, c
     from the previous chunk's last vehicle, which every threshold then
     folds. A platoon's shift sum is its size times its leader's arrival
     less its arrivals' sum: one ``np.add.reduceat`` from the leaders gives
-    every platoon's, exactly 0 for a singleton. A second subtraction
-    centers it: size times (leader's arrival plus center) in one would round
+    every platoon's, exactly 0 for a singleton. The encoder centers it in a
+    second subtraction: size times (leader's arrival plus center) would round
     every leader of a binade by the same amount, a bias of 7.6e-13 in the
     mean shift at 1e6 vehicles. Across chunk boundaries each threshold
     carries its open (not yet closed) platoon, in Python scalars: its size,
@@ -293,14 +318,13 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds, c
     length, points = min(CHUNK_VEHICLES, config.n_vehicles), len(thresholds)
     leads_buffer, arrivals_buffer = np.empty(length, dtype=bool), np.empty(length)
     # Per platoon of a chunk, its vehicles there, and as columns of
-    # ``cycles`` its leader's time (then m - 1), its headway (then v) and
-    # its shift sum (then w): slot 0 holds the one open at the chunk's
-    # start, slot k (of k leaders) at its end.
+    # ``cycles`` its leader's time (then the encoder's scratch), its
+    # headway and its shift sum: slot 0 holds the one open at the chunk's
+    # start, slot k (of k leaders) at its end. Every chunk reuses them.
     counts, cycles = np.empty(length + 1, dtype=np.int64), np.empty((3, length + 1))
     times, headways, sums = cycles
     records = np.zeros((points, _RECORD_WIDTH))
     limits = [-(config.arrival.rate * threshold) for threshold in thresholds]
-    headway_centers, shift_centers = centers.tolist()
     # Per threshold, the open platoon's size, its leader's time counted from
     # the chunk's start and its partial shift sum; the size is 0 only before
     # the first chunk: vehicle 1 always leads.
@@ -327,32 +351,25 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds, c
             counts[0], times[0], sums[0] = open_size + head, leader_time, open_sum
             closed = 0 if open_size else 1  # slot 0 is empty in the first chunk
             if k > closed:
-                if math.isnan(headway_centers[index]):  # the pool's first closed platoon sets its center
-                    headway_centers[index] = times.item(closed) - times.item(closed + 1)
-                    shift_centers[index] = sums.item(closed) / counts.item(closed)
-                    centers[:, index] = headway_centers[index], shift_centers[index]
                 np.subtract(times[closed:k], times[closed + 1 : k + 1], out=headways[closed:k])
-                headways[closed:k] -= headway_centers[index]
-                # Over the leaders' times, which the headways have read; times[k] stays.
-                sums[closed:k] -= np.multiply(counts[closed:k], shift_centers[index], out=times[closed:k])
-                np.subtract(counts[closed:k], 1, out=times[closed:k])
-                bins = np.minimum(counts[closed:k], PMF_CUTOFF + 1, out=counts[closed:k])  # over m, which m - 1 has read
-                _add_cycles(records[index], cycles[:, closed:k], bins)
+                # The leaders' times, which the headways have read, are the encoder's scratch; slot k stays.
+                _add_cycles(records[index], centers[index], counts[closed:k], cycles[:, closed:k])
             open_sizes[index], leader_times[index], open_sums[index] = counts.item(k), times.item(k) - last, sums.item(k)
     return records
 
 
 def _pooled_stats(config: SimulationConfig, thresholds) -> tuple[np.ndarray, np.ndarray]:
     """The record of ``config``'s replications at each threshold, row by
-    row, each replication drawn once for all, and the centers it is about:
-    at each threshold, the first closed platoon of the lowest-indexed
-    replication that closes one. Replications' records add in index order,
-    so, given the centers, no record depends on the order they run in."""
-    centers = np.full((2, len(thresholds)), np.nan)
+    row, each replication drawn once for all, and the (2, thresholds) array
+    of the centers it is about: the first closed platoon of the lowest
+    replication that closes one, which ``_add_cycles`` picks. Replications'
+    records add in index order, so, given the centers, no record depends on
+    the order they run in."""
+    centers = [[math.nan, math.nan] for _ in thresholds]
     pool = _replication_stats(config, 0, thresholds, centers)
     for rep in range(1, config.n_replications):
         pool += _replication_stats(config, rep, thresholds, centers)
-    return pool, centers
+    return pool, np.array(centers).T
 
 
 def run_replications(config: SimulationConfig) -> EmpiricalSummary:

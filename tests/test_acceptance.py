@@ -149,10 +149,10 @@ def test_criterion_4_grid_robustness():
                 n_replications=10,
                 seed=GRID_SEED,
             )
-            centers = np.full((2, 1), np.nan)
-            stats = [_replication_stats(config, rep, [threshold], centers)[0] for rep in range(config.n_replications)]
-            per_rep = [_summary(record, centers[:, 0], 1.0 / rate) for record in stats]
-            aggregate = _summary(functools.reduce(np.add, stats), centers[:, 0], 1.0 / rate)
+            center = [math.nan, math.nan]
+            stats = [_replication_stats(config, rep, [threshold], [center])[0] for rep in range(config.n_replications)]
+            per_rep = [_summary(record, center, 1.0 / rate) for record in stats]
+            aggregate = _summary(functools.reduce(np.add, stats), center, 1.0 / rate)
             cell = f"(rate={rate}, threshold={threshold})"
 
             # Means: 3-sigma bands from the spread of replication means.
@@ -343,13 +343,13 @@ def test_criterion_10_determinism(tmp_path):
         seed=MAIN_SEED,
     )
     aggregate = run_replications(sim)
-    centers = np.full((2, 1), np.nan)
+    centers = [[math.nan, math.nan]]
     _replication_stats(sim, 0, [50.0], centers)
     collected = {rep: _replication_stats(sim, rep, [50.0], centers)[0] for rep in reversed(range(sim.n_replications))}
     merged = collected[0]
     for rep in range(1, sim.n_replications):
         merged = merged + collected[rep]
-    if _summary(merged, centers[:, 0], 1.0 / sim.arrival.rate) != aggregate:
+    if _summary(merged, centers[0], 1.0 / sim.arrival.rate) != aggregate:
         failures.append("aggregate depends on replication execution order")
     failures.extend(summary_mismatches(aggregate, pooled_reference(sim)))
     conclude(10, "byte-identical CSV output and order-independent aggregation", failures)

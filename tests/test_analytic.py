@@ -551,8 +551,6 @@ class TestNumericOptimalThreshold:
         # the bracket still narrows, the result must not change by a bit, at
         # GOLDEN_TOL (1e-3) and at tolerances either side of it.
         monkeypatch.setattr(analytic, "GOLDEN_TOL", tol)
-        # The plain golden-section loop, stopped by the tolerance alone: where
-        # the bracket still narrows, the result must not change by a bit.
         params = with_cruise_km(nominal_params, km)
 
         def cost(r):
@@ -597,11 +595,18 @@ class TestThresholdCurves:
             assert got == want, name
 
     @pytest.mark.parametrize("rate", [0.02, 0.125])
-    @pytest.mark.parametrize("fn", [math.exp, math.expm1], ids=["exp", "expm1"])
-    def test_libm_equals_the_scalar_calls_bit_for_bit(self, rate, fn):
+    def test_libm_equals_the_scalar_calls_bit_for_bit(self, rate):
         # x up to 8 at rate 0.02 and up to 50 at rate 0.125; negated, strided
         # and reversed views read through the same buffer as the grid.
         x = rate * np.linspace(0.0, 400.0, 100_001)
         for values in (x, -x, x[::3], x[::-1]):
-            want = np.array([fn(v) for v in values.tolist()])
-            assert analytic._libm(fn, values).view(np.int64).tolist() == want.view(np.int64).tolist()
+            want = np.array([math.expm1(v) for v in values.tolist()])
+            assert analytic._expm1(values).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("x", [0, 1, -0.0, 0.0, 5e-324, 1e-9, 0.02 * 2500.0, -50.0])
+    def test_a_number_gives_the_libm_float(self, x):
+        # Numbers take the scalar path: a plain float, never a numpy scalar,
+        # with the sign of -0.0 and the subnormal kept.
+        got = analytic._expm1(x)
+        assert type(got) is float
+        assert got.hex() == math.expm1(x).hex()

@@ -352,14 +352,28 @@ class TestMoments:
 
     @staticmethod
     def _of(sizes, headways, sums, center):
+        # The encoder writes over its inputs, so it gets copies.
         record = np.zeros(_RECORD_WIDTH)
-        _add_cycles(record, (sizes - 1.0, headways - center[0], sums - center[1] * sizes), np.minimum(sizes, 11))
+        _add_cycles(record, center, sizes.copy(), np.array([sums, headways, sums]))
         return record
 
     def _summary_of(self, sizes, headways, sums):
         # About the first cycle's headway and shift per vehicle, as summarize.
-        center = np.array([headways[0], sums[0] / sizes[0]])
+        center = [math.nan, math.nan]
         return _summary(self._of(sizes, headways, sums, center), center, 1.0)
+
+    def test_encoder_sets_a_nan_center_once_and_adds_batches(self):
+        # Dyadic cycles, so every sum is exact and batches can add up bit for bit.
+        sizes = np.array([2, 1, 5, 13, 3, 12])
+        headways = np.array([6.5, 3.25, 10.0, 40.75, 8.0, 0.5])
+        sums = np.array([1.5, 0.0, 12.0, 50.25, 3.0, 9.0])
+        center = [math.nan, math.nan]
+        whole = self._of(sizes, headways, sums, center)
+        assert center == [6.5, 0.75]  # the first cycle's headway and shift per vehicle
+        batches = self._of(sizes[:2], headways[:2], sums[:2], center)
+        batches += self._of(sizes[2:], headways[2:], sums[2:], center)
+        assert center == [6.5, 0.75]  # a center already set stays
+        assert batches.view(np.int64).tolist() == whole.view(np.int64).tolist()
 
     def test_record_of_cycles(self):
         sizes, headways, sums = cycles = self._cycles(10_001, SEED)
@@ -479,7 +493,7 @@ class TestRunReplications:
         # aggregate bit for bit.
         config = self._config()
         aggregate = run_replications(config)
-        centers = np.full((2, 1), np.nan)
+        centers = [[math.nan, math.nan]]
         _replication_stats(config, 0, [config.policy.threshold], centers)
         records = {
             rep: _replication_stats(config, rep, [config.policy.threshold], centers)[0]
@@ -488,7 +502,7 @@ class TestRunReplications:
         merged = records[0]
         for rep in range(1, config.n_replications):
             merged = merged + records[rep]
-        assert _summary(merged, centers[:, 0], 1.0 / config.arrival.rate) == aggregate
+        assert _summary(merged, centers[0], 1.0 / config.arrival.rate) == aggregate
         assert summary_mismatches(aggregate, pooled_reference(config)) == []
 
     def test_split_replications_consistent_with_single_run(self):
@@ -516,7 +530,7 @@ class TestRunReplications:
             arrival=ArrivalModel(rate=1.0), policy=PlatoonPolicy(threshold=8.0), n_vehicles=2000, n_replications=3,
             seed=1,
         )
-        centers = np.full((2, 1), np.nan)
+        centers = [[math.nan, math.nan]]
         assert [_replication_stats(config, rep, [8.0], centers)[0, 0] for rep in range(3)] == [1, 1, 0]
         summary = run_replications(config)
         assert (summary.platoon_size.count, summary.leader_headway.count, summary.time_shift.count) == (2, 2, 2)
@@ -528,7 +542,7 @@ class TestRunReplications:
             arrival=ArrivalModel(rate=1.0), policy=PlatoonPolicy(threshold=8.0), n_vehicles=3000, n_replications=1,
             seed=1,
         )
-        assert _replication_stats(config, 0, [8.0], np.full((2, 1), np.nan))[0, 0] == 1
+        assert _replication_stats(config, 0, [8.0], [[math.nan, math.nan]])[0, 0] == 1
         with pytest.raises(ValueError, match=r"^fewer than two platoon-size "):
             run_replications(config)
 
