@@ -21,12 +21,21 @@ block of rows per call (each value outside orjson's ``repr`` notation
 range with ``repr``), and splits the block's text into CSV lines with
 numpy; ``analytic``, ``optimize`` and every configuration error run
 without either.
+
+The console script and ``python -m platoonctl.cli`` run ``entrypoint``,
+which freezes the garbage collector (``gc.freeze``) after ``main`` returns,
+so the interpreter's last collections at exit skip every object the run
+made, numpy's among them. ``atexit`` handlers and the flush of stdout and
+stderr still run, and every output file is closed before ``main`` returns.
+``main`` itself does not freeze, so it can be called in a long-lived
+process.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -568,7 +577,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    code = main()
+    gc.freeze()  # the run's objects skip the collections at interpreter exit
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
