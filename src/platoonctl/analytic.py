@@ -129,18 +129,6 @@ def _time_reduction(threshold, x, growth):
     return threshold * ratio
 
 
-def _fuel_increase(params: CostParameters, time_reduction):
-    return 2.0 * params.drag_fuel_coeff * params.cruise_speed**3 * time_reduction
-
-
-def _fuel_saving(params: CostParameters, merge):
-    return params.fuel_saving_fraction * params.fuel_per_meter * params.cruise_zone_len * merge
-
-
-def _total_cost(params: CostParameters, time_reduction, merge):
-    return merge_time_cost_rate(params) * time_reduction - params.drafting_value * merge
-
-
 def _statistics(rate, threshold) -> PlatoonStatistics:
     """The four closed-form statistics at ``threshold``: a number, or an
     array of thresholds that gives one array per field. The product limit
@@ -166,9 +154,9 @@ def _curves(params: CostParameters, rate, threshold) -> ThresholdCurves:
     return ThresholdCurves(
         threshold=threshold,
         **vars(stats),  # the four statistics, by field name
-        expected_fuel_increase=_fuel_increase(params, time_reduction),
-        expected_fuel_saving=_fuel_saving(params, merge),
-        expected_total_cost=_total_cost(params, time_reduction, merge),
+        expected_fuel_increase=2.0 * params.drag_fuel_coeff * params.cruise_speed**3 * time_reduction,
+        expected_fuel_saving=params.fuel_saving_fraction * params.fuel_per_meter * params.cruise_zone_len * merge,
+        expected_total_cost=merge_time_cost_rate(params) * time_reduction - params.drafting_value * merge,
     )
 
 

@@ -172,6 +172,8 @@ class PlatoonPolicy:
 
     def __post_init__(self) -> None:
         _non_negative("threshold", self.threshold)
+        # + 0 turns -0.0, which passes the check, into 0.0 and keeps every other value and its type.
+        object.__setattr__(self, "threshold", self.threshold + 0)
 
 
 @dataclass(frozen=True)

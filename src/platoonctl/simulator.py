@@ -226,6 +226,7 @@ def summarize(run: SimulationRun) -> EmpiricalSummary:
     return _summary(record, center, 1.0)
 
 
+# In place on purpose: per-call temporaries give the same bytes but ran 7-13% slower (x = 0.1, and a sweep).
 def _add_cycles(record: np.ndarray, center, sizes: np.ndarray, cycles: np.ndarray) -> None:
     """Add to the ``record`` row, by one vector add, the sums of closed
     cycles of sizes m (the ints ``sizes``), headways h and shift sums S

@@ -69,6 +69,12 @@ class TestPlatoonSizePmf:
         assert platoon_size_pmf(arrival, policy, 2) == 0.0
         assert platoon_size_pmf(arrival, policy, 7) == 0.0
 
+    def test_negative_zero_threshold_gives_positive_zeros(self):
+        policy = PlatoonPolicy(threshold=-0.0)
+        arrival = ArrivalModel(rate=0.02)
+        for value in (merge_probability(arrival, policy), platoon_size_pmf(arrival, policy, 2)):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_nominal_values(self, nominal_arrival, nominal_policy):
         # rate * threshold = 1 here, so the singleton probability is 1/e.
         assert platoon_size_pmf(nominal_arrival, nominal_policy, 1) == pytest.approx(

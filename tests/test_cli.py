@@ -83,8 +83,8 @@ def write_config(tmp_path):
 
 def malformed_config_text(kind: str) -> str:
     """A config text every command must reject with exit 2: a key given
-    twice in a section or at the top level, arrays nested 200,000 deep, or
-    a null cost section."""
+    twice in a section or at the top level, arrays nested 200,000 deep, a
+    null cost section, or an array at the top level."""
     text = json.dumps(BASE_CONFIG)
     if kind == "duplicate-in-section":
         return text.replace('{"rate": 0.02}', '{"rate": 0.02, "rate": 0.05}', 1)
@@ -92,6 +92,8 @@ def malformed_config_text(kind: str) -> str:
         return text[:-1] + ', "policy": {"threshold": 10.0}}'
     if kind == "deep-nesting":
         return "[" * 200_000
+    if kind == "top-level-array":
+        return "[]"
     assert kind == "null-section"
     return json.dumps({**BASE_CONFIG, "cost": None})
 
@@ -102,7 +104,14 @@ MALFORMED_CONFIGS = {
     "duplicate-at-top-level": "config key 'policy' appears more than once",
     "deep-nesting": "not valid JSON (arrays or objects nested too deeply)",
     "null-section": "config section 'cost' must be an object",
+    "top-level-array": "malformed.json: top level must be a JSON object",
 }
+
+# The error of a config whose removed ``output`` section is anything but {}.
+REMOVED_OUTPUT = (
+    "config section 'output' was removed and only {} is accepted: name the output file with "
+    "analytic --json or simulate --csv"
+)
 
 
 class TestConfigLoading:
@@ -125,19 +134,9 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match="'arrival'"):
             load_scenario(path)
 
-    @pytest.mark.parametrize("key", ["json", "csv"])
-    @pytest.mark.parametrize(
-        "value", [1, 5, True, ["a"], "", {}], ids=["1", "5", "true", "list", "empty", "object"]
-    )
-    def test_output_paths_must_be_non_empty_strings(self, write_config, key, value):
-        # open() would take 1 as a file descriptor: stdout, closed after writing.
-        with pytest.raises(ValueError, match=rf"^config field output\.{key} must be a non-empty"):
-            load_scenario(write_config({"output": {key: value}}))
-
     @pytest.mark.parametrize(
         "section,key",
-        [("arrival", "rates"), ("policy", "threshold_s"), ("cost", "fuel_price"), ("simulation", "n_replication"),
-         ("output", "jsn")],
+        [("arrival", "rates"), ("policy", "threshold_s"), ("cost", "fuel_price"), ("simulation", "n_replication")],
     )
     def test_unknown_key_names_it(self, write_config, section, key):
         with pytest.raises(ValueError, match=rf"^config field {section}\.{key} is not a known key"):
@@ -146,6 +145,10 @@ class TestConfigLoading:
     def test_unknown_section_names_it(self, write_config):
         with pytest.raises(ValueError, match="^config section 'simulations' is not a known section"):
             load_scenario(write_config({"simulations": {"n_vehicles": 10}}))
+
+    def test_removed_output_section_is_accepted_empty(self, write_config):
+        # As configs written before its removal hold it; BASE_CONFIG has it.
+        assert load_scenario(write_config()) == load_scenario(write_config({"output": None}))
 
     def test_removed_warmup_key_is_accepted_at_zero(self, write_config):
         # The old default, as configs written before its removal hold it.
@@ -191,7 +194,7 @@ class TestConfigLoading:
             ("simulation", "n_replication", 1,
              "config field simulation.n_replication is not a known key; 'simulation' takes n_vehicles, "
              "n_replications, seed"),
-            ("output", "jsn", 1, "config field output.jsn is not a known key; 'output' takes json, csv"),
+            ("output", "jsn", 1, REMOVED_OUTPUT),
         ],
     )
     def test_config_error_messages(self, write_config, section, key, value, message):
@@ -349,7 +352,53 @@ class TestExitCodes:
         monkeypatch.setattr(simulator, "_gap_chunks", self._never)
         path = write_config({"output": {"json": True, "csv": ["a"]}})
         assert main([command, "--config", path]) == 2
-        assert "error: config field output.json must be a non-empty" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {REMOVED_OUTPUT}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "section",
+        [{"csv": "named.csv"}, {"json": "named.json"}, {"csv": 1}, None, [], "named.csv"],
+        ids=["csv", "json", "csv-not-a-path", "null", "array", "string"],
+    )
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("analytic", []),
+            ("optimize", ["--r-max", "500"]),
+            ("simulate", []),
+            ("sweep", ["--r-min", "0", "--r-max", "100", "--points", "3", "--csv", "out.csv"]),
+        ],
+    )
+    def test_output_section_with_content_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, extra, section
+    ):
+        # Only flags name output files: a path in the removed section is an
+        # error, not a file silently left unwritten.
+        monkeypatch.chdir(tmp_path)
+        for module, name in ((simulator, "_gap_chunks"), (cli, "_curves"), (cli, "analytic_quantities")):
+            monkeypatch.setattr(module, name, self._never)
+        (tmp_path / "scenario.json").write_text(json.dumps({**BASE_CONFIG, "output": section}), encoding="utf-8")
+        assert main([command, "--config", "scenario.json", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {REMOVED_OUTPUT}\n"
+        assert captured.out == ""
+        assert [path.name for path in tmp_path.iterdir()] == ["scenario.json"]
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [("simulate", []), ("sweep", ["--with-simulation", "--r-min", "0", "--r-max", "100", "--points", "3"])],
+    )
+    def test_missing_simulation_section_exits_2_before_any_draw(
+        self, write_config, tmp_path, capsys, monkeypatch, command, extra
+    ):
+        monkeypatch.setattr(simulator, "_gap_chunks", self._never)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write_config({"simulation": None}), *extra, "--csv", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: config section 'simulation' is required for this command\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("where", [
         "missing-directory",
@@ -358,18 +407,16 @@ class TestExitCodes:
             os.geteuid() == 0, reason="root may write into a read-only directory")),
     ])
     @pytest.mark.parametrize(
-        "command,extra,output_key",
+        "command,extra",
         [
-            ("simulate", ["--csv"], None),
-            ("simulate", [], "csv"),
-            ("sweep", ["--r-min", "0", "--r-max", "100", "--points", "3", "--csv"], None),
-            ("analytic", ["--json"], None),
-            ("analytic", [], "json"),
+            ("simulate", ["--csv"]),
+            ("sweep", ["--r-min", "0", "--r-max", "100", "--points", "3", "--csv"]),
+            ("analytic", ["--json"]),
         ],
-        ids=["simulate-csv", "simulate-output.csv", "sweep-csv", "analytic-json", "analytic-output.json"],
+        ids=["simulate-csv", "sweep-csv", "analytic-json"],
     )
     def test_unwritable_output_exits_2_before_any_work(
-        self, write_config, tmp_path, capsys, monkeypatch, command, extra, output_key, where
+        self, write_config, tmp_path, capsys, monkeypatch, command, extra, where
     ):
         # Checked before the run, whose verdict would otherwise be printed and
         # then lost to the failed write.
@@ -381,11 +428,7 @@ class TestExitCodes:
             "read-only": str(tmp_path / "read-only" / "out"),
         }[where]
         (tmp_path / "read-only").mkdir(mode=0o500)
-        if output_key:
-            args = [command, "--config", write_config({"output": {output_key: target}}), *extra]
-        else:
-            args = [command, "--config", write_config(), *extra, target]
-        assert main(args) == 2
+        assert main([command, "--config", write_config(), *extra, target]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot write output file {target!r}: ")
         assert captured.out == ""
@@ -565,6 +608,18 @@ class TestAnalyticCommand:
         assert float(rows["expected_time_reduction_s"]) == 0.0
         assert float(rows["expected_total_cost"]) == 0.0
 
+    def test_negative_zero_threshold_reports_as_zero(self, write_config, tmp_path, capsys):
+        # A -0.0 threshold is stored as 0.0, so no line or JSON value reads -0.
+        outputs = []
+        for threshold in (-0.0, 0.0):
+            out = tmp_path / "analytic.json"  # stdout names it
+            assert main(["analytic", "--config", write_config({"policy": {"threshold": threshold}}),
+                         "--json", str(out)]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        payload = json.loads(outputs[0][1])
+        assert all(math.copysign(1.0, value) == 1.0 for value in (payload["threshold_s"], *payload["results"].values()))
+
     def test_json_output_is_deterministic(self, write_config, tmp_path):
         path = write_config()
         out1 = tmp_path / "a.json"
@@ -627,12 +682,6 @@ class TestSimulateCommand:
         assert "\r" not in text
         for line in lines[1:]:
             assert line.split(",")[-1] == "True"
-
-    def test_output_section_supplies_default_csv_path(self, write_config, tmp_path):
-        target = tmp_path / "from_config.csv"
-        path = write_config({"output": {"csv": str(target)}})
-        assert main(["simulate", "--config", path]) == 0
-        assert target.exists()
 
     def test_comparison_rows_match_library(self, write_config):
         scenario = load_scenario(write_config())

@@ -99,6 +99,14 @@ class TestValidation:
             PlatoonPolicy(threshold=-1.0)
         PlatoonPolicy(threshold=0.0)  # boundary allowed
 
+    @pytest.mark.parametrize("value", [-0.0, 0.0, 0, 50, 50.0])
+    def test_threshold_is_stored_without_a_negative_zero(self, value):
+        # -0.0 passes the check and is stored as 0.0, so no closed form or
+        # output holds -0; any other value keeps its value and type.
+        threshold = PlatoonPolicy(threshold=value).threshold
+        assert threshold == value and type(threshold) is type(value)
+        assert math.copysign(1.0, threshold) == 1.0
+
     @pytest.mark.parametrize(
         "field,bad",
         [

@@ -40,7 +40,8 @@ CONFIGS = {
         "policy": {"threshold": 1.0},
         "simulation": {"n_vehicles": 30, "n_replications": 1, "seed": 27},
     },
-    # A config error: an output path that is not a string.
+    # A config error: an output path in the removed output section, which
+    # only an empty object passes.
     "bad-output": {"output": {"csv": 1}},
 }
 
@@ -124,7 +125,10 @@ def test_module_path_equals_main(tmp_path, capsysbinary, config, exit_code):
     assert code == exit_code
     if exit_code == 2:
         assert stdout == b"" and report is None
-        assert stderr == b"error: config field output.csv must be a non-empty file path string\n"
+        assert stderr == (
+            b"error: config section 'output' was removed and only {} is accepted: name the output file with "
+            b"analytic --json or simulate --csv\n"
+        )
     else:
         assert report.count(b"\n") == 5
         assert stderr == (b"comparison FAILED at 3 CI half-widths\n" if exit_code else b"")

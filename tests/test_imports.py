@@ -23,13 +23,13 @@ NOMINAL = ROOT / "scenarios" / "nominal.json"
 SRC = str(Path(platoonctl.__file__).resolve().parents[1])
 
 
-def _loaded(body: str) -> set[str]:
-    """Run ``body`` in a fresh interpreter; which of numpy and orjson it left
-    imported."""
+def _loaded(body: str, cwd: Path = ROOT) -> set[str]:
+    """Run ``body`` in a fresh interpreter in ``cwd``; which of numpy and
+    orjson it left imported."""
     script = f"import sys\n{body}\nprint(*{{'numpy', 'orjson'}} & set(sys.modules))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=ROOT, timeout=120
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
     )
     assert done.returncode == 0, done.stderr
     return set(done.stdout.splitlines()[-1].split())
@@ -59,6 +59,8 @@ def test_simulate_does_not_load_orjson(tmp_path):
 
 
 # Config overrides that each make every command exit 2; None deletes a field.
+# The removed output section, which the nominal config does not hold, is set
+# whole; a file named in it would lie in the run's working directory.
 BAD_CONFIGS = {
     "bad-rate": {"arrival": {"rate": -1.0}},
     "missing-cost-field": {"cost": {"merge_zone_km": None}},
@@ -66,6 +68,9 @@ BAD_CONFIGS = {
     "too-few-vehicles": {"simulation": {"n_vehicles": 1}},
     "times-beyond-float-range": {"arrival": {"rate": 1e-305}},
     "output-csv-not-a-path": {"output": {"csv": 1}},
+    "output-csv-names-a-file": {"output": {"csv": "named.csv"}},
+    "output-json-names-a-file": {"output": {"json": "named.json"}},
+    "output-null": {"output": None},
 }
 
 
@@ -119,6 +124,9 @@ def test_config_errors_exit_2_without_loading_numpy_or_orjson(tmp_path, label):
         return
     cfg = json.loads(NOMINAL.read_text(encoding="utf-8"))
     for section, values in BAD_CONFIGS[label].items():
+        if section == "output":
+            cfg[section] = values
+            continue
         for key, value in values.items():
             if value is None:
                 del cfg[section][key]
@@ -127,7 +135,8 @@ def test_config_errors_exit_2_without_loading_numpy_or_orjson(tmp_path, label):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     body = "\n".join(_main(args, 2) for args in _commands(path, tmp_path / "out.csv"))
-    assert _loaded(body) == set()
+    assert _loaded(body, cwd=tmp_path) == set()
+    assert [path.name for path in tmp_path.iterdir()] == ["bad.json"]  # no command wrote a file
 
 
 def test_array_paths_load_numpy(tmp_path):

@@ -167,6 +167,10 @@ class TestFormation:
         with pytest.raises(ValueError, match="non-empty"):
             run_from_interarrivals([], PlatoonPolicy(threshold=4.0))
 
+    def test_rejects_a_number(self):
+        with pytest.raises(ValueError, match="^interarrivals must be a non-empty 1-d sequence$"):
+            run_from_interarrivals(5, PlatoonPolicy(threshold=4.0))
+
     @pytest.mark.parametrize(
         "bad", [[[1.0, 2.0]], [1.0, -0.5], [1.0, math.nan], [math.inf, 1.0], [-math.inf]]
     )
