@@ -102,6 +102,10 @@ def _seed(value) -> int:
 
 
 def _check_product(rate: float, threshold: float) -> None:
+    """Reject a (rate, threshold) outside the supported range: x = rate *
+    threshold above 50, or an expected leader headway e^x / rate, the largest
+    closed form, beyond the float range. Every closed form grows with the
+    threshold, so the largest threshold of a grid stands for all of them."""
     # repr, not a rounded format: a 6-digit format prints a product such as
     # 50.00002 as the limit itself.
     product = rate * threshold
@@ -111,6 +115,12 @@ def _check_product(rate: float, threshold: float) -> None:
             f"{MAX_RATE_THRESHOLD_PRODUCT:g}; the supported range is rate * threshold "
             f"<= {MAX_RATE_THRESHOLD_PRODUCT:g} (beyond it the expected platoon size "
             "would exceed e^50)"
+        )
+    # The headway as analytic computes it, from expm1.
+    if not math.isfinite((math.expm1(product) + 1.0) / rate):
+        raise ValueError(
+            f"e^(rate * threshold) / rate, the expected leader headway, overflows the float range at rate = "
+            f"{rate!r} and threshold = {threshold!r}; the supported range needs it finite"
         )
 
 
@@ -203,6 +213,30 @@ class CostParameters:
     def __post_init__(self) -> None:
         for _, name, _, rule in _COST_FIELDS:
             rule(name, getattr(self, name))
+        # The coefficients analytic multiplies the statistics by, each in its
+        # order of operations there: finite fields can still overflow them.
+        try:
+            speed_cubed = self.cruise_speed**3
+        except OverflowError:  # float ** raises where * would give inf
+            speed_cubed = math.inf
+        drag = 2.0 * self.drag_fuel_coeff
+        for term, value in (
+            ("2 * drag_fuel_coeff * cruise_speed^3", drag * speed_cubed),
+            (
+                "merge_time_cost_rate = 2 * drag_fuel_coeff * fuel_price * cruise_speed^3 - value_of_time",
+                drag * self.fuel_price * speed_cubed - self.value_of_time,
+            ),
+            (
+                "fuel_saving_fraction * fuel_per_meter * cruise_zone_len",
+                self.fuel_saving_fraction * self.fuel_per_meter * self.cruise_zone_len,
+            ),
+            (
+                "drafting_value = fuel_price * fuel_saving_fraction * fuel_per_meter * cruise_zone_len",
+                self.drafting_value,
+            ),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"cost term {term} overflows the float range, got {value}")
 
     @property
     def drafting_value(self) -> float:

@@ -28,6 +28,21 @@ NOMINAL_RAW = dict(
     nominal_merge_time_s=100.0,
 )
 
+# Cost values, each in its own range, whose cost terms overflow the float
+# range, and the first such term in the order CostParameters checks them.
+OVERFLOWING_COSTS = {
+    # cruise_speed**3 raises OverflowError where a product would give inf.
+    "speed-cubed": ({"cruise_speed_mph": 1e104}, "2 * drag_fuel_coeff * cruise_speed^3"),
+    "drag-fuel-rate": ({"cruise_speed_mph": 1e100, "drag_fuel_coeff": 1e300}, "2 * drag_fuel_coeff * cruise_speed^3"),
+    "merge-time-cost-rate": ({"drag_fuel_coeff": 1e-4, "fuel_price_per_l": 1e308}, "merge_time_cost_rate"),
+    # Free fuel: the drafting value is 0 while the liters it saves overflow.
+    "fuel-saving": (
+        {"fuel_per_100km": 1e308, "cruise_zone_km": 1e300, "fuel_price_per_l": 0.0},
+        "fuel_saving_fraction * fuel_per_meter * cruise_zone_len",
+    ),
+    "drafting-value": ({"fuel_price_per_l": 1e308, "cruise_zone_km": 1000.0}, "drafting_value"),
+}
+
 
 @pytest.fixture
 def nominal_raw():

@@ -11,6 +11,7 @@ from hypothesis import assume, given, strategies as st
 from platoonctl import (
     ArrivalModel,
     PlatoonPolicy,
+    SimulationConfig,
     ThresholdRegime,
     exact_fuel_increase,
     expected_fuel_increase_linearized,
@@ -256,19 +257,32 @@ class TestExpectedStatistics:
             for y in (2, 5, 10):
                 assert ulps_off(platoon_size_pmf(arrival, policy, y), decimal_pmf(x, y)) <= pmf_ulps(y), (x, y)
 
-    def test_huge_threshold_product_rejected(self):
-        arrival = ArrivalModel(rate=0.5)
-        policy = PlatoonPolicy(threshold=200.0)  # product 100 > 50
+    @pytest.mark.parametrize(
+        "rate, threshold, message",
+        [
+            (0.5, 200.0, "rate \\* threshold = 0.5 \\* 200.0 = 100.0 exceeds 50"),
+            # The expected leader headway overflows: 1 / rate alone, and e^40 / rate.
+            (1e-310, 50.0, "e\\^\\(rate \\* threshold\\) / rate, the expected leader headway, overflows"),
+            (1e-300, 4e301, "e\\^\\(rate \\* threshold\\) / rate, the expected leader headway, overflows"),
+        ],
+        ids=["product-100", "headway-at-rate-1e-310", "headway-at-x-40"],
+    )
+    def test_out_of_range_scenario_rejected(self, rate, threshold, message):
+        arrival = ArrivalModel(rate=rate)
+        policy = PlatoonPolicy(threshold=threshold)
         for op in (
+            platoon_statistics,
             expected_platoon_size,
             expected_platoon_headway,
             expected_time_reduction,
             merge_probability,
         ):
-            with pytest.raises(ValueError, match="rate \\* threshold"):
+            with pytest.raises(ValueError, match=message):
                 op(arrival, policy)
-        with pytest.raises(ValueError, match="rate \\* threshold"):
+        with pytest.raises(ValueError, match=message):
             platoon_size_pmf(arrival, policy, 1)
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig(arrival=arrival, policy=policy, n_vehicles=2)
 
 
 class TestFuelModel:

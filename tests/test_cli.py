@@ -43,7 +43,7 @@ from platoonctl.cli import (
 from platoonctl.domain import Z_95
 from platoonctl.simulator import run_replications
 
-from conftest import NOMINAL_RAW
+from conftest import NOMINAL_RAW, OVERFLOWING_COSTS, TOO_FEW
 
 BASE_CONFIG = {
     "arrival": {"rate": 0.02},
@@ -105,6 +105,23 @@ MALFORMED_CONFIGS = {
     "deep-nesting": "not valid JSON (arrays or objects nested too deeply)",
     "null-section": "config section 'cost' must be an object",
     "top-level-array": "malformed.json: top level must be a JSON object",
+}
+
+# The start of the error of a rate and threshold whose expected leader
+# headway, the largest closed form, overflows the float range.
+HEADWAY_OVERFLOW = "e^(rate * threshold) / rate, the expected leader headway, overflows the float range"
+
+# Configs whose every field is in its own range but whose closed forms or
+# cost terms overflow the float range, and the start of the error each gives.
+OVERFLOWING_CONFIGS = {
+    # 1 / rate, the leader headway at any threshold, is beyond the float range.
+    "headway-at-rate-1e-310": ({"arrival": {"rate": 1e-310}}, HEADWAY_OVERFLOW),
+    # x = 40: e^40 / rate and the time reduction both overflow.
+    "headway-at-x-40": ({"arrival": {"rate": 1e-300}, "policy": {"threshold": 4e301}}, HEADWAY_OVERFLOW),
+    **{
+        f"cost-{case}": ({"cost": values}, f"cost term {term}")
+        for case, (values, term) in OVERFLOWING_COSTS.items()
+    },
 }
 
 # The error of a config whose removed ``output`` section is anything but {}.
@@ -259,9 +276,19 @@ class TestExitCodes:
         assert main(["simulate", "--config", path]) == 2
         assert "the supported range is rate * threshold <= 50" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rate,threshold", [(1e-305, 50.0), (1e-200, 1e200), (1e-310, 50.0)])
+    @pytest.mark.parametrize(
+        "rate,threshold,message",
+        [
+            (1e-305, 50.0, "arrival.rate = 1e-305 is too small for n_vehicles = 100000"),
+            (1e-200, 1e200, "arrival.rate = 1e-200 is too small for n_vehicles = 100000"),
+            # 1 / rate, the leader headway at threshold 0, overflows here too;
+            # the closed forms' range check finds it before the horizon check.
+            (1e-310, 50.0, f"{HEADWAY_OVERFLOW} at rate = 1e-310 and threshold = 50.0"),
+        ],
+        ids=["1e-305-50.0", "1e-200-1e+200", "1e-310-50.0"],
+    )
     def test_times_beyond_the_float_range_exit_2_before_sampling(
-        self, write_config, capsys, monkeypatch, rate, threshold
+        self, write_config, capsys, monkeypatch, rate, threshold, message
     ):
         # At these rates 1e5 vehicles' arrival times (or their squares)
         # overflow, which would give NaN rows or infinite half-widths that
@@ -270,7 +297,7 @@ class TestExitCodes:
         path = write_config({"arrival": {"rate": rate}, "policy": {"threshold": threshold}})
         assert main(["simulate", "--config", path]) == 2
         err = capsys.readouterr().err
-        assert f"error: arrival.rate = {rate!r} is too small for n_vehicles = 100000" in err
+        assert f"error: {message}" in err
 
     def test_shift_sums_beyond_the_float_range_exit_2_before_sampling(
         self, write_config, tmp_path, capsys, monkeypatch
@@ -498,8 +525,55 @@ class TestExitCodes:
         assert captured.out == ""
         assert not (tmp_path / "out.json").exists() and not (tmp_path / "out.csv").exists()
 
-    def test_simulate_pass_exits_0(self, write_config):
-        assert main(["simulate", "--config", write_config()]) == 0
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_CONFIGS))
+    @pytest.mark.parametrize("command", ["analytic", "optimize", "sweep", "simulate"])
+    def test_overflowing_closed_form_or_cost_term_exits_2_in_every_command(
+        self, write_config, tmp_path, capsys, monkeypatch, command, case
+    ):
+        # Every field is in its own range, but a closed form or a cost term
+        # built from them is not finite: analytic would write Infinity, which
+        # is not JSON, sweep inf, optimize a NaN cost, or cruise_speed**3
+        # would raise OverflowError (exit 1). The other commands run without
+        # the simulation section, so SimulationConfig does not reject the
+        # rate and threshold before the closed forms do.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(simulator, "_gap_chunks", self._never)
+        monkeypatch.setattr(SweepSpec, "thresholds", self._never)
+        overrides, message = OVERFLOWING_CONFIGS[case]
+        limit = repr(float(overrides.get("policy", {}).get("threshold", 50.0)))
+        extra = {
+            "analytic": ["--json", "out.json"],
+            "optimize": ["--r-max", limit],
+            "sweep": ["--r-min", "0", "--r-max", limit, "--points", "3", "--csv", "out.csv"],
+            "simulate": ["--csv", "out.csv"],
+        }[command]
+        path = write_config({**overrides, "simulation": None} if command != "simulate" else overrides)
+        assert main([command, "--config", path, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert [path.name for path in tmp_path.iterdir()] == ["scenario.json"]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            # The two configs of perfbench's oracle_large workload, 5e6
+            # vehicles x 2 replications at seed 7, at x = 1 and x = 3. Shifts
+            # within a platoon are correlated, so at x = 3 an interval that
+            # took vehicles, not platoons (renewal cycles), as independent
+            # fails (exit 1).
+            {"simulation": {"n_vehicles": 5_000_000, "n_replications": 2, "seed": 7}},
+            {
+                "arrival": {"rate": 0.05},
+                "policy": {"threshold": 60.0},
+                "simulation": {"n_vehicles": 5_000_000, "n_replications": 2, "seed": 7},
+            },
+        ],
+        ids=["nominal", "oracle-large-x1", "oracle-large-x3"],
+    )
+    def test_simulate_pass_exits_0(self, write_config, overrides):
+        assert main(["simulate", "--config", write_config(overrides)]) == 0
 
     def test_simulate_fail_exits_1(self, write_config, capsys, monkeypatch):
         monkeypatch.setattr(simulator, "run_replications", lambda config: biased(run_replications(config)))
@@ -632,12 +706,21 @@ class TestAnalyticCommand:
 
 
 class TestSimulateCommand:
-    def test_csv_is_byte_identical_across_runs(self, write_config, tmp_path):
-        path = write_config()
+    @pytest.mark.parametrize(
+        "overrides,command",
+        [
+            (None, ["simulate"]),
+            ({"simulation": {"n_replications": 3}}, ["simulate"]),
+            (None, ["sweep", "--r-min", "0", "--r-max", "200", "--points", "11", "--with-simulation"]),
+        ],
+        ids=["simulate", "simulate-3-replications", "sweep-with-simulation"],
+    )
+    def test_csv_is_byte_identical_across_runs(self, write_config, tmp_path, overrides, command):
+        path = write_config(overrides)
         csv1 = tmp_path / "report1.csv"
         csv2 = tmp_path / "report2.csv"
-        assert main(["simulate", "--config", path, "--csv", str(csv1)]) == 0
-        assert main(["simulate", "--config", path, "--csv", str(csv2)]) == 0
+        assert main([*command, "--config", path, "--csv", str(csv1)]) == 0
+        assert main([*command, "--config", path, "--csv", str(csv2)]) == 0
         assert csv1.read_bytes() == csv2.read_bytes()
 
     def test_csv_bytes_do_not_depend_on_the_blas_thread_count(self, write_config, tmp_path):
@@ -727,6 +810,37 @@ class TestSimulateCommand:
         assert float(row["empirical"]) == 0.0 and n == 300
         assert row["ci_half_width"] == repr(Z_95 * math.sqrt(p0 * (1.0 - p0) / n))
         assert row["passed"] == "True"
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1: on about ten closed platoons the mean shift's t interval is too narrow",
+    )
+    def test_mean_shift_verdict_is_calibrated_on_ten_closed_platoons(self):
+        # Unit rate, one replication of round(10 e^x) + 1 vehicles, about ten
+        # closed platoons, at seeds 0-999; a seed that closes fewer than two
+        # has no verdict. The correct closed forms may fail the mean shift on
+        # at most 1% of the seeds: the 3-half-width gate fails 4.9%, 5.7%,
+        # 5.6% and 7.6% of them at x = 1, 3, 5 and 8.
+        shares = {}
+        for x in (1.0, 3.0, 5.0, 8.0):
+            arrival, policy = ArrivalModel(rate=1.0), PlatoonPolicy(threshold=x)
+            failed = compared = 0
+            for seed in range(1000):
+                config = SimulationConfig(
+                    arrival=arrival, policy=policy, n_vehicles=round(10.0 * math.exp(x)) + 1, seed=seed
+                )
+                try:
+                    summary = run_replications(config)
+                except ValueError as exc:
+                    if str(exc) != TOO_FEW:
+                        raise
+                    continue
+                rows = {row.statistic: row for row in build_comparison(arrival, policy, summary)}
+                compared += 1
+                failed += not rows["mean_time_shift"].passed
+            shares[x] = failed / compared
+        assert all(share <= 0.01 for share in shares.values()), shares
 
     @pytest.mark.parametrize("rate, passed", [(1.0, True), (0.125, False)])
     def test_singleton_half_width_is_the_null_one_when_no_singleton_is_seen(self, rate, passed):
@@ -932,6 +1046,9 @@ SWEEP_GRIDS = {
     # Two whole blocks and one row, with the fallback zeros of threshold 0 in
     # the first block.
     "two_blocks_and_a_row": ({}, 0.0, 400.0, 2 * CSV_BLOCK_ROWS + 1),
+    # x from 0 to 50 in steps of 0.0025: fields below 1e-4 and above 1e16,
+    # the two ends of orjson's repr notation, in ten blocks.
+    "whole_x_range": ({}, 0.0, 2500.0, 20_001),
 }
 
 
@@ -1054,6 +1171,18 @@ class TestSweepCommand:
         assert "sim_platoon_size" in header
         assert "sim_time_shift_s" in header
         assert len(lines) == 4
+        # The last point is the config's threshold, so its simulated fields
+        # are the means and half-widths simulate writes, as text.
+        report = tmp_path / "report.csv"
+        assert main(["simulate", "--config", path, "--csv", str(report)]) == 0
+        simulated = {row["statistic"]: row for row in csv.DictReader(report.read_text(encoding="utf-8").splitlines())}
+        last = dict(zip(header, lines[3].split(",")))
+        assert last["threshold_s"] == "50.0"
+        assert [last[column] for column in cli.SWEEP_SIM_HEADER] == [
+            simulated[statistic][field]
+            for statistic in ("mean_platoon_size", "mean_leader_headway", "mean_time_shift")
+            for field in ("empirical", "ci_half_width")
+        ]
 
     def test_sweep_spec_validation(self):
         with pytest.raises(ValueError, match="r_max"):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,7 @@ from platoonctl import (
 )
 from platoonctl.domain import METERS_PER_MILE, SECONDS_PER_HOUR
 
-from conftest import NOMINAL_RAW
+from conftest import NOMINAL_RAW, OVERFLOWING_COSTS
 
 
 class TestNormalizeUnits:
@@ -140,6 +141,15 @@ class TestValidation:
             dataclasses.replace(nominal_params, fuel_saving_fraction=1.5)
         with pytest.raises(ValueError, match="merge_zone_len"):
             dataclasses.replace(nominal_params, merge_zone_len=0.0)
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_COSTS))
+    def test_cost_term_beyond_the_float_range_is_rejected_naming_its_fields(self, case):
+        # Every field is in range in planning and in SI units, so
+        # RawCostConfig accepts them; a term built from them is not finite.
+        overrides, term = OVERFLOWING_COSTS[case]
+        raw = RawCostConfig(**{**NOMINAL_RAW, **overrides})
+        with pytest.raises(ValueError, match=rf"^cost term {re.escape(term)}.* overflows the float range"):
+            normalize_units(raw)
 
     def test_non_numeric_field_rejected(self):
         with pytest.raises(ValueError, match="rate"):
