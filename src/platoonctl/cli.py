@@ -10,10 +10,13 @@ Input is a single JSON config with sections ``arrival``, ``policy``,
 ``cost`` (mixed planning units) and ``simulation``; see the README for the
 schema, outside which any section or key, and any key given twice, is an
 error. Only flags name output files. All file outputs are deterministic
-for a fixed config and seed. Exit codes: 0 success (for ``simulate``: every
-statistic within ``PASS_HALF_WIDTHS`` CI half-widths of its closed form), 1
-statistical comparison failure, 2 usage or configuration error (an
-unwritable output path or too few samples for a CI too), 3 out of memory.
+for a fixed config and seed, whatever the number of CPUs a simulation runs
+on. Exit codes: 0 success (for ``simulate``: every statistic within
+``PASS_HALF_WIDTHS`` CI half-widths of its closed form), 1 statistical
+comparison failure, 2 usage or configuration error (an unwritable output
+path, too few samples for a CI, or a cost term that overflows at the
+largest threshold too) or a simulation worker process that failed, 3 out of
+memory, in this process or in a worker.
 
 numpy is imported only by ``simulate`` and ``sweep``, which build arrays,
 and orjson only by ``sweep``, which formats its float columns with it, a
@@ -59,10 +62,10 @@ from .domain import (
     RawCostConfig,
     SimulationConfig,
     StatEstimate,
-    _check_product,
     _integer,
     _non_negative,
     _number,
+    _positive,
     normalize_units,
 )
 
@@ -339,10 +342,24 @@ SWEEP_SIM_HEADER = [
 ]
 
 
+def _cost_curves(params: CostParameters, rate: float, threshold: float):
+    """``_curves`` at the number ``threshold``, or a ``ValueError`` naming the
+    first of its cost terms, in output order, that overflows the float
+    range. A command checks its largest threshold: every cost term is a
+    finite coefficient times the time reduction or the merge probability,
+    which grow with the threshold, so none overflows at a smaller one."""
+    curves = _curves(params, rate, threshold)
+    for name, field in _CLOSED_FORMS[3:]:
+        value = getattr(curves, field)
+        if not math.isfinite(value):
+            raise ValueError(f"cost term {name} overflows the float range at threshold {threshold!r} s, got {value}")
+    return curves
+
+
 def analytic_quantities(params: CostParameters, arrival: ArrivalModel, policy: PlatoonPolicy) -> dict[str, float]:
     """The seven scenario quantities reported by ``analytic``; a ``sweep``
     row holds the same values at its threshold."""
-    curves = _curves(params, arrival.rate, policy.threshold)
+    curves = _cost_curves(params, arrival.rate, policy.threshold)
     return {name: getattr(curves, field) for name, field in _ANALYTIC_COLUMNS}
 
 
@@ -472,7 +489,8 @@ def sweep_rows(
     """Analytic sweep rows over the threshold grid, optionally with pooled
     empirical columns.
 
-    An out-of-range ``r_max`` is rejected before the grid is built. The
+    An ``r_max`` out of range, or at which a cost term overflows, is
+    rejected before the grid is built. The
     closed-form columns come from one array pass over the grid; each row
     equals ``analytic_quantities`` at its threshold. The empirical columns
     come from one simulator pass that draws each replication once and folds
@@ -480,7 +498,7 @@ def sweep_rows(
     threshold, and only its six floats are kept. The columns (numpy arrays)
     stay unformatted until ``_ColumnRows.write_csv`` writes them.
     """
-    _check_product(arrival.rate, float(spec.r_max))  # before the grid is built
+    _cost_curves(params, arrival.rate, float(spec.r_max))  # before the grid is built
     curves = _curves(params, arrival.rate, spec.thresholds())
     columns = [getattr(curves, field) for _, field in _SWEEP_COLUMNS]
     header = list(SWEEP_HEADER)
@@ -513,6 +531,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     params = _require_cost(scenario)
+    _cost_curves(params, scenario.arrival.rate, _positive("r_max", args.r_max))  # before the search
     result = optimal_threshold(params, scenario.arrival, args.r_max)
     numeric = numeric_optimal_threshold(params, scenario.arrival, args.r_max)
     print(f"{'regime':<26} {result.regime.value}")

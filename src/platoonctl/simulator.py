@@ -16,8 +16,12 @@ Randomness contract: gaps come from numpy's PCG64 generator (period 2^128)
 seeded with ``SeedSequence((seed, replication))``. The master seed plus the
 replication index fully determines every draw, so runs reproduce
 bit-for-bit, and replications own disjoint streams: given the centers that a
-pool's first closed platoons set, they could execute in any order (or in
-parallel) without changing the pooled records, added in index order.
+pool's first closed platoons set, they can execute in any order, and in
+parallel, without changing the pooled records, added in index order.
+``_pooled_stats`` does so on up to one process per usable CPU: once
+replication 0's first chunks have set every center, forked workers fold the
+other replications, round robin, and pipe their records back to the parent,
+which adds them in index order. No output byte depends on the CPU count.
 
 Every gap comes from ``_gap_chunks``, which draws a replication's stream in
 chunks of ``CHUNK_VEHICLES``, as ln(1 - U): the gaps in units of 1/rate,
@@ -26,10 +30,10 @@ rate·threshold, so ``run_replications`` folds each chunk in those units,
 with no divide per vehicle, by one segmented sum, into a record of sums of
 its closed platoons, also in units of 1/rate; seconds enter only where the
 estimator multiplies its headway and shift rows by 1/rate. Its memory is
-O(CHUNK_VEHICLES) whatever ``n_vehicles`` and ``n_replications`` are; it is
-the one-threshold case of ``_pooled_stats``, which draws each chunk once and
-folds it into one record row per threshold of a grid (common random
-numbers). ``sample_interarrivals`` divides each chunk by -rate into one
+O(CHUNK_VEHICLES) per process whatever ``n_vehicles`` and
+``n_replications`` are; it is the one-threshold case of ``_pooled_stats``,
+which draws each chunk once and folds it into one record row per threshold
+of a grid (common random numbers). ``sample_interarrivals`` divides each chunk by -rate into one
 array of gaps in seconds, and ``run_from_interarrivals`` forms a whole run
 in memory (O(n)) by a different algorithm, in seconds: the small-n
 reference the streaming kernel matches. One encoder, ``_add_cycles``,
@@ -44,6 +48,9 @@ next one is drawn; a caller that keeps chunks copies them.
 from __future__ import annotations
 
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,7 +299,7 @@ def _summary(record: np.ndarray, center, unit: float) -> EmpiricalSummary:
     )
 
 
-def _replication_stats(config: SimulationConfig, replication: int, thresholds, centers: list) -> np.ndarray:
+def _chunk_folds(config: SimulationConfig, replication: int, thresholds, centers: list):
     """Fold one replication's gaps, chunk by chunk, into the record of its
     closed platoons under each of ``thresholds``, row by row of one array
     (``config.policy`` is not read); memory is O(CHUNK_VEHICLES +
@@ -315,6 +322,10 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds, c
     mean shift at 1e6 vehicles. Across chunk boundaries each threshold
     carries its open (not yet closed) platoon, in Python scalars: its size,
     its leader's time and its partial shift sum.
+
+    A generator, so a caller can pause the fold between chunks: after each
+    chunk it yields the records array, the same one every time, which holds
+    the replication's whole record once the last chunk is folded.
     """
     length, points = min(CHUNK_VEHICLES, config.n_vehicles), len(thresholds)
     leads_buffer, arrivals_buffer = np.empty(length, dtype=bool), np.empty(length)
@@ -356,7 +367,42 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds, c
                 # The leaders' times, which the headways have read, are the encoder's scratch; slot k stays.
                 _add_cycles(records[index], centers[index], counts[closed:k], cycles[:, closed:k])
             open_sizes[index], leader_times[index], open_sums[index] = counts.item(k), times.item(k) - last, sums.item(k)
+        yield records
+
+
+def _replication_stats(config: SimulationConfig, replication: int, thresholds, centers: list) -> np.ndarray:
+    """The record of one replication under each of ``thresholds``, about
+    ``centers``: ``_chunk_folds`` run to its end."""
+    for records in _chunk_folds(config, replication, thresholds, centers):
+        pass
     return records
+
+
+# A pool forks only if each replication holds at least this many chunks.
+# Measured with numpy loaded, 2 cores: a fork round trip (fork, a 160-byte
+# record through a pipe, exit, waitpid) took 1.9 ms, and a chunk of one
+# threshold 0.32 ms at x = 8, 0.43 at x = 3, 0.73 at x = 1 and 0.99 at
+# x = 0.1. A worker's share, one replication or more, then repays its fork
+# even at the cheapest chunks measured.
+MIN_FORK_CHUNKS = 8
+
+# The exit status of a worker that ran out of memory; the parent raises
+# MemoryError for it. Any other failure raises ChildProcessError.
+_WORKER_OUT_OF_MEMORY = 3
+
+
+def _process_count(config: SimulationConfig) -> int:
+    """How many processes fold ``config``'s replications: one per usable
+    CPU (``sched_getaffinity``, so ``taskset`` caps it), at most one per
+    replication, and only one if a replication is shorter than
+    ``MIN_FORK_CHUNKS`` chunks, if the platform cannot fork, or if another
+    Python thread is alive, which a fork would not copy."""
+    chunks = -(-config.n_vehicles // CHUNK_VEHICLES)
+    if config.n_replications == 1 or chunks < MIN_FORK_CHUNKS:
+        return 1
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+        return 1
+    return min(config.n_replications, len(os.sched_getaffinity(0)))
 
 
 def _pooled_stats(config: SimulationConfig, thresholds) -> tuple[np.ndarray, np.ndarray]:
@@ -365,12 +411,126 @@ def _pooled_stats(config: SimulationConfig, thresholds) -> tuple[np.ndarray, np.
     of the centers it is about: the first closed platoon of the lowest
     replication that closes one, which ``_add_cycles`` picks. Replications'
     records add in index order, so, given the centers, no record depends on
-    the order they run in."""
+    the order they run in, or on the process that folds them.
+
+    Replication 0 is folded chunk by chunk. On ``_process_count`` processes,
+    once every threshold's center is set, the rest of the pool goes to
+    ``_add_forked``; otherwise replication 0 is folded to its end and every
+    other replication follows in this process, in index order."""
     centers = [[math.nan, math.nan] for _ in thresholds]
-    pool = _replication_stats(config, 0, thresholds, centers)
-    for rep in range(1, config.n_replications):
-        pool += _replication_stats(config, rep, thresholds, centers)
+    processes = _process_count(config)
+    folds = _chunk_folds(config, 0, thresholds, centers)
+    for pool in folds:
+        if processes > 1 and not any(math.isnan(center[0]) for center in centers):
+            _add_forked(pool, folds, config, thresholds, centers, processes)
+            break
+    else:
+        for rep in range(1, config.n_replications):
+            pool += _replication_stats(config, rep, thresholds, centers)
     return pool, np.array(centers).T
+
+
+def _add_forked(pool: np.ndarray, folds, config: SimulationConfig, thresholds, centers: list, processes: int) -> None:
+    """Finish replication 0's paused ``folds`` into ``pool``, its records
+    array, and add replications 1, 2, ... to it in index order, on
+    ``processes`` processes that share the set ``centers``.
+
+    Worker w of 1..processes - 1, a fork of this process, folds replications
+    r ≡ w (mod processes) and writes each record to its pipe; this process
+    folds the rest. After each of its own records it reads, in index order,
+    the workers' records that come before it, then adds its own, so it holds
+    one record of its own and one it reads. Each record is the one this
+    process would fold itself, and the sums run in the same order, so no
+    output byte depends on the number of processes.
+
+    A worker that runs out of memory raises MemoryError here; any other
+    failure of a worker (a non-zero status, or a signal) raises
+    ChildProcessError naming the replication it owed. On any exception,
+    KeyboardInterrupt too, every worker not yet reaped is killed and reaped.
+    """
+    workers = []  # [pid, reader] per worker; pid is None once reaped
+    try:
+        for worker in range(1, processes):
+            read_end, write_end = os.pipe()
+            workers.append([None, open(read_end, "rb", buffering=0)])
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    replications = range(worker, config.n_replications, processes)
+                    _work(config, thresholds, centers, replications, write_end, workers)
+                workers[-1][0] = pid
+            finally:
+                os.close(write_end)
+        for _ in folds:  # the rest of replication 0
+            pass
+        record, added = np.empty_like(pool), 1
+        for own in range(processes, config.n_replications + processes, processes):
+            mine = _replication_stats(config, own, thresholds, centers) if own < config.n_replications else None
+            for rep in range(added, min(own, config.n_replications)):
+                pool += _receive(workers[rep % processes - 1], rep, record)
+            if mine is not None:
+                pool += mine
+            added = own + 1
+        for worker, channel in enumerate(workers, 1):
+            _, status = os.waitpid(channel[0], 0)
+            channel[0] = None
+            if status:
+                raise _worker_failure(status, range(worker, config.n_replications, processes)[-1])
+    finally:
+        for channel in workers:
+            pid, reader = channel
+            reader.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _work(config: SimulationConfig, thresholds, centers: list, replications, write_end: int, workers: list) -> None:
+    """A forked worker: fold each of ``replications`` about ``centers`` and
+    write its record to the pipe ``write_end``, once the read ends it
+    inherited, those of ``workers`` (its own too), are closed. It never
+    returns: every path ends in ``os._exit``, so the caller's stack does not
+    run on in the worker and the stdio buffers it inherited are not
+    flushed."""
+    status = 1
+    try:
+        for _, reader in workers:
+            reader.close()
+        for rep in replications:
+            view = memoryview(_replication_stats(config, rep, thresholds, centers)).cast("B")
+            while view:
+                view = view[os.write(write_end, view):]
+        status = 0
+    except MemoryError:
+        status = _WORKER_OUT_OF_MEMORY
+    finally:
+        os._exit(status)
+
+
+def _receive(channel: list, rep: int, record: np.ndarray) -> np.ndarray:
+    """Replication ``rep``'s record, read from the [pid, reader] ``channel``
+    of its worker into ``record``; if the pipe ends first, the worker is
+    reaped and its failure raised."""
+    view = memoryview(record).cast("B")
+    while view:
+        count = channel[1].readinto(view)
+        if not count:
+            _, status = os.waitpid(channel[0], 0)
+            channel[0] = None
+            raise _worker_failure(status, rep)
+        view = view[count:]
+    return record
+
+
+def _worker_failure(status: int, rep: int) -> Exception:
+    """The exception for the wait ``status`` of the worker that owed
+    replication ``rep``."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == _WORKER_OUT_OF_MEMORY:
+        return MemoryError(f"the worker process of replication {rep} ran out of memory")
+    if code < 0:
+        return ChildProcessError(f"the worker process of replication {rep} was killed by signal {-code}")
+    return ChildProcessError(f"the worker process of replication {rep} exited with status {code}")
 
 
 def run_replications(config: SimulationConfig) -> EmpiricalSummary:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -131,3 +132,26 @@ def summary_mismatches(summary, reference, rel=1e-12):
     if summary.size_pmf != reference.size_pmf:
         problems.append("size PMF is not exactly equal")
     return problems
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set the number of CPUs ``os.sched_getaffinity`` reports, and count
+    the workers this process forks (a worker's own forks are not seen)."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        forks.clear()
+        return forks
+
+    return use

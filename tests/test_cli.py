@@ -4,8 +4,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -489,6 +491,75 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("analytic", ["--json", "out.json"]),
+            ("sweep", ["--r-min", "0", "--r-max", "1e300", "--points", "3", "--csv", "out.csv"]),
+            ("optimize", ["--r-max", "1e300"]),
+        ],
+        ids=["analytic", "sweep", "optimize"],
+    )
+    def test_cost_term_overflowing_at_the_largest_threshold_exits_2_before_any_work(
+        self, write_config, tmp_path, capsys, monkeypatch, command, extra
+    ):
+        # Every field, every cost coefficient and every closed form is finite
+        # (x = 1, a headway of 2.7e300 s), but the fuel increase, 2 *
+        # drag_fuel_coeff * cruise_speed^3 = 3e14 times a time reduction of
+        # 7.2e299 s, is not: analytic printed inf, sweep wrote it, and
+        # optimize's golden section ran on an infinite cost.
+        monkeypatch.chdir(tmp_path)
+        for module, name in ((SweepSpec, "thresholds"), (cli, "optimal_threshold"), (cli, "numeric_optimal_threshold")):
+            monkeypatch.setattr(module, name, self._never)
+        path = write_config(
+            {"arrival": {"rate": 1e-300}, "policy": {"threshold": 1e300}, "cost": {"drag_fuel_coeff": 1e10},
+             "simulation": None}
+        )
+        assert main([command, "--config", path, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: cost term expected_fuel_increase_l overflows the float range at threshold 1e+300 s, got inf\n"
+        )
+        assert captured.out == ""
+        assert [path.name for path in tmp_path.iterdir()] == ["scenario.json"]
+
+    @pytest.mark.parametrize(
+        "failure,code,message",
+        [
+            ("memory-error", 3, "out of memory in 'simulate'; try fewer vehicles or grid points"),
+            ("exit-7", 2, "the worker process of replication 1 exited with status 7"),
+            ("killed", 2, f"the worker process of replication 1 was killed by signal {int(signal.SIGKILL)}"),
+        ],
+    )
+    def test_worker_failure_exits_with_one_error_line_and_no_process_left(
+        self, write_config, capsys, monkeypatch, failure, code, message
+    ):
+        # Two usable CPUs: replication 0 and 2 fold here, and one forked
+        # worker folds replication 1, where it fails.
+        assert threading.active_count() == 1  # else the pool would not fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(simulator, "CHUNK_VEHICLES", 1024)
+        parent, fold = os.getpid(), simulator._replication_stats
+
+        def failing(config, replication, thresholds, centers):
+            if replication == 1:
+                assert os.getpid() != parent, "replication 1 was folded in the parent"
+                if failure == "memory-error":
+                    raise MemoryError
+                if failure == "exit-7":
+                    os._exit(7)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fold(config, replication, thresholds, centers)
+
+        monkeypatch.setattr(simulator, "_replication_stats", failing)
+        path = write_config({"simulation": {"n_vehicles": 20_000, "n_replications": 3, "seed": 7}})
+        assert main(["simulate", "--config", path]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize(
         "key,value,message",
         [
             ("warmup_vehicles", 5, "was removed"),
@@ -639,23 +710,32 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: threshold_s 2500.0: fewer than two platoon-size ")
         assert not out.exists()
 
-    def test_sweep_with_simulation_draws_each_replication_once(self, nominal_params, nominal_arrival, monkeypatch):
+    def test_sweep_with_simulation_draws_each_replication_once(
+        self, nominal_params, nominal_arrival, tmp_path, monkeypatch
+    ):
         # Every grid point folds the same draws: a sweep of P points and R
-        # replications draws R streams, not P * R.
-        draws = []
+        # replications draws R streams, not P * R. Replications of 20 chunks
+        # on two usable CPUs fork a worker, so every process that draws
+        # appends its draws to one file.
+        log = tmp_path / "draws.txt"
         gap_chunks = simulator._gap_chunks
 
         def counted(seed, replication, n):
-            draws.append((seed, replication))
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {seed} {replication}\n")
             return gap_chunks(seed, replication, n)
 
         monkeypatch.setattr(simulator, "_gap_chunks", counted)
+        monkeypatch.setattr(simulator, "CHUNK_VEHICLES", 1024)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         sim = SimulationConfig(
-            arrival=nominal_arrival, policy=PlatoonPolicy(threshold=50.0), n_vehicles=5000, n_replications=3, seed=1
+            arrival=nominal_arrival, policy=PlatoonPolicy(threshold=50.0), n_vehicles=20_000, n_replications=3, seed=1
         )
         header, rows = sweep_rows(nominal_params, nominal_arrival, SweepSpec(0.0, 100.0, 7), sim)
         assert len(rows) == 7
-        assert draws == [(1, 0), (1, 1), (1, 2)]
+        draws = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        assert sorted((int(seed), int(rep)) for _, seed, rep in draws) == [(1, 0), (1, 1), (1, 2)]
+        assert len({pid for pid, _, _ in draws}) == 2
 
 
 class TestAnalyticCommand:
@@ -744,6 +824,27 @@ class TestSimulateCommand:
             assert done.returncode == 0, done.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("reps", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate"], ["sweep", "--r-min", "0", "--r-max", "400", "--points", "9", "--with-simulation"]],
+        ids=["simulate", "sweep-with-simulation"],
+    )
+    def test_csv_bytes_do_not_depend_on_the_cpu_count(
+        self, write_config, tmp_path, monkeypatch, usable_cpus, command, reps
+    ):
+        # Replications of 13 chunks fork min(reps, CPUs) - 1 workers.
+        monkeypatch.setattr(simulator, "CHUNK_VEHICLES", 4096)
+        path = write_config({"simulation": {"n_vehicles": 50_000, "n_replications": reps, "seed": 7}})
+        outputs = []
+        for cpus in (1, 2, 4):
+            forks = usable_cpus(cpus)
+            out = tmp_path / f"cpus{cpus}.csv"
+            assert main([*command, "--config", path, "--csv", str(out)]) == 0
+            assert len(forks) == min(reps, cpus) - 1, cpus
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_warmup_key_at_zero_changes_no_output_byte(self, write_config, tmp_path, capsys):
         # Configs written before the option was removed hold it at 0.

@@ -1,6 +1,9 @@
 import math
+import os
 import re
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -28,6 +31,7 @@ from platoonctl.simulator import (
     _RECORD_WIDTH,
     CHUNK_VEHICLES,
     _add_cycles,
+    _chunk_folds,
     _estimates,
     _gap_chunks,
     _pooled_stats,
@@ -858,6 +862,120 @@ class TestStreamingKernel:
                 tracemalloc.stop()
         assert peaks[2_000_000] <= 1.1 * peaks[200_000]
         assert peaks[2_000_000] < 16 * 2**20
+
+
+# Chunks of this size give each replication below MIN_FORK_CHUNKS chunks or
+# more at a few thousand vehicles.
+SMALL_CHUNK = 2048
+
+
+class TestForkedPool:
+    """A pool of several replications runs on one process per usable CPU;
+    no record, center or output byte depends on how many there are."""
+
+    # The largest two thresholds (x = 8 and 9) close no platoon in
+    # replication 0's first chunk at this seed; all close some before it ends.
+    LATE_CENTERS = [0.0, 50.0, 200.0, 400.0, 450.0]
+
+    def _config(self, **overrides):
+        defaults = dict(
+            arrival=ArrivalModel(rate=0.02),
+            policy=PlatoonPolicy(threshold=50.0),
+            n_vehicles=12 * SMALL_CHUNK + 5,
+            n_replications=3,
+            seed=SEED,
+        )
+        defaults.update(overrides)
+        return SimulationConfig(**defaults)
+
+    def test_late_centers_premise(self, monkeypatch):
+        monkeypatch.setattr(simulator, "CHUNK_VEHICLES", SMALL_CHUNK)
+        centers = [[math.nan, math.nan] for _ in self.LATE_CENTERS]
+        folds = _chunk_folds(self._config(), 0, self.LATE_CENTERS, centers)
+        next(folds)
+        assert [math.isnan(center[0]) for center in centers] == [False, False, False, True, True]
+        for _ in folds:
+            pass
+        assert not any(math.isnan(center[0]) for center in centers)
+
+    @pytest.mark.parametrize("grid", [[50.0], LATE_CENTERS], ids=["one-threshold", "late-centers"])
+    @pytest.mark.parametrize("reps", [2, 3, 5])
+    def test_records_and_centers_do_not_depend_on_the_cpu_count(self, usable_cpus, monkeypatch, reps, grid):
+        # Replication 0 folds until every center is set, then min(reps,
+        # CPUs) - 1 workers fork; the parent adds every record in index order.
+        monkeypatch.setattr(simulator, "CHUNK_VEHICLES", SMALL_CHUNK)
+        config = self._config(n_replications=reps)
+        pools = []
+        for cpus in (1, 2, 4):
+            forks = usable_cpus(cpus)
+            records, centers = _pooled_stats(config, grid)
+            assert len(forks) == min(reps, cpus) - 1, cpus
+            pools.append((records.tobytes(), centers.tobytes()))
+        assert pools[1] == pools[0] and pools[2] == pools[0]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "one-cpu", "one-replication", "short-replications", "another-thread", "center-unset-after-replication-0",
+            "no-fork", "no-affinity",
+        ],
+    )
+    def test_runs_in_one_process_where_a_fork_cannot_pay(self, usable_cpus, monkeypatch, case):
+        monkeypatch.setattr(simulator, "CHUNK_VEHICLES", SMALL_CHUNK)
+        usable_cpus(1)
+        grid, config = [50.0], self._config()
+        if case == "one-replication":
+            config = self._config(n_replications=1)
+        elif case == "short-replications":
+            config = self._config(n_vehicles=(simulator.MIN_FORK_CHUNKS - 1) * SMALL_CHUNK)
+        elif case == "center-unset-after-replication-0":
+            # At x = 12 the mean platoon holds e^12 ~ 163k vehicles.
+            grid = [50.0, 600.0]
+        want = _pooled_stats(config, grid)
+
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if case == "one-cpu" else {0, 1, 2, 3})
+        if case.startswith("no-"):
+            monkeypatch.delattr(os, {"no-fork": "fork", "no-affinity": "sched_getaffinity"}[case])
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if case == "another-thread":
+            thread.start()
+        try:
+            records, centers = _pooled_stats(config, grid)
+        finally:
+            release.set()
+            if case == "another-thread":
+                thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        if case == "center-unset-after-replication-0":
+            assert math.isnan(centers[0, 1])
+        assert records.tobytes() == want[0].tobytes() and centers.tobytes() == want[1].tobytes()
+
+    def test_an_interrupt_kills_and_reaps_every_worker(self, usable_cpus, monkeypatch):
+        # Three workers are still folding when the parent is interrupted in
+        # its own replication 4: none may outlive the pool, and the pool
+        # kills them rather than wait for their minute-long folds.
+        monkeypatch.setattr(simulator, "CHUNK_VEHICLES", SMALL_CHUNK)
+        forks = usable_cpus(4)
+        parent = os.getpid()
+
+        def interrupted(config, replication, thresholds, centers):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(simulator, "_replication_stats", interrupted)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            _pooled_stats(self._config(n_replications=5), [50.0])
+        assert time.perf_counter() - start < 30.0
+        assert len(forks) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 COVERAGE_RUNS = 200
