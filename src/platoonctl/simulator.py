@@ -18,10 +18,12 @@ replication index fully determines every draw, so runs reproduce
 bit-for-bit, and replications own disjoint streams: given the centers that a
 pool's first closed platoons set, they can execute in any order, and in
 parallel, without changing the pooled records, added in index order.
-``_pooled_stats`` does so on up to one process per usable CPU: once
-replication 0's first chunks have set every center, forked workers fold the
-other replications, round robin, and pipe their records back to the parent,
-which adds them in index order. No output byte depends on the CPU count.
+``_pooled_stats`` does so in one loop on W processes, one per usable CPU at
+most: once replication 0's first chunks have set every center, W - 1 forked
+workers (none if W is 1) fold the other replications, round robin, and pipe
+their records back to the parent, which adds replications 1, 2, ... in index
+order, folding every W-th itself. No output byte depends on W. A worker
+exits between chunks once its parent is gone.
 
 Every gap comes from ``_gap_chunks``, which draws a replication's stream in
 chunks of ``CHUNK_VEHICLES``, as ln(1 - U): the gaps in units of 1/rate,
@@ -391,63 +393,53 @@ MIN_FORK_CHUNKS = 8
 _WORKER_OUT_OF_MEMORY = 3
 
 
-def _process_count(config: SimulationConfig) -> int:
+def _process_count(config: SimulationConfig, centers: list) -> int:
     """How many processes fold ``config``'s replications: one per usable
     CPU (``sched_getaffinity``, so ``taskset`` caps it), at most one per
     replication, and only one if a replication is shorter than
-    ``MIN_FORK_CHUNKS`` chunks, if the platform cannot fork, or if another
-    Python thread is alive, which a fork would not copy."""
+    ``MIN_FORK_CHUNKS`` chunks, if one of ``centers`` is still unset, if the
+    platform cannot fork, or if another Python thread is alive, which a fork
+    would not copy."""
     chunks = -(-config.n_vehicles // CHUNK_VEHICLES)
-    if config.n_replications == 1 or chunks < MIN_FORK_CHUNKS:
+    if config.n_replications == 1 or chunks < MIN_FORK_CHUNKS or _unset(centers):
         return 1
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
         return 1
     return min(config.n_replications, len(os.sched_getaffinity(0)))
 
 
+def _unset(centers: list) -> bool:
+    """Whether a threshold's [c, q] center is still NaN."""
+    return any(math.isnan(center[0]) for center in centers)
+
+
 def _pooled_stats(config: SimulationConfig, thresholds) -> tuple[np.ndarray, np.ndarray]:
     """The record of ``config``'s replications at each threshold, row by
     row, each replication drawn once for all, and the (2, thresholds) array
     of the centers it is about: the first closed platoon of the lowest
-    replication that closes one, which ``_add_cycles`` picks. Replications'
-    records add in index order, so, given the centers, no record depends on
-    the order they run in, or on the process that folds them.
+    replication that closes one, which ``_add_cycles`` picks.
 
-    Replication 0 is folded chunk by chunk. On ``_process_count`` processes,
-    once every threshold's center is set, the rest of the pool goes to
-    ``_add_forked``; otherwise replication 0 is folded to its end and every
-    other replication follows in this process, in index order."""
-    centers = [[math.nan, math.nan] for _ in thresholds]
-    processes = _process_count(config)
-    folds = _chunk_folds(config, 0, thresholds, centers)
-    for pool in folds:
-        if processes > 1 and not any(math.isnan(center[0]) for center in centers):
-            _add_forked(pool, folds, config, thresholds, centers, processes)
-            break
-    else:
-        for rep in range(1, config.n_replications):
-            pool += _replication_stats(config, rep, thresholds, centers)
-    return pool, np.array(centers).T
-
-
-def _add_forked(pool: np.ndarray, folds, config: SimulationConfig, thresholds, centers: list, processes: int) -> None:
-    """Finish replication 0's paused ``folds`` into ``pool``, its records
-    array, and add replications 1, 2, ... to it in index order, on
-    ``processes`` processes that share the set ``centers``.
-
-    Worker w of 1..processes - 1, a fork of this process, folds replications
-    r ≡ w (mod processes) and writes each record to its pipe; this process
-    folds the rest. After each of its own records it reads, in index order,
-    the workers' records that come before it, then adds its own, so it holds
-    one record of its own and one it reads. Each record is the one this
-    process would fold itself, and the sums run in the same order, so no
-    output byte depends on the number of processes.
+    Replication 0 is folded chunk by chunk until every center is set. Then
+    W = ``_process_count`` processes share the centers: W - 1 forked
+    workers, none if W is 1. Worker w folds replications r ≡ w (mod W) and
+    writes each record to its pipe; this process finishes replication 0 and
+    adds replications 1, 2, ... in index order, folding r ≡ 0 (mod W) itself
+    and reading the others. So it holds one record of its own and one it
+    reads, a worker is read as soon as its record is due, and, since every
+    record is the one this process would fold and the sums run in index
+    order, no output byte depends on W.
 
     A worker that runs out of memory raises MemoryError here; any other
     failure of a worker (a non-zero status, or a signal) raises
     ChildProcessError naming the replication it owed. On any exception,
     KeyboardInterrupt too, every worker not yet reaped is killed and reaped.
     """
+    centers = [[math.nan, math.nan] for _ in thresholds]
+    folds = _chunk_folds(config, 0, thresholds, centers)
+    for pool in folds:
+        if not _unset(centers):
+            break
+    processes, parent = _process_count(config, centers), os.getpid()
     workers = []  # [pid, reader] per worker; pid is None once reaped
     try:
         for worker in range(1, processes):
@@ -457,20 +449,16 @@ def _add_forked(pool: np.ndarray, folds, config: SimulationConfig, thresholds, c
                 pid = os.fork()
                 if pid == 0:
                     replications = range(worker, config.n_replications, processes)
-                    _work(config, thresholds, centers, replications, write_end, workers)
+                    _work(config, thresholds, centers, replications, write_end, workers, parent)
                 workers[-1][0] = pid
             finally:
                 os.close(write_end)
         for _ in folds:  # the rest of replication 0
             pass
-        record, added = np.empty_like(pool), 1
-        for own in range(processes, config.n_replications + processes, processes):
-            mine = _replication_stats(config, own, thresholds, centers) if own < config.n_replications else None
-            for rep in range(added, min(own, config.n_replications)):
-                pool += _receive(workers[rep % processes - 1], rep, record)
-            if mine is not None:
-                pool += mine
-            added = own + 1
+        record = np.empty_like(pool)
+        for rep in range(1, config.n_replications):
+            owner = rep % processes  # 0 for this process, w for worker w
+            pool += _receive(workers[owner - 1], rep, record) if owner else _replication_stats(config, rep, thresholds, centers)
         for worker, channel in enumerate(workers, 1):
             _, status = os.waitpid(channel[0], 0)
             channel[0] = None
@@ -483,12 +471,15 @@ def _add_forked(pool: np.ndarray, folds, config: SimulationConfig, thresholds, c
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    return pool, np.array(centers).T
 
 
-def _work(config: SimulationConfig, thresholds, centers: list, replications, write_end: int, workers: list) -> None:
+def _work(config: SimulationConfig, thresholds, centers: list, replications, write_end: int, workers: list, parent: int) -> None:
     """A forked worker: fold each of ``replications`` about ``centers`` and
     write its record to the pipe ``write_end``, once the read ends it
-    inherited, those of ``workers`` (its own too), are closed. It never
+    inherited, those of ``workers`` (its own too), are closed. Between
+    chunks it exits if its parent, pid ``parent``, is gone: a signal that
+    kills the parent without an exception runs no cleanup there. It never
     returns: every path ends in ``os._exit``, so the caller's stack does not
     run on in the worker and the stdio buffers it inherited are not
     flushed."""
@@ -497,7 +488,10 @@ def _work(config: SimulationConfig, thresholds, centers: list, replications, wri
         for _, reader in workers:
             reader.close()
         for rep in replications:
-            view = memoryview(_replication_stats(config, rep, thresholds, centers)).cast("B")
+            for records in _chunk_folds(config, rep, thresholds, centers):
+                if os.getppid() != parent:
+                    return  # to os._exit(1): no one reads the record
+            view = memoryview(records).cast("B")
             while view:
                 view = view[os.write(write_end, view):]
         status = 0

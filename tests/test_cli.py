@@ -538,7 +538,7 @@ class TestExitCodes:
         assert threading.active_count() == 1  # else the pool would not fork
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(simulator, "CHUNK_VEHICLES", 1024)
-        parent, fold = os.getpid(), simulator._replication_stats
+        parent, fold = os.getpid(), simulator._chunk_folds
 
         def failing(config, replication, thresholds, centers):
             if replication == 1:
@@ -550,7 +550,7 @@ class TestExitCodes:
                 os.kill(os.getpid(), signal.SIGKILL)
             return fold(config, replication, thresholds, centers)
 
-        monkeypatch.setattr(simulator, "_replication_stats", failing)
+        monkeypatch.setattr(simulator, "_chunk_folds", failing)
         path = write_config({"simulation": {"n_vehicles": 20_000, "n_replications": 3, "seed": 7}})
         assert main(["simulate", "--config", path]) == code
         captured = capsys.readouterr()
@@ -827,16 +827,22 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("reps", [2, 3, 5])
     @pytest.mark.parametrize(
-        "command",
-        [["simulate"], ["sweep", "--r-min", "0", "--r-max", "400", "--points", "9", "--with-simulation"]],
-        ids=["simulate", "sweep-with-simulation"],
+        "command, chunk, vehicles",
+        [
+            # Replications of 13 chunks fork min(reps, CPUs) - 1 workers.
+            (["simulate"], 4096, 50_000),
+            (["sweep", "--r-min", "0", "--r-max", "400", "--points", "9", "--with-simulation"], 4096, 50_000),
+            # 410 thresholds make a record of 65,600 bytes, more than a 64 KiB
+            # pipe holds; replications of 9 short chunks keep the run brief.
+            (["sweep", "--r-min", "0", "--r-max", "200", "--points", "410", "--with-simulation"], 1024, 9000),
+        ],
+        ids=["simulate", "sweep-with-simulation", "sweep-with-simulation-over-a-pipe-buffer"],
     )
     def test_csv_bytes_do_not_depend_on_the_cpu_count(
-        self, write_config, tmp_path, monkeypatch, usable_cpus, command, reps
+        self, write_config, tmp_path, monkeypatch, usable_cpus, command, chunk, vehicles, reps
     ):
-        # Replications of 13 chunks fork min(reps, CPUs) - 1 workers.
-        monkeypatch.setattr(simulator, "CHUNK_VEHICLES", 4096)
-        path = write_config({"simulation": {"n_vehicles": 50_000, "n_replications": reps, "seed": 7}})
+        monkeypatch.setattr(simulator, "CHUNK_VEHICLES", chunk)
+        path = write_config({"simulation": {"n_vehicles": vehicles, "n_replications": reps, "seed": 7}})
         outputs = []
         for cpus in (1, 2, 4):
             forks = usable_cpus(cpus)

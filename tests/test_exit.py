@@ -7,8 +7,10 @@ no file waits for a finalizer to be flushed or closed."""
 import gc
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -43,6 +45,8 @@ CONFIGS = {
     # A config error: an output path in the removed output section, which
     # only an empty object passes.
     "bad-output": {"output": {"csv": 1}},
+    # x = 1 on 3e8 vehicles × 2: each replication folds for several seconds.
+    "simulate-long": {"simulation": {"n_vehicles": 300_000_000, "n_replications": 2, "seed": 7}},
 }
 
 
@@ -172,3 +176,58 @@ def test_every_file_is_closed_when_main_returns(tmp_path, monkeypatch, capsys, a
     codes = []
     assert unraisable_after(lambda: codes.append(main(args)), monkeypatch) == []
     assert codes == [exit_code]
+
+
+def _stat(pid: int) -> list[str]:
+    """The fields of ``/proc/<pid>/stat`` after the command name: the state,
+    the parent's pid, and so on."""
+    return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+
+
+def _children(pid: int) -> list[int]:
+    """The pids whose parent is ``pid``."""
+    found = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            if int(_stat(int(entry))[1]) == pid:
+                found.append(int(entry))
+        except OSError:  # it exited while the list was read
+            pass
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and has not exited; a zombie has exited."""
+    try:
+        return _stat(pid)[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads the process table from /proc")
+def test_workers_exit_soon_after_a_signal_kills_the_command(tmp_path):
+    """SIGTERM ends ``simulate`` without running its cleanup, so no one
+    kills its workers; each sees between two chunks that its parent is gone
+    and exits, rather than fold on for the seconds its replication takes."""
+    # Two usable CPUs whatever the machine has, so the pool forks a worker.
+    code = "import os\nos.sched_getaffinity = lambda pid: {0, 1}\nfrom platoonctl.cli import main\nraise SystemExit(main())"
+    args = [sys.executable, "-c", code, "simulate", "--config", write_config(tmp_path, "simulate-long")]
+    command = subprocess.Popen(args, env=ENV, cwd=tmp_path, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while not workers:
+            assert command.poll() is None and time.monotonic() < deadline, "no worker was forked"
+            time.sleep(0.01)
+            workers = _children(command.pid)
+        command.send_signal(signal.SIGTERM)
+        assert command.wait(timeout=10.0) == -signal.SIGTERM
+        deadline = time.monotonic() + 2.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(map(_running, workers)), "a worker outlived its command by 2 s"
+    finally:
+        command.kill()
+        command.wait()
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)

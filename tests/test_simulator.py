@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import signal
 import sys
 import threading
 import time
@@ -956,26 +957,63 @@ class TestForkedPool:
         assert records.tobytes() == want[0].tobytes() and centers.tobytes() == want[1].tobytes()
 
     def test_an_interrupt_kills_and_reaps_every_worker(self, usable_cpus, monkeypatch):
-        # Three workers are still folding when the parent is interrupted in
-        # its own replication 4: none may outlive the pool, and the pool
-        # kills them rather than wait for their minute-long folds.
+        # Three workers are still folding when the parent, waiting on the
+        # first one's pipe, is interrupted: none may outlive the pool, and
+        # the pool kills them rather than wait for their minute-long folds.
         monkeypatch.setattr(simulator, "CHUNK_VEHICLES", SMALL_CHUNK)
         forks = usable_cpus(4)
-        parent = os.getpid()
+        parent, fold = os.getpid(), simulator._chunk_folds
 
-        def interrupted(config, replication, thresholds, centers):
+        def slow(config, replication, thresholds, centers):
             if os.getpid() != parent:
                 time.sleep(60)
+            return fold(config, replication, thresholds, centers)
+
+        def interrupt(signum, frame):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(simulator, "_replication_stats", interrupted)
+        monkeypatch.setattr(simulator, "_chunk_folds", slow)
+        previous = signal.signal(signal.SIGALRM, interrupt)
         start = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt):
-            _pooled_stats(self._config(n_replications=5), [50.0])
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                _pooled_stats(self._config(n_replications=5), [50.0])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
         assert time.perf_counter() - start < 30.0
         assert len(forks) == 3
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_a_record_larger_than_a_pipe_buffer_stalls_no_worker(self, usable_cpus, monkeypatch, tmp_path):
+        # 500 thresholds make a record of 80,000 bytes, more than a 64 KiB
+        # pipe holds, so a worker's write ends only once the parent reads
+        # it. The parent reads replication 1 before it folds replication 2,
+        # so the worker starts replication 3 while the parent folds 2.
+        monkeypatch.setattr(simulator, "CHUNK_VEHICLES", SMALL_CHUNK)
+        forks = usable_cpus(2)
+        log, fold = tmp_path / "folds.log", simulator._chunk_folds
+
+        def logged(config, replication, thresholds, centers):
+            start = time.monotonic()
+            yield from fold(config, replication, thresholds, centers)
+            with open(log, "a", encoding="utf-8") as file:  # closed, so flushed, before the worker's os._exit
+                file.write(f"{os.getpid()} {replication} {start!r} {time.monotonic()!r}\n")
+
+        monkeypatch.setattr(simulator, "_chunk_folds", logged)
+        grid = np.linspace(0.0, 100.0, 500).tolist()
+        _pooled_stats(self._config(n_vehicles=8 * SMALL_CHUNK, n_replications=4), grid)
+        assert len(forks) == 1
+        folds = {}
+        for line in log.read_text(encoding="utf-8").splitlines():
+            pid, replication, start, end = line.split()
+            folds[int(replication)] = int(pid), float(start), float(end)
+        assert sorted(folds) == [0, 1, 2, 3]
+        assert {folds[rep][0] for rep in (1, 3)} == {forks[0]}
+        assert {folds[rep][0] for rep in (0, 2)} == {os.getpid()}
+        assert folds[3][1] < folds[2][2], "the worker started replication 3 only after the parent folded 2"
 
 
 COVERAGE_RUNS = 200
