@@ -15,8 +15,9 @@ on. Exit codes: 0 success (for ``simulate``: every statistic within
 ``PASS_HALF_WIDTHS`` CI half-widths of its closed form), 1 statistical
 comparison failure, 2 usage or configuration error (an unwritable output
 path, too few samples for a CI, or a cost term that overflows at the
-largest threshold too) or a simulation worker process that failed, 3 out of
-memory, in this process or in a worker.
+largest threshold too) or a simulation worker process that failed or was
+killed before it delivered every record, 3 out of memory, in this process or
+in a worker that still owed a record.
 
 numpy is imported only by ``simulate`` and ``sweep``, which build arrays,
 and orjson only by ``sweep``, which formats its float columns with it, a

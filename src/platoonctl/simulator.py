@@ -23,7 +23,9 @@ most: once replication 0's first chunks have set every center, W - 1 forked
 workers (none if W is 1) fold the other replications, round robin, and pipe
 their records back to the parent, which adds replications 1, 2, ... in index
 order, folding every W-th itself. No output byte depends on W. A worker
-exits between chunks once its parent is gone.
+exits between chunks once its parent is gone. The pool's cleanup kills and
+reaps every worker on every path; a worker's exit status is read only where
+its pipe ends before a record it owed.
 
 Every gap comes from ``_gap_chunks``, which draws a replication's stream in
 chunks of ``CHUNK_VEHICLES``, as ln(1 - U): the gaps in units of 1/rate,
@@ -109,6 +111,14 @@ class SimulationRun:
     time_shifts: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("interarrivals", "leader_headways", "time_shifts"):
+            values = getattr(self, name)
+            if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu" and np.isfinite(values).all()):
+                raise ValueError(f"{name} must be an array of finite real numbers")
+        for name in ("platoon_sizes", "leader_indices"):
+            values = getattr(self, name)
+            if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+                raise ValueError(f"{name} must be an array of integers")
         n = self.interarrivals.size
         if n == 0:
             raise ValueError("interarrivals must be non-empty")
@@ -429,10 +439,12 @@ def _pooled_stats(config: SimulationConfig, thresholds) -> tuple[np.ndarray, np.
     record is the one this process would fold and the sums run in index
     order, no output byte depends on W.
 
-    A worker that runs out of memory raises MemoryError here; any other
-    failure of a worker (a non-zero status, or a signal) raises
-    ChildProcessError naming the replication it owed. On any exception,
-    KeyboardInterrupt too, every worker not yet reaped is killed and reaped.
+    A worker's exit status counts only while it owes a record: where its
+    pipe ends before a record is whole, ``_receive`` reaps it and raises
+    MemoryError if it ran out of memory, else ChildProcessError naming the
+    replication it owed. Every other worker is reaped once, in cleanup, on
+    every path, KeyboardInterrupt too: it is killed, since it owes nothing
+    more or the pool has failed, and waited for.
     """
     centers = [[math.nan, math.nan] for _ in thresholds]
     folds = _chunk_folds(config, 0, thresholds, centers)
@@ -444,7 +456,7 @@ def _pooled_stats(config: SimulationConfig, thresholds) -> tuple[np.ndarray, np.
     try:
         for worker in range(1, processes):
             read_end, write_end = os.pipe()
-            workers.append([None, open(read_end, "rb", buffering=0)])
+            workers.append([None, open(read_end, "rb")])
             try:
                 pid = os.fork()
                 if pid == 0:
@@ -459,11 +471,6 @@ def _pooled_stats(config: SimulationConfig, thresholds) -> tuple[np.ndarray, np.
         for rep in range(1, config.n_replications):
             owner = rep % processes  # 0 for this process, w for worker w
             pool += _receive(workers[owner - 1], rep, record) if owner else _replication_stats(config, rep, thresholds, centers)
-        for worker, channel in enumerate(workers, 1):
-            _, status = os.waitpid(channel[0], 0)
-            channel[0] = None
-            if status:
-                raise _worker_failure(status, range(worker, config.n_replications, processes)[-1])
     finally:
         for channel in workers:
             pid, reader = channel
@@ -503,28 +510,19 @@ def _work(config: SimulationConfig, thresholds, centers: list, replications, wri
 
 def _receive(channel: list, rep: int, record: np.ndarray) -> np.ndarray:
     """Replication ``rep``'s record, read from the [pid, reader] ``channel``
-    of its worker into ``record``; if the pipe ends first, the worker is
-    reaped and its failure raised."""
-    view = memoryview(record).cast("B")
-    while view:
-        count = channel[1].readinto(view)
-        if not count:
-            _, status = os.waitpid(channel[0], 0)
-            channel[0] = None
-            raise _worker_failure(status, rep)
-        view = view[count:]
-    return record
-
-
-def _worker_failure(status: int, rep: int) -> Exception:
-    """The exception for the wait ``status`` of the worker that owed
-    replication ``rep``."""
+    of its worker into ``record`` by one buffered ``readinto``, which ends
+    short only where the pipe does. Then the worker, which still owed this
+    record, is reaped, and its failure raised: MemoryError if it ran out of
+    memory, else ChildProcessError."""
+    if channel[1].readinto(record) == record.nbytes:
+        return record
+    _, status = os.waitpid(channel[0], 0)
+    channel[0] = None
     code = os.waitstatus_to_exitcode(status)
     if code == _WORKER_OUT_OF_MEMORY:
-        return MemoryError(f"the worker process of replication {rep} ran out of memory")
-    if code < 0:
-        return ChildProcessError(f"the worker process of replication {rep} was killed by signal {-code}")
-    return ChildProcessError(f"the worker process of replication {rep} exited with status {code}")
+        raise MemoryError(f"the worker process of replication {rep} ran out of memory")
+    failure = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    raise ChildProcessError(f"the worker process of replication {rep} {failure}")
 
 
 def run_replications(config: SimulationConfig) -> EmpiricalSummary:

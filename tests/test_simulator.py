@@ -259,6 +259,14 @@ class TestRunAssembly:
             ("leader_headways", np.empty(0), "one leader headway"),
             ("time_shifts", np.zeros(2), "one time shift per vehicle"),
             ("time_shifts", np.array([0.0, 3.0, 1.0]), "exactly 0 at platoon leaders"),
+            # Values summarize cannot read: it would raise TypeError or return NaN means.
+            ("interarrivals", np.array(["a", "b", "c"]), "interarrivals must be an array of finite real numbers"),
+            ("interarrivals", np.array([5.0, 3.0 + 1j, 9.0]), "interarrivals must be an array of finite real numbers"),
+            ("interarrivals", [5.0, 3.0, 9.0], "interarrivals must be an array of finite real numbers"),
+            ("platoon_sizes", np.array([1.5, 1.5]), "platoon_sizes must be an array of integers"),
+            ("leader_indices", np.array([1.0, 3.0]), "leader_indices must be an array of integers"),
+            ("leader_headways", np.array([math.nan]), "leader_headways must be an array of finite real numbers"),
+            ("time_shifts", np.array([0.0, math.inf, 0.0]), "time_shifts must be an array of finite real numbers"),
         ],
     )
     def test_run_validation_rejects_inconsistent_fields(self, field, value, message):
@@ -911,8 +919,32 @@ class TestForkedPool:
             forks = usable_cpus(cpus)
             records, centers = _pooled_stats(config, grid)
             assert len(forks) == min(reps, cpus) - 1, cpus
+            with pytest.raises(ChildProcessError):  # every worker is reaped
+                os.waitpid(-1, os.WNOHANG)
             pools.append((records.tobytes(), centers.tobytes()))
         assert pools[1] == pools[0] and pools[2] == pools[0]
+
+    def test_a_worker_killed_after_its_last_record_fails_no_pool(self, usable_cpus, monkeypatch):
+        # The worker owes nothing once its last record is read, so how it
+        # then ends does not matter: here a signal, in place of status 0.
+        monkeypatch.setattr(simulator, "CHUNK_VEHICLES", SMALL_CHUNK)
+        config, grid = self._config(), [50.0]
+        usable_cpus(1)
+        want = _pooled_stats(config, grid)
+        parent, exit_ = os.getpid(), os._exit
+
+        def killed(status):
+            if status == 0 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            exit_(status)
+
+        monkeypatch.setattr(os, "_exit", killed)
+        forks = usable_cpus(2)
+        records, centers = _pooled_stats(config, grid)
+        assert len(forks) == 1
+        assert records.tobytes() == want[0].tobytes() and centers.tobytes() == want[1].tobytes()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize(
         "case",
