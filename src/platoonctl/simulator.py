@@ -39,8 +39,9 @@ O(CHUNK_VEHICLES) per process whatever ``n_vehicles`` and
 which draws each chunk once and folds it into one record row per threshold
 of a grid (common random numbers). ``sample_interarrivals`` divides each chunk by -rate into one
 array of gaps in seconds, and ``run_from_interarrivals`` forms a whole run
-in memory (O(n)) by a different algorithm, in seconds: the small-n
-reference the streaming kernel matches. One encoder, ``_add_cycles``,
+in memory (O(n)), whose ``SimulationRun`` derives its leaders, headways and
+shifts by a different algorithm, in seconds: the small-n reference the
+streaming kernel matches. One encoder, ``_add_cycles``,
 writes every record from raw closed cycles, and one estimator,
 ``_estimates``, reads it.
 
@@ -55,7 +56,7 @@ import math
 import os
 import signal
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,43 +98,51 @@ _RECORD_WIDTH = 8 + PMF_CUTOFF + 2
 
 @dataclass(frozen=True)
 class SimulationRun:
-    """One realized arrival/merge trajectory.
+    """One realized arrival/merge trajectory, given by its two inputs: the
+    ``interarrivals``, vehicle k's gap to vehicle k - 1 in seconds at index
+    k - 1, and the ``platoon_sizes`` in arrival order. The gaps must be a
+    non-empty 1-d array of real numbers, each finite and >= 0, with a finite
+    sum; the sizes a non-empty 1-d array of signed integers, each >= 1, that
+    sum to the number of vehicles. Anything else raises ``ValueError``
+    naming the field.
 
-    ``leader_indices`` are 1-based vehicle numbers (vehicle 1 always leads
-    the first platoon); ``time_shifts[k-1]`` is vehicle k's catch-up shift
-    and is exactly 0 at every leader.
+    The other fields are derived once, in ``__post_init__``:
+    ``leader_indices`` are the 1-based vehicle numbers of the platoon
+    leaders (vehicle 1 leads the first platoon), ``leader_headways`` the
+    arrival-time differences of consecutive leaders, and
+    ``time_shifts[k-1]`` vehicle k's catch-up shift, which follows the
+    recursion shift[k] = gap[k] + shift[k-1] in a platoon and is exactly 0
+    at every leader: a merging vehicle closes its gap onto a predecessor that
+    already moved forward.
     """
 
     interarrivals: np.ndarray
     platoon_sizes: np.ndarray
-    leader_indices: np.ndarray
-    leader_headways: np.ndarray
-    time_shifts: np.ndarray
+    leader_indices: np.ndarray = field(init=False)
+    leader_headways: np.ndarray = field(init=False)
+    time_shifts: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("interarrivals", "leader_headways", "time_shifts"):
-            values = getattr(self, name)
-            if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu" and np.isfinite(values).all()):
-                raise ValueError(f"{name} must be an array of finite real numbers")
-        for name in ("platoon_sizes", "leader_indices"):
-            values = getattr(self, name)
-            if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
-                raise ValueError(f"{name} must be an array of integers")
-        n = self.interarrivals.size
-        if n == 0:
-            raise ValueError("interarrivals must be non-empty")
-        if int(self.platoon_sizes.sum()) != n:
-            raise ValueError("platoon sizes must sum to the number of vehicles")
-        if self.platoon_sizes.size != self.leader_indices.size:
-            raise ValueError("one leader index per platoon required")
-        if self.leader_indices[0] != 1 or np.any(np.diff(self.leader_indices) <= 0):
-            raise ValueError("leader_indices must be strictly increasing and start at 1")
-        if self.leader_headways.size != self.leader_indices.size - 1:
-            raise ValueError("one leader headway per consecutive platoon pair required")
-        if self.time_shifts.size != n:
-            raise ValueError("one time shift per vehicle required")
-        if np.any(self.time_shifts[self.leader_indices - 1] != 0.0):
-            raise ValueError("time shifts must be exactly 0 at platoon leaders")
+        gaps, sizes = self.interarrivals, self.platoon_sizes
+        if not (isinstance(gaps, np.ndarray) and gaps.dtype.kind in "fiu" and gaps.ndim == 1 and gaps.size):
+            raise ValueError("interarrivals must be a non-empty 1-d array of real numbers")
+        with np.errstate(all="ignore"):  # a NaN or overflowed sum fails the check below
+            arrivals = np.cumsum(gaps, dtype=float)
+        if not (gaps.min() >= 0 and arrivals.item(-1) < math.inf):  # NaN fails both tests
+            raise ValueError("interarrivals must be finite and >= 0, and so must their sum")
+        if not (isinstance(sizes, np.ndarray) and sizes.dtype.kind == "i" and sizes.ndim == 1 and sizes.size):
+            raise ValueError("platoon_sizes must be a non-empty 1-d array of signed integers")
+        if not (sizes.min() >= 1 and sizes.sum(dtype=float) == gaps.size):  # a float sum cannot wrap
+            raise ValueError("platoon_sizes must each be >= 1 and sum to the number of vehicles")
+        leaders = np.cumsum(sizes) - sizes
+        # The shift recursion unrolled: the running sum of merged gaps minus
+        # its value at the vehicle's platoon leader.
+        merged_gaps = gaps.astype(float)  # a copy
+        merged_gaps[leaders] = 0.0
+        running = np.cumsum(merged_gaps)
+        object.__setattr__(self, "leader_indices", leaders + 1)
+        object.__setattr__(self, "leader_headways", np.diff(arrivals[leaders]))
+        object.__setattr__(self, "time_shifts", running - np.repeat(running[leaders], sizes))
 
 
 def _gap_chunks(seed: int, replication: int, n: int):
@@ -180,11 +189,11 @@ def sample_interarrivals(
     return gaps
 
 
-def _float_array(name: str, values, malformed: str):
+def _float_array(name: str, values):
     """``values`` as a float ndarray: an int or float ndarray converted as a
     whole, any other iterable element by element with ``_number``. A
-    ``ValueError`` with ``malformed`` if ``values`` is not iterable; the
-    caller checks the shape and range."""
+    ``ValueError`` naming ``name`` if ``values`` is not iterable; the shape
+    and range are the caller's to check."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
         return np.asarray(values, dtype=float)
     if isinstance(values, np.ndarray):
@@ -192,42 +201,23 @@ def _float_array(name: str, values, malformed: str):
     try:
         elements = list(values)
     except TypeError:
-        raise ValueError(malformed) from None
+        raise ValueError(f"{name} must be a non-empty 1-d sequence") from None
     return np.array([_number(name, value) for value in elements], dtype=float)
 
 
 def run_from_interarrivals(interarrivals, policy: PlatoonPolicy) -> SimulationRun:
-    """Group vehicles into platoons under the inclusive threshold rule and
-    assemble the full run record for a given gap sequence.
-
-    Vehicle k (k >= 2) joins the current platoon iff its gap is <= threshold,
-    otherwise it leads a new one. A leader's headway is the arrival-time
-    difference to the next leader. A merging vehicle's shift follows the
-    recursion shift[k] = gap[k] + shift[k-1] (0 at leaders): it closes its
-    gap onto a predecessor that already moved forward. An int or float
-    ndarray is checked as a whole; any other sequence element by element,
-    like every other number.
+    """The ``SimulationRun`` of a gap sequence under the inclusive threshold
+    rule: vehicle 1 leads, and vehicle k (k >= 2) joins the current platoon
+    iff its gap is <= threshold, otherwise it leads a new one. Only the
+    platoon sizes are formed here; the run checks the gaps' shape and range
+    and derives its leaders, headways and shifts. An int or float ndarray is
+    converted as a whole; any other sequence element by element, like every
+    other number.
     """
-    malformed = "interarrivals must be a non-empty 1-d sequence"
-    gaps = _float_array("interarrivals", interarrivals, malformed)
-    if gaps.ndim != 1 or gaps.size == 0:
-        raise ValueError(malformed)
-    if not (gaps.min() >= 0.0 and gaps.max() < math.inf):  # NaN fails the first test
-        raise ValueError("interarrivals must be finite and >= 0")
-    merged = gaps <= policy.threshold
-    merged[0] = False  # vehicle 1 opens the first platoon; nothing ahead to join
-    leaders = np.flatnonzero(~merged)
-    sizes = np.diff(np.append(leaders, gaps.size))
-    # The recursion unrolled: the running sum of merged gaps minus its value
-    # at the vehicle's platoon leader.
-    running = np.cumsum(np.where(merged, gaps, 0.0))
-    return SimulationRun(
-        interarrivals=gaps,
-        platoon_sizes=sizes.astype(np.int64),
-        leader_indices=(leaders + 1).astype(np.int64),
-        leader_headways=np.diff(np.cumsum(gaps)[leaders]),
-        time_shifts=running - np.repeat(running[leaders], sizes),
-    )
+    gaps = _float_array("interarrivals", interarrivals)
+    leads = gaps > policy.threshold
+    leads.flat[:1] = True  # vehicle 1; ``flat`` lets a gap array of any shape reach the run's checks
+    return SimulationRun(gaps, np.diff(np.append(np.flatnonzero(leads), gaps.size)))
 
 
 def summarize(run: SimulationRun) -> EmpiricalSummary:
@@ -390,12 +380,14 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds, c
     return records
 
 
-# A pool forks only if each replication holds at least this many chunks.
-# Measured with numpy loaded, 2 cores: a fork round trip (fork, a 160-byte
-# record through a pipe, exit, waitpid) took 1.9 ms, and a chunk of one
-# threshold 0.32 ms at x = 8, 0.43 at x = 3, 0.73 at x = 1 and 0.99 at
-# x = 0.1. A worker's share, one replication or more, then repays its fork
-# even at the cheapest chunks measured.
+# A pool forks only if a replication folds at least this many full chunks of
+# one threshold: n_vehicles times the number of thresholds, its
+# vehicle-thresholds, must reach MIN_FORK_CHUNKS * CHUNK_VEHICLES. Measured
+# with numpy loaded, 2 cores: a fork round trip (fork, a 160-byte record
+# through a pipe, exit, waitpid) took 1.9 ms, and a chunk of one threshold
+# 0.32 ms at x = 8, 0.43 at x = 3, 0.73 at x = 1 and 0.99 at x = 0.1. A
+# worker's share, one replication or more, then repays its fork even at the
+# cheapest chunks measured.
 MIN_FORK_CHUNKS = 8
 
 # The exit status of a worker that ran out of memory; the parent raises
@@ -406,12 +398,12 @@ _WORKER_OUT_OF_MEMORY = 3
 def _process_count(config: SimulationConfig, centers: list) -> int:
     """How many processes fold ``config``'s replications: one per usable
     CPU (``sched_getaffinity``, so ``taskset`` caps it), at most one per
-    replication, and only one if a replication is shorter than
-    ``MIN_FORK_CHUNKS`` chunks, if one of ``centers`` is still unset, if the
-    platform cannot fork, or if another Python thread is alive, which a fork
-    would not copy."""
-    chunks = -(-config.n_vehicles // CHUNK_VEHICLES)
-    if config.n_replications == 1 or chunks < MIN_FORK_CHUNKS or _unset(centers):
+    replication, and only one if a replication holds fewer vehicle-thresholds
+    (``n_vehicles`` times the number of ``centers``, one per threshold) than
+    ``MIN_FORK_CHUNKS`` full chunks of one threshold, if one of ``centers`` is
+    still unset, if the platform cannot fork, or if another Python thread is
+    alive, which a fork would not copy."""
+    if config.n_replications == 1 or config.n_vehicles * len(centers) < MIN_FORK_CHUNKS * CHUNK_VEHICLES or _unset(centers):
         return 1
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
         return 1

@@ -1,6 +1,6 @@
 """numpy loads only where arrays are computed and orjson only where a sweep
-writes its CSV, and the package's public names are the objects their
-defining modules hold.
+writes its CSV, the package's public names are the objects their defining
+modules hold, and the README's library example runs.
 
 Each import check runs in a fresh interpreter, because this test process has
 already imported numpy and orjson."""
@@ -174,6 +174,16 @@ def test_readme_library_names_are_documented_package_names():
     names = _readme_library_names()
     assert "run_replications" in names and "SimulationConfig" in names
     assert set(names) <= set(PACKAGE_NAMES)
+
+
+def test_readme_library_example_runs():
+    # The check above reads only the imported names; this runs every call.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert isinstance(namespace["summary"], platoonctl.EmpiricalSummary)
+    assert isinstance(namespace["best"], platoonctl.OptimalThreshold)
 
 
 @pytest.mark.parametrize("name", PACKAGE_NAMES)

@@ -177,7 +177,12 @@ class TestFormation:
             run_from_interarrivals(5, PlatoonPolicy(threshold=4.0))
 
     @pytest.mark.parametrize(
-        "bad", [[[1.0, 2.0]], [1.0, -0.5], [1.0, math.nan], [math.inf, 1.0], [-math.inf]]
+        "bad",
+        [
+            [[1.0, 2.0]], [1.0, -0.5], [1.0, math.nan], [math.inf, 1.0], [-math.inf],
+            # Arrays of any shape reach the run's checks, not an IndexError.
+            np.array(5.0), np.empty(0), np.array([[1.0, 2.0]]), np.array([1.0, math.nan]),
+        ],
     )
     def test_rejects_malformed_gaps(self, bad):
         with pytest.raises(ValueError, match="interarrivals must be"):
@@ -238,41 +243,64 @@ class TestRunAssembly:
         assert run.time_shifts.tolist() == [0.0, 3.0, 4.0, 0.0, 2.0, 4.0, 0.0]
         assert run.interarrivals.tolist() == gaps
 
-    # A valid record of gaps [5, 3, 9] at threshold 4, and one field replaced
-    # per case to break each invariant SimulationRun checks.
-    VALID_RUN = dict(
-        interarrivals=np.array([5.0, 3.0, 9.0]),
-        platoon_sizes=np.array([2, 1]),
-        leader_indices=np.array([1, 3]),
-        leader_headways=np.array([12.0]),
-        time_shifts=np.array([0.0, 3.0, 0.0]),
-    )
+    # The two inputs of a valid run, gaps [5, 3, 9] in platoons of 2 and 1
+    # (threshold 4), from which every other field is derived; each case
+    # replaces one or both to break what SimulationRun checks.
+    VALID_RUN = dict(interarrivals=np.array([5.0, 3.0, 9.0]), platoon_sizes=np.array([2, 1]))
+
+    def test_run_takes_only_its_two_inputs(self):
+        with pytest.raises(TypeError, match="leader_indices"):
+            SimulationRun(**self.VALID_RUN, leader_indices=np.array([1, 3]))
 
     @pytest.mark.parametrize(
-        "field,value,message",
+        "inputs,message",
         [
-            ("interarrivals", np.empty(0), "non-empty"),
-            ("platoon_sizes", np.array([3, 1]), "sum"),
-            ("platoon_sizes", np.array([1, 1, 1]), "one leader index per platoon"),
-            ("leader_indices", np.array([2, 3]), "start at 1"),
-            ("leader_indices", np.array([1, 1]), "strictly increasing"),
-            ("leader_headways", np.empty(0), "one leader headway"),
-            ("time_shifts", np.zeros(2), "one time shift per vehicle"),
-            ("time_shifts", np.array([0.0, 3.0, 1.0]), "exactly 0 at platoon leaders"),
+            pytest.param({"interarrivals": np.empty(0)}, "interarrivals must be a non-empty 1-d array", id="empty-gaps"),
+            pytest.param(
+                {"interarrivals": np.array([[1.0, 1.0, 1.0]]), "platoon_sizes": np.array([3])},
+                "interarrivals must be a non-empty 1-d array",
+                id="2-d-gaps",
+            ),
+            pytest.param({"interarrivals": np.array([5.0, -3.0, 9.0])}, "interarrivals must be finite and >= 0", id="negative-gap"),
+            pytest.param({"interarrivals": np.array([5.0, math.nan, 9.0])}, "interarrivals must be finite and >= 0", id="nan-gap"),
+            pytest.param({"interarrivals": np.array([5.0, 1e308, 1e308])}, "and so must their sum", id="gap-sum-overflows"),
+            pytest.param({"platoon_sizes": np.array([3, 1])}, "platoon_sizes must each be >= 1 and sum", id="sizes-do-not-sum"),
+            pytest.param({"platoon_sizes": np.array([3, 0])}, "platoon_sizes must each be >= 1", id="zero-size"),
+            # Their int64 sum wraps around to 3.
+            pytest.param(
+                {"platoon_sizes": np.array([2**63 - 1, 2**63 - 1, 5])}, "platoon_sizes must each be >= 1 and sum", id="sizes-sum-wraps"
+            ),
+            pytest.param(
+                {"interarrivals": np.array([5.0, 3.0, 9.0, 1.0]), "platoon_sizes": np.array([2, -1, 3])},
+                "platoon_sizes must each be >= 1",
+                id="negative-size",
+            ),
+            pytest.param(
+                {"platoon_sizes": np.empty(0, dtype=np.int64)}, "platoon_sizes must be a non-empty 1-d array", id="empty-sizes"
+            ),
+            pytest.param({"platoon_sizes": np.array([[2, 1]])}, "platoon_sizes must be a non-empty 1-d array", id="2-d-sizes"),
             # Values summarize cannot read: it would raise TypeError or return NaN means.
-            ("interarrivals", np.array(["a", "b", "c"]), "interarrivals must be an array of finite real numbers"),
-            ("interarrivals", np.array([5.0, 3.0 + 1j, 9.0]), "interarrivals must be an array of finite real numbers"),
-            ("interarrivals", [5.0, 3.0, 9.0], "interarrivals must be an array of finite real numbers"),
-            ("platoon_sizes", np.array([1.5, 1.5]), "platoon_sizes must be an array of integers"),
-            ("leader_indices", np.array([1.0, 3.0]), "leader_indices must be an array of integers"),
-            ("leader_headways", np.array([math.nan]), "leader_headways must be an array of finite real numbers"),
-            ("time_shifts", np.array([0.0, math.inf, 0.0]), "time_shifts must be an array of finite real numbers"),
+            pytest.param({"interarrivals": np.array(["a", "b", "c"])}, "interarrivals must be a non-empty 1-d array of real numbers", id="string-gaps"),
+            pytest.param(
+                {"interarrivals": np.array([5.0, 3.0 + 1j, 9.0])}, "interarrivals must be a non-empty 1-d array of real numbers", id="complex-gaps"
+            ),
+            pytest.param({"interarrivals": [5.0, 3.0, 9.0]}, "interarrivals must be a non-empty 1-d array of real numbers", id="list-gaps"),
+            pytest.param({"platoon_sizes": np.array([1.5, 1.5])}, "platoon_sizes must be a non-empty 1-d array of signed integers", id="float-sizes"),
+            # np.repeat cannot take uint64 counts.
+            pytest.param(
+                {"platoon_sizes": np.array([2, 1], dtype=np.uint64)},
+                "platoon_sizes must be a non-empty 1-d array of signed integers",
+                id="uint64-sizes",
+            ),
         ],
     )
-    def test_run_validation_rejects_inconsistent_fields(self, field, value, message):
-        SimulationRun(**self.VALID_RUN)  # the unbroken record is accepted
+    def test_run_validation_rejects_inconsistent_fields(self, inputs, message):
+        run = SimulationRun(**self.VALID_RUN)  # the unbroken record is accepted
+        assert run.leader_indices.tolist() == [1, 3]
+        assert run.leader_headways.tolist() == [12.0]
+        assert run.time_shifts.tolist() == [0.0, 3.0, 0.0]
         with pytest.raises(ValueError, match=message):
-            SimulationRun(**{**self.VALID_RUN, field: value})
+            SimulationRun(**{**self.VALID_RUN, **inputs})
 
     def test_seeded_run_is_reproducible(self):
         arrival = ArrivalModel(rate=0.02)
@@ -923,6 +951,19 @@ class TestForkedPool:
                 os.waitpid(-1, os.WNOHANG)
             pools.append((records.tobytes(), centers.tobytes()))
         assert pools[1] == pools[0] and pools[2] == pools[0]
+
+    @pytest.mark.parametrize("n_vehicles,forks", [(2 * SMALL_CHUNK, 1), (7 * SMALL_CHUNK // 8, 0)], ids=["fork", "no-fork"])
+    def test_the_fork_cutoff_counts_vehicle_thresholds(self, usable_cpus, monkeypatch, n_vehicles, forks):
+        # 8 thresholds over 2 chunks are 16 chunks of one threshold, twice
+        # MIN_FORK_CHUNKS; 1,792 vehicles at 8 thresholds are 7, too few.
+        monkeypatch.setattr(simulator, "CHUNK_VEHICLES", SMALL_CHUNK)
+        config, grid = self._config(n_vehicles=n_vehicles, n_replications=2), [10.0 * k for k in range(1, 9)]
+        usable_cpus(1)
+        want = _pooled_stats(config, grid)
+        counted = usable_cpus(2)
+        records, centers = _pooled_stats(config, grid)
+        assert len(counted) == forks
+        assert records.tobytes() == want[0].tobytes() and centers.tobytes() == want[1].tobytes()
 
     def test_a_worker_killed_after_its_last_record_fails_no_pool(self, usable_cpus, monkeypatch):
         # The worker owes nothing once its last record is read, so how it
