@@ -102,8 +102,9 @@ class SimulationRun:
     ``interarrivals``, vehicle k's gap to vehicle k - 1 in seconds at index
     k - 1, and the ``platoon_sizes`` in arrival order. The gaps must be a
     non-empty 1-d array of real numbers, each finite and >= 0, with a finite
-    sum; the sizes a non-empty 1-d array of signed integers, each >= 1, that
-    sum to the number of vehicles. Anything else raises ``ValueError``
+    sum; the sizes a non-empty 1-d array of integers that cast safely to
+    ``np.intp`` (so not uint64, which ``np.repeat`` cannot take), each >= 1,
+    that sum to the number of vehicles. Anything else raises ``ValueError``
     naming the field.
 
     The other fields are derived once, in ``__post_init__``:
@@ -130,11 +131,12 @@ class SimulationRun:
             arrivals = np.cumsum(gaps, dtype=float)
         if not (gaps.min() >= 0 and arrivals.item(-1) < math.inf):  # NaN fails both tests
             raise ValueError("interarrivals must be finite and >= 0, and so must their sum")
-        if not (isinstance(sizes, np.ndarray) and sizes.dtype.kind == "i" and sizes.ndim == 1 and sizes.size):
-            raise ValueError("platoon_sizes must be a non-empty 1-d array of signed integers")
+        if not (isinstance(sizes, np.ndarray) and sizes.dtype.kind in "iu" and np.can_cast(sizes.dtype, np.intp)
+                and sizes.ndim == 1 and sizes.size):
+            raise ValueError("platoon_sizes must be a non-empty 1-d array of integers that fit np.intp")
         if not (sizes.min() >= 1 and sizes.sum(dtype=float) == gaps.size):  # a float sum cannot wrap
             raise ValueError("platoon_sizes must each be >= 1 and sum to the number of vehicles")
-        leaders = np.cumsum(sizes) - sizes
+        leaders = np.cumsum(sizes, dtype=np.intp) - sizes
         # The shift recursion unrolled: the running sum of merged gaps minus
         # its value at the vehicle's platoon leader.
         merged_gaps = gaps.astype(float)  # a copy
@@ -380,14 +382,19 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds, c
     return records
 
 
-# A pool forks only if a replication folds at least this many full chunks of
-# one threshold: n_vehicles times the number of thresholds, its
-# vehicle-thresholds, must reach MIN_FORK_CHUNKS * CHUNK_VEHICLES. Measured
-# with numpy loaded, 2 cores: a fork round trip (fork, a 160-byte record
-# through a pipe, exit, waitpid) took 1.9 ms, and a chunk of one threshold
-# 0.32 ms at x = 8, 0.43 at x = 3, 0.73 at x = 1 and 0.99 at x = 0.1. A
-# worker's share, one replication or more, then repays its fork even at the
-# cheapest chunks measured.
+# A pool forks only if a replication costs at least as much as
+# MIN_FORK_CHUNKS full chunks of one threshold at x = 8, the cheapest fold
+# measured. Measured with numpy loaded, 2 cores, as the minimum of 15 runs:
+# a fork round trip (fork, a 160-byte record through a pipe, exit, waitpid)
+# took 1.5 ms (median 2.2); a replication of 8 chunks took, per chunk, 0.29
+# ms for 1 threshold at x = 8, 0.58 for 8 and 3.0 for 64 (0.70, 3.5 and 25
+# at x = 1). So at x = 8 a chunk costs its draw, about 6 folds of one
+# threshold (0.25 ms against 0.043), plus one fold per threshold, and a
+# replication of n vehicles and k thresholds about n * (6 + k) folds of one
+# vehicle. At the cutoff, n * (6 + k) = 8 * 7 * CHUNK_VEHICLES, a replication
+# at x = 8 took 2.3-2.5 ms for k = 1, 2, 8 and 64 (n = 262,144, 229,376,
+# 131,072 and 26,215); one chunk of 8 thresholds, which counting only
+# vehicle-thresholds would fork, took 0.67 ms, less than the round trip.
 MIN_FORK_CHUNKS = 8
 
 # The exit status of a worker that ran out of memory; the parent raises
@@ -398,12 +405,14 @@ _WORKER_OUT_OF_MEMORY = 3
 def _process_count(config: SimulationConfig, centers: list) -> int:
     """How many processes fold ``config``'s replications: one per usable
     CPU (``sched_getaffinity``, so ``taskset`` caps it), at most one per
-    replication, and only one if a replication holds fewer vehicle-thresholds
-    (``n_vehicles`` times the number of ``centers``, one per threshold) than
-    ``MIN_FORK_CHUNKS`` full chunks of one threshold, if one of ``centers`` is
-    still unset, if the platform cannot fork, or if another Python thread is
-    alive, which a fork would not copy."""
-    if config.n_replications == 1 or config.n_vehicles * len(centers) < MIN_FORK_CHUNKS * CHUNK_VEHICLES or _unset(centers):
+    replication, and only one if a replication costs less than
+    ``MIN_FORK_CHUNKS`` full chunks of one threshold (its ``n_vehicles``
+    cost a draw of about 6 folds plus one fold per threshold, one per
+    center), if one of ``centers`` is still unset, if the platform cannot
+    fork, or if another Python thread is alive, which a fork would not
+    copy."""
+    cost = config.n_vehicles * (6 + len(centers))  # in one-threshold folds of one vehicle, the draw as 6
+    if config.n_replications == 1 or cost < MIN_FORK_CHUNKS * CHUNK_VEHICLES * (6 + 1) or _unset(centers):
         return 1
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
         return 1

@@ -248,6 +248,14 @@ class TestRunAssembly:
     # replaces one or both to break what SimulationRun checks.
     VALID_RUN = dict(interarrivals=np.array([5.0, 3.0, 9.0]), platoon_sizes=np.array([2, 1]))
 
+    # Any integer dtype that casts safely to np.intp; uint64 does not.
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8, np.uint32, np.uint8])
+    def test_run_derives_leaders_headways_and_shifts(self, dtype):
+        run = SimulationRun(self.VALID_RUN["interarrivals"], self.VALID_RUN["platoon_sizes"].astype(dtype))
+        assert run.leader_indices.tolist() == [1, 3] and run.leader_indices.dtype == np.intp
+        assert run.leader_headways.tolist() == [12.0]
+        assert run.time_shifts.tolist() == [0.0, 3.0, 0.0]
+
     def test_run_takes_only_its_two_inputs(self):
         with pytest.raises(TypeError, match="leader_indices"):
             SimulationRun(**self.VALID_RUN, leader_indices=np.array([1, 3]))
@@ -285,20 +293,17 @@ class TestRunAssembly:
                 {"interarrivals": np.array([5.0, 3.0 + 1j, 9.0])}, "interarrivals must be a non-empty 1-d array of real numbers", id="complex-gaps"
             ),
             pytest.param({"interarrivals": [5.0, 3.0, 9.0]}, "interarrivals must be a non-empty 1-d array of real numbers", id="list-gaps"),
-            pytest.param({"platoon_sizes": np.array([1.5, 1.5])}, "platoon_sizes must be a non-empty 1-d array of signed integers", id="float-sizes"),
+            pytest.param({"platoon_sizes": np.array([1.5, 1.5])}, "platoon_sizes must be a non-empty 1-d array of integers that fit np.intp", id="float-sizes"),
             # np.repeat cannot take uint64 counts.
             pytest.param(
                 {"platoon_sizes": np.array([2, 1], dtype=np.uint64)},
-                "platoon_sizes must be a non-empty 1-d array of signed integers",
+                "platoon_sizes must be a non-empty 1-d array of integers that fit np.intp",
                 id="uint64-sizes",
             ),
         ],
     )
     def test_run_validation_rejects_inconsistent_fields(self, inputs, message):
-        run = SimulationRun(**self.VALID_RUN)  # the unbroken record is accepted
-        assert run.leader_indices.tolist() == [1, 3]
-        assert run.leader_headways.tolist() == [12.0]
-        assert run.time_shifts.tolist() == [0.0, 3.0, 0.0]
+        SimulationRun(**self.VALID_RUN)  # the unbroken record is accepted
         with pytest.raises(ValueError, match=message):
             SimulationRun(**{**self.VALID_RUN, **inputs})
 
@@ -952,10 +957,12 @@ class TestForkedPool:
             pools.append((records.tobytes(), centers.tobytes()))
         assert pools[1] == pools[0] and pools[2] == pools[0]
 
-    @pytest.mark.parametrize("n_vehicles,forks", [(2 * SMALL_CHUNK, 1), (7 * SMALL_CHUNK // 8, 0)], ids=["fork", "no-fork"])
-    def test_the_fork_cutoff_counts_vehicle_thresholds(self, usable_cpus, monkeypatch, n_vehicles, forks):
-        # 8 thresholds over 2 chunks are 16 chunks of one threshold, twice
-        # MIN_FORK_CHUNKS; 1,792 vehicles at 8 thresholds are 7, too few.
+    @pytest.mark.parametrize("n_vehicles,forks", [(4 * SMALL_CHUNK, 1), (4 * SMALL_CHUNK - 1, 0)], ids=["fork", "no-fork"])
+    def test_more_thresholds_fork_at_fewer_vehicles(self, usable_cpus, monkeypatch, n_vehicles, forks):
+        # A chunk's draw counts as 6 folds of one threshold: 4 chunks of 8
+        # thresholds cost 4 * (6 + 8) = 56 folds of a chunk, as much as
+        # MIN_FORK_CHUNKS = 8 chunks of one threshold (8 * 7); one vehicle
+        # fewer costs less.
         monkeypatch.setattr(simulator, "CHUNK_VEHICLES", SMALL_CHUNK)
         config, grid = self._config(n_vehicles=n_vehicles, n_replications=2), [10.0 * k for k in range(1, 9)]
         usable_cpus(1)
