@@ -219,8 +219,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Parse and validate a scenario config file."""
+def load_scenario(path: str | Path, *required: str) -> Scenario:
+    """Parse and validate a scenario config file, every section it holds,
+    then check that it holds each section in ``required``, in order."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         cfg = json.loads(text, object_pairs_hook=_unique_keys)
@@ -255,19 +256,10 @@ def load_scenario(path: str | Path) -> Scenario:
     policy = _read_section(cfg, "policy")
     cost = normalize_units(_read_section(cfg, "cost")) if "cost" in cfg else None
     simulation = _read_section(cfg, "simulation", arrival=arrival, policy=policy) if "simulation" in cfg else None
+    for name in required:
+        if name not in cfg:
+            raise ValueError(f"config section '{name}' is required for this command")
     return Scenario(arrival=arrival, policy=policy, cost=cost, simulation=simulation)
-
-
-def _require_cost(scenario: Scenario) -> CostParameters:
-    if scenario.cost is None:
-        raise ValueError("config section 'cost' is required for this command")
-    return scenario.cost
-
-
-def _require_simulation(scenario: Scenario) -> SimulationConfig:
-    if scenario.simulation is None:
-        raise ValueError("config section 'simulation' is required for this command")
-    return scenario.simulation
 
 
 def _output_path(path: str | None) -> str | None:
@@ -365,8 +357,8 @@ def analytic_quantities(params: CostParameters, arrival: ArrivalModel, policy: P
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.config)
-    params = _require_cost(scenario)
+    scenario = load_scenario(args.config, "cost")
+    params = scenario.cost
     json_path = _output_path(args.json)
     values = analytic_quantities(params, scenario.arrival, scenario.policy)
     # nominal_merge_time only surfaces here, as the expected merging-zone exit time.
@@ -394,12 +386,11 @@ def comparison_csv_rows(rows: Sequence[ComparisonRow]) -> tuple[list[str], list[
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.config)
-    sim = _require_simulation(scenario)
+    scenario = load_scenario(args.config, "simulation")
     csv_path = _output_path(args.csv)
     from .simulator import run_replications
 
-    comparison = build_comparison(scenario.arrival, scenario.policy, run_replications(sim))
+    comparison = build_comparison(scenario.arrival, scenario.policy, run_replications(scenario.simulation))
 
     print(
         f"{'statistic':<24} {'analytic':>14} {'empirical':>14} "
@@ -518,20 +509,20 @@ def sweep_rows(
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.config)
-    params = _require_cost(scenario)
+    required = ("cost", "simulation") if args.with_simulation else ("cost",)
+    scenario = load_scenario(args.config, *required)
     spec = SweepSpec(r_min=args.r_min, r_max=args.r_max, n_points=args.points)
-    sim = _require_simulation(scenario) if args.with_simulation else None
     _output_path(args.csv)
-    header, rows = sweep_rows(params, scenario.arrival, spec, sim)
+    sim = scenario.simulation if args.with_simulation else None
+    header, rows = sweep_rows(scenario.cost, scenario.arrival, spec, sim)
     _write_csv(args.csv, header, rows)
     print(f"wrote {len(rows)} rows to {args.csv}")
     return 0
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.config)
-    params = _require_cost(scenario)
+    scenario = load_scenario(args.config, "cost")
+    params = scenario.cost
     _cost_curves(params, scenario.arrival.rate, _positive("r_max", args.r_max))  # before the search
     result = optimal_threshold(params, scenario.arrival, args.r_max)
     numeric = numeric_optimal_threshold(params, scenario.arrival, args.r_max)
@@ -551,19 +542,18 @@ def build_parser() -> argparse.ArgumentParser:
         "and Monte Carlo cross-validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="scenario config JSON")
 
-    p_analytic = sub.add_parser("analytic", help="closed-form statistics and cost")
-    p_analytic.add_argument("--config", required=True, help="scenario config JSON")
+    p_analytic = sub.add_parser("analytic", parents=[config], help="closed-form statistics and cost")
     p_analytic.add_argument("--json", default=None, help="also write results to this JSON file")
     p_analytic.set_defaults(func=cmd_analytic)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo comparison against the closed forms")
-    p_sim.add_argument("--config", required=True, help="scenario config JSON")
+    p_sim = sub.add_parser("simulate", parents=[config], help="Monte Carlo comparison against the closed forms")
     p_sim.add_argument("--csv", default=None, help="write the comparison table to this CSV file")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", help="threshold sweep emitted as CSV")
-    p_sweep.add_argument("--config", required=True, help="scenario config JSON")
+    p_sweep = sub.add_parser("sweep", parents=[config], help="threshold sweep emitted as CSV")
     p_sweep.add_argument("--r-min", type=float, required=True, help="lowest threshold, seconds")
     p_sweep.add_argument("--r-max", type=float, required=True, help="highest threshold, seconds")
     p_sweep.add_argument("--points", type=int, required=True, help="number of grid points (>= 2)")
@@ -575,8 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--csv", required=True, help="output CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_opt = sub.add_parser("optimize", help="cost-optimal threshold")
-    p_opt.add_argument("--config", required=True, help="scenario config JSON")
+    p_opt = sub.add_parser("optimize", parents=[config], help="cost-optimal threshold")
     p_opt.add_argument("--r-max", type=float, required=True, help="largest admissible threshold, seconds")
     p_opt.set_defaults(func=cmd_optimize)
     return parser

@@ -96,16 +96,18 @@ PMF_CUTOFF = 10
 _RECORD_WIDTH = 8 + PMF_CUTOFF + 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationRun:
     """One realized arrival/merge trajectory, given by its two inputs: the
     ``interarrivals``, vehicle k's gap to vehicle k - 1 in seconds at index
     k - 1, and the ``platoon_sizes`` in arrival order. The gaps must be a
-    non-empty 1-d array of real numbers, each finite and >= 0, with a finite
-    sum; the sizes a non-empty 1-d array of integers that cast safely to
+    non-empty 1-d array of real numbers, each finite and >= 0, with a sum H
+    such that 4 * (n * H)^2, n the number of vehicles, is finite: the bound
+    ``SimulationConfig`` puts on the sums of squares a summary takes. The
+    sizes must be a non-empty 1-d array of integers that cast safely to
     ``np.intp`` (so not uint64, which ``np.repeat`` cannot take), each >= 1,
     that sum to the number of vehicles. Anything else raises ``ValueError``
-    naming the field.
+    naming the field. Runs compare and hash by identity.
 
     The other fields are derived once, in ``__post_init__``:
     ``leader_indices`` are the 1-based vehicle numbers of the platoon
@@ -129,8 +131,10 @@ class SimulationRun:
             raise ValueError("interarrivals must be a non-empty 1-d array of real numbers")
         with np.errstate(all="ignore"):  # a NaN or overflowed sum fails the check below
             arrivals = np.cumsum(gaps, dtype=float)
-        if not (gaps.min() >= 0 and arrivals.item(-1) < math.inf):  # NaN fails both tests
-            raise ValueError("interarrivals must be finite and >= 0, and so must their sum")
+        span = gaps.size * arrivals.item(-1)  # n * H
+        if not (gaps.min() >= 0 and span * span * 4.0 < math.inf):  # NaN fails both tests
+            raise ValueError("interarrivals must be finite and >= 0, and so must their sum and 4 * (n * sum)^2, "
+                             "n the number of vehicles")
         if not (isinstance(sizes, np.ndarray) and sizes.dtype.kind in "iu" and np.can_cast(sizes.dtype, np.intp)
                 and sizes.ndim == 1 and sizes.size):
             raise ValueError("platoon_sizes must be a non-empty 1-d array of integers that fit np.intp")

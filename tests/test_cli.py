@@ -47,6 +47,11 @@ from platoonctl.simulator import run_replications
 
 from conftest import NOMINAL_RAW, OVERFLOWING_COSTS, TOO_FEW
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+
 BASE_CONFIG = {
     "arrival": {"rate": 0.02},
     "policy": {"threshold": 50.0},
@@ -415,19 +420,33 @@ class TestExitCodes:
         assert [path.name for path in tmp_path.iterdir()] == ["scenario.json"]
 
     @pytest.mark.parametrize(
-        "command,extra",
-        [("simulate", []), ("sweep", ["--with-simulation", "--r-min", "0", "--r-max", "100", "--points", "3"])],
+        "command,extra,section",
+        [
+            ("simulate", ["--csv", "out.csv"], "simulation"),
+            ("sweep", ["--with-simulation", "--r-min", "0", "--r-max", "100", "--points", "3", "--csv", "out.csv"],
+             "simulation"),
+            # The config is read before the grid flags, so its missing section
+            # is reported, not the invalid --points.
+            ("sweep", ["--with-simulation", "--r-min", "0", "--r-max", "100", "--points", "1", "--csv", "out.csv"],
+             "simulation"),
+            ("analytic", ["--json", "out.json"], "cost"),
+            ("sweep", ["--r-min", "0", "--r-max", "100", "--points", "3", "--csv", "out.csv"], "cost"),
+            ("optimize", ["--r-max", "100"], "cost"),
+        ],
+        ids=["simulate", "sweep-with-simulation", "sweep-with-simulation-before-points", "analytic", "sweep",
+             "optimize"],
     )
-    def test_missing_simulation_section_exits_2_before_any_draw(
-        self, write_config, tmp_path, capsys, monkeypatch, command, extra
+    def test_missing_required_section_exits_2_before_any_work(
+        self, write_config, tmp_path, capsys, monkeypatch, command, extra, section
     ):
-        monkeypatch.setattr(simulator, "_gap_chunks", self._never)
-        out = tmp_path / "out.csv"
-        assert main([command, "--config", write_config({"simulation": None}), *extra, "--csv", str(out)]) == 2
+        monkeypatch.chdir(tmp_path)
+        for module, name in ((simulator, "_gap_chunks"), (cli, "_curves"), (cli, "analytic_quantities")):
+            monkeypatch.setattr(module, name, self._never)
+        assert main([command, "--config", write_config({section: None}), *extra]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: config section 'simulation' is required for this command\n"
+        assert captured.err == f"error: config section '{section}' is required for this command\n"
         assert captured.out == ""
-        assert not out.exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["scenario.json"]
 
     @pytest.mark.parametrize("where", [
         "missing-directory",
@@ -803,27 +822,47 @@ class TestSimulateCommand:
         assert main([*command, "--config", path, "--csv", str(csv2)]) == 0
         assert csv1.read_bytes() == csv2.read_bytes()
 
+    @staticmethod
+    def _simulate_in_a_child(path: str, out: Path, **env: str) -> bytes:
+        """The CSV bytes of ``simulate`` on the config ``path``, run in a
+        fresh interpreter whose environment also holds ``env``."""
+        src = str(Path(platoonctl.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **env}
+        done = subprocess.run(
+            [sys.executable, "-m", "platoonctl.cli", "simulate", "--config", path, "--csv", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return out.read_bytes()
+
+    # Replications of seven chunks at x = 1.
+    CHUNKED_RUN = {"simulation": {"n_vehicles": 200_000, "n_replications": 2, "seed": 7}}
+
     def test_csv_bytes_do_not_depend_on_the_blas_thread_count(self, write_config, tmp_path):
         # A BLAS dot product splits a long vector across its threads, so its
         # sum would follow their count. x = 1 closes about 12,000 platoons a
         # chunk, long enough to split.
-        path = write_config({"simulation": {"n_vehicles": 200_000, "n_replications": 2, "seed": 7}})
-        src = str(Path(platoonctl.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}.csv"
-            env = {
-                **os.environ,
-                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        path = write_config(self.CHUNKED_RUN)
+        outputs = [
+            self._simulate_in_a_child(
+                path, tmp_path / f"threads{threads}.csv",
                 **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads),
-            }
-            done = subprocess.run(
-                [sys.executable, "-m", "platoonctl.cli", "simulate", "--config", path, "--csv", str(out)],
-                capture_output=True, text=True, env=env, timeout=120,
             )
-            assert done.returncode == 0, done.stderr
-            outputs.append(out.read_bytes())
+            for threads in ("1", "2")
+        ]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(not CPU_FEATURES.get("AVX512F"), reason="numpy dispatches no AVX-512 kernels on this CPU")
+    def test_csv_bytes_do_not_depend_on_numpy_simd_dispatch(self, write_config, tmp_path):
+        # numpy picks its log kernel by CPU feature: at the AVX-512 level
+        # np.log differs from libm's log by 1 ulp on about 0.3% of the gaps,
+        # at AVX2 and below it equals it. The output must not show which ran.
+        path = write_config(self.CHUNKED_RUN)
+        native = self._simulate_in_a_child(path, tmp_path / "native.csv")
+        below = self._simulate_in_a_child(
+            path, tmp_path / "avx2.csv", NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+        )
+        assert native == below
 
     @pytest.mark.parametrize("reps", [2, 3, 5])
     @pytest.mark.parametrize(
@@ -1442,8 +1481,3 @@ class TestOptimizeCommand:
         )
         assert float(rows["closed_form_threshold_s"]) == 0.0
         assert float(rows["cost_at_threshold"]) == 0.0
-
-    def test_requires_cost_section(self, write_config, capsys):
-        path = write_config({"cost": None})
-        assert main(["optimize", "--config", path, "--r-max", "100"]) == 2
-        assert "'cost'" in capsys.readouterr().err

@@ -256,6 +256,13 @@ class TestRunAssembly:
         assert run.leader_headways.tolist() == [12.0]
         assert run.time_shifts.tolist() == [0.0, 3.0, 0.0]
 
+    def test_runs_compare_and_hash_by_identity(self):
+        # Array fields have no truth value, so a field-wise == would raise.
+        run = SimulationRun(**self.VALID_RUN)
+        twin = SimulationRun(*(array.copy() for array in self.VALID_RUN.values()))
+        assert run == run and run != twin
+        assert {run: 1, twin: 2}[run] == 1
+
     def test_run_takes_only_its_two_inputs(self):
         with pytest.raises(TypeError, match="leader_indices"):
             SimulationRun(**self.VALID_RUN, leader_indices=np.array([1, 3]))
@@ -272,6 +279,13 @@ class TestRunAssembly:
             pytest.param({"interarrivals": np.array([5.0, -3.0, 9.0])}, "interarrivals must be finite and >= 0", id="negative-gap"),
             pytest.param({"interarrivals": np.array([5.0, math.nan, 9.0])}, "interarrivals must be finite and >= 0", id="nan-gap"),
             pytest.param({"interarrivals": np.array([5.0, 1e308, 1e308])}, "and so must their sum", id="gap-sum-overflows"),
+            # A finite sum whose squared deviations overflow: summarize would
+            # return a NaN half-width for the leader headway.
+            pytest.param(
+                {"interarrivals": np.array([1.0, 1e200, 3e200, 1e200, 1.0]), "platoon_sizes": np.array([1] * 5)},
+                "interarrivals must be finite and >= 0, and so must their sum",
+                id="gap-sum-squares-overflow",
+            ),
             pytest.param({"platoon_sizes": np.array([3, 1])}, "platoon_sizes must each be >= 1 and sum", id="sizes-do-not-sum"),
             pytest.param({"platoon_sizes": np.array([3, 0])}, "platoon_sizes must each be >= 1", id="zero-size"),
             # Their int64 sum wraps around to 3.
