@@ -130,11 +130,13 @@ def _time_reduction(threshold, x, growth):
 
 
 def _statistics(rate, threshold) -> PlatoonStatistics:
-    """The four closed-form statistics at ``threshold``: a number, or an
-    array of thresholds that gives one array per field. The product limit
-    is checked first, on the largest threshold. All four come from one
-    g = expm1(x) per threshold: size g + 1, merge g / size."""
-    _check_product(rate, threshold if isinstance(threshold, (int, float)) else float(threshold.max()))
+    """The four closed-form statistics at ``threshold``: a number, whose
+    product limit is checked first, or an array of thresholds that gives
+    one array per field, whose largest threshold ``_curves`` has checked.
+    All four come from one g = expm1(x) per threshold: size g + 1, merge
+    g / size."""
+    if isinstance(threshold, (int, float)):
+        _check_product(rate, threshold)
     x = rate * threshold
     growth = _expm1(x)
     size = growth + 1.0
@@ -148,16 +150,29 @@ def _statistics(rate, threshold) -> PlatoonStatistics:
 
 def _curves(params: CostParameters, rate, threshold) -> ThresholdCurves:
     """The four statistics and the three cost terms at ``threshold``, a
-    number or an array of thresholds."""
+    number or an array of thresholds.
+
+    At the largest threshold the product limit must hold and every cost
+    term must be finite, or a ``ValueError`` says which does not (for the
+    cost terms, the first that overflows the float range there). Both
+    then hold at every smaller threshold: the product grows with the
+    threshold, and each cost term is made of finite coefficients times
+    the time reduction and the merge probability, which grow with it too.
+    So an array is checked once, first, as the number of its largest
+    threshold."""
+    if not isinstance(threshold, (int, float)):
+        _curves(params, rate, float(threshold.max()))
     stats = _statistics(rate, threshold)
     time_reduction, merge = stats.expected_time_reduction, stats.merge_probability
-    return ThresholdCurves(
-        threshold=threshold,
-        **vars(stats),  # the four statistics, by field name
+    terms = dict(
         expected_fuel_increase=2.0 * params.drag_fuel_coeff * params.cruise_speed**3 * time_reduction,
         expected_fuel_saving=params.fuel_saving_fraction * params.fuel_per_meter * params.cruise_zone_len * merge,
         expected_total_cost=merge_time_cost_rate(params) * time_reduction - params.drafting_value * merge,
     )
+    for name, value in terms.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"cost term {name} overflows the float range at threshold {threshold!r} s, got {value}")
+    return ThresholdCurves(threshold=threshold, **vars(stats), **terms)  # the statistics and terms, by field name
 
 
 def platoon_statistics(arrival: ArrivalModel, policy: PlatoonPolicy) -> PlatoonStatistics:

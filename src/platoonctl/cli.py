@@ -90,7 +90,11 @@ class SweepSpec:
         r_min = _non_negative("r_min", self.r_min)
         if _number("r_max", self.r_max) <= r_min:
             raise ValueError(f"r_max must be > r_min, got {self.r_max!r}")
-        _integer("n_points", self.n_points, 2)
+        # A numpy array holds at most sys.maxsize bytes, 8 per float64.
+        if _integer("n_points", self.n_points, 2) > sys.maxsize // 8:
+            raise ValueError(
+                f"n_points must be at most {sys.maxsize // 8}, the float64 values an array can hold, got {self.n_points}"
+            )
 
     def grid(self) -> list[float]:
         return self.thresholds().tolist()
@@ -335,24 +339,10 @@ SWEEP_SIM_HEADER = [
 ]
 
 
-def _cost_curves(params: CostParameters, rate: float, threshold: float):
-    """``_curves`` at the number ``threshold``, or a ``ValueError`` naming the
-    first of its cost terms, in output order, that overflows the float
-    range. A command checks its largest threshold: every cost term is a
-    finite coefficient times the time reduction or the merge probability,
-    which grow with the threshold, so none overflows at a smaller one."""
-    curves = _curves(params, rate, threshold)
-    for name, field in _CLOSED_FORMS[3:]:
-        value = getattr(curves, field)
-        if not math.isfinite(value):
-            raise ValueError(f"cost term {name} overflows the float range at threshold {threshold!r} s, got {value}")
-    return curves
-
-
 def analytic_quantities(params: CostParameters, arrival: ArrivalModel, policy: PlatoonPolicy) -> dict[str, float]:
     """The seven scenario quantities reported by ``analytic``; a ``sweep``
     row holds the same values at its threshold."""
-    curves = _cost_curves(params, arrival.rate, policy.threshold)
+    curves = _curves(params, arrival.rate, policy.threshold)
     return {name: getattr(curves, field) for name, field in _ANALYTIC_COLUMNS}
 
 
@@ -490,7 +480,7 @@ def sweep_rows(
     threshold, and only its six floats are kept. The columns (numpy arrays)
     stay unformatted until ``_ColumnRows.write_csv`` writes them.
     """
-    _cost_curves(params, arrival.rate, float(spec.r_max))  # before the grid is built
+    _curves(params, arrival.rate, float(spec.r_max))  # before the grid is built
     curves = _curves(params, arrival.rate, spec.thresholds())
     columns = [getattr(curves, field) for _, field in _SWEEP_COLUMNS]
     header = list(SWEEP_HEADER)
@@ -523,7 +513,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config, "cost")
     params = scenario.cost
-    _cost_curves(params, scenario.arrival.rate, _positive("r_max", args.r_max))  # before the search
+    _curves(params, scenario.arrival.rate, _positive("r_max", args.r_max))  # before the search
     result = optimal_threshold(params, scenario.arrival, args.r_max)
     numeric = numeric_optimal_threshold(params, scenario.arrival, args.r_max)
     print(f"{'regime':<26} {result.regime.value}")

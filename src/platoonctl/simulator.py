@@ -399,6 +399,12 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds, c
 # at x = 8 took 2.3-2.5 ms for k = 1, 2, 8 and 64 (n = 262,144, 229,376,
 # 131,072 and 26,215); one chunk of 8 thresholds, which counting only
 # vehicle-thresholds would fork, took 0.67 ms, less than the round trip.
+# These are isolated timings. Whole pools of 2 replications at x = 8 on a
+# 2-CPU host took 4.6 ms on one process and 7.8 ms with a worker at the
+# cutoff (8 chunks), 17 and 20 ms at 32 chunks, and forking won only at 64
+# chunks (38 against 29 ms); two forked loops there ran no faster together
+# than one alone. The cutoff rests on the isolated timings: end-to-end ones
+# need a host whose cores run in parallel.
 MIN_FORK_CHUNKS = 8
 
 # The exit status of a worker that ran out of memory; the parent raises

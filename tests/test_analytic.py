@@ -630,3 +630,31 @@ class TestThresholdCurves:
         got = analytic._expm1(x)
         assert type(got) is float
         assert got.hex() == math.expm1(x).hex()
+
+
+class TestCostTermOverflow:
+    # Every coefficient and closed form is finite (x = 1, a headway of
+    # 2.7e300 s), but the fuel increase, 2 * drag_fuel_coeff * cruise_speed^3
+    # = 3e14 times a time reduction of 7.2e299 s, is not.
+    ARRIVAL = ArrivalModel(rate=1e-300)
+    MESSAGE = r"^cost term expected_fuel_increase overflows the float range at threshold 1e\+300 s, got inf$"
+
+    @pytest.fixture
+    def params(self, nominal_params):
+        return dataclasses.replace(nominal_params, drag_fuel_coeff=1e10)
+
+    @pytest.mark.parametrize(
+        "fn", [expected_fuel_increase_linearized, expected_fuel_saving_cruise, expected_total_cost]
+    )
+    def test_cost_functions_raise_instead_of_returning_inf(self, params, fn):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            fn(params, self.ARRIVAL, PlatoonPolicy(threshold=1e300))
+
+    def test_numeric_optimizer_raises_instead_of_searching_infinite_costs(self, params):
+        with pytest.raises(ValueError, match=r"^cost term expected_fuel_increase overflows the float range"):
+            numeric_optimal_threshold(params, self.ARRIVAL, 1e300)
+
+    def test_a_grid_is_checked_at_its_largest_threshold(self, params):
+        # 5e299 overflows too; the error names the largest threshold.
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            analytic._curves(params, self.ARRIVAL.rate, np.linspace(0.0, 1e300, 3))

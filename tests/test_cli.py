@@ -536,7 +536,7 @@ class TestExitCodes:
         assert main([command, "--config", path, *extra]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: cost term expected_fuel_increase_l overflows the float range at threshold 1e+300 s, got inf\n"
+            "error: cost term expected_fuel_increase overflows the float range at threshold 1e+300 s, got inf\n"
         )
         assert captured.out == ""
         assert [path.name for path in tmp_path.iterdir()] == ["scenario.json"]
@@ -1335,6 +1335,11 @@ class TestSweepCommand:
             SweepSpec(r_min=10.0, r_max=5.0, n_points=5)
         with pytest.raises(ValueError, match="n_points"):
             SweepSpec(r_min=0.0, r_max=10.0, n_points=1)
+        # The most float64 values a numpy array can hold; one more is rejected.
+        assert SweepSpec(r_min=0.0, r_max=1.0, n_points=sys.maxsize // 8).n_points == sys.maxsize // 8
+        for n_points in (sys.maxsize // 8 + 1, 2**63):
+            with pytest.raises(ValueError, match=rf"^n_points must be at most {sys.maxsize // 8}, "):
+                SweepSpec(r_min=0.0, r_max=1.0, n_points=n_points)
 
     @pytest.mark.parametrize(
         "r_min,r_max,points,message",
@@ -1351,11 +1356,15 @@ class TestSweepCommand:
             ("0", "100", "1", "n_points must be an integer >= 2"),
             ("0", "100", "0", "n_points must be an integer >= 2"),
             ("0", "100", "-3", "n_points must be an integer >= 2"),
+            (
+                "0", "100", "9223372036854775807",
+                f"n_points must be at most {sys.maxsize // 8}, the float64 values an array can hold",
+            ),
         ],
         ids=[
             "r_min-negative", "r_min-smallest-negative", "r_min-nan", "r_min-inf",
             "r_max-nan", "r_max-inf", "r_max-negative-inf", "r_max-equal", "r_max-below",
-            "points-1", "points-0", "points-negative",
+            "points-1", "points-0", "points-negative", "points-beyond-any-array",
         ],
     )
     def test_malformed_grid_exits_2_before_any_work(
@@ -1375,6 +1384,7 @@ class TestSweepCommand:
         ]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}, got ")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out.exists()
 
