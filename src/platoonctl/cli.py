@@ -12,7 +12,8 @@ schema, outside which any section or key, and any key given twice, is an
 error. Only flags name output files. All file outputs are deterministic
 for a fixed config and seed, whatever the number of CPUs a simulation runs
 on. Exit codes: 0 success (for ``simulate``: every statistic within
-``PASS_HALF_WIDTHS`` CI half-widths of its closed form), 1 statistical
+``simulator.PASS_HALF_WIDTHS`` CI half-widths of its closed form, the verdict
+``simulator.compare`` gives and ``simulate`` prints), 1 statistical
 comparison failure, 2 usage or configuration error (an unwritable output
 path, too few samples for a CI, or a cost term that overflows at the
 largest threshold too) or a simulation worker process that failed or was
@@ -41,7 +42,6 @@ import argparse
 import dataclasses
 import gc
 import json
-import math
 import os
 import sys
 from collections.abc import Sequence
@@ -55,28 +55,17 @@ from .analytic import (
     platoon_statistics,
 )
 from .domain import (
-    Z_95,
     ArrivalModel,
     CostParameters,
-    EmpiricalSummary,
     PlatoonPolicy,
     RawCostConfig,
     SimulationConfig,
-    StatEstimate,
     _integer,
     _non_negative,
     _number,
     _positive,
     normalize_units,
 )
-
-# Denominator floor for relative errors against near-zero analytic values.
-REL_ERROR_FLOOR = 1e-12
-
-# A comparison row passes when |empirical - analytic| is at most this many
-# 95% CI half-widths.
-PASS_HALF_WIDTHS = 3.0
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -104,56 +93,6 @@ class SweepSpec:
         import numpy as np
 
         return np.linspace(self.r_min, self.r_max, self.n_points)
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One analytic-vs-empirical statistic comparison."""
-
-    statistic: str
-    analytic: float
-    empirical: float
-    ci_half_width: float
-    relative_error: float
-    n_samples: int
-    passed: bool
-
-
-def build_comparison(
-    arrival: ArrivalModel, policy: PlatoonPolicy, summary: EmpiricalSummary
-) -> tuple[ComparisonRow, ...]:
-    """Compare a pooled empirical summary against the closed forms; a row
-    passes when |empirical - analytic| <= PASS_HALF_WIDTHS * ci_half_width."""
-    stats = platoon_statistics(arrival, policy)
-    # The singleton frequency is a binomial share with a known null
-    # probability, so its half-width uses that probability: the empirical
-    # share's own Wald width is 0 when the pool holds no singleton.
-    singleton_p = 1.0 / stats.expected_platoon_size  # e^-x, platoon_size_pmf(..., 1)
-    n_platoons = summary.platoon_size.count
-    singleton = StatEstimate(
-        summary.size_pmf.get(1, 0.0),
-        Z_95 * math.sqrt(singleton_p * (1.0 - singleton_p) / n_platoons),
-        n_platoons,
-    )
-    table = (
-        ("mean_platoon_size", stats.expected_platoon_size, summary.platoon_size),
-        ("mean_leader_headway", stats.expected_platoon_headway, summary.leader_headway),
-        ("mean_time_shift", stats.expected_time_reduction, summary.time_shift),
-        ("singleton_probability", singleton_p, singleton),
-    )
-    rows = []
-    for statistic, analytic, estimate in table:
-        gap = abs(estimate.mean - analytic)
-        rows.append(ComparisonRow(
-            statistic=statistic,
-            analytic=analytic,
-            empirical=estimate.mean,
-            ci_half_width=estimate.ci_half_width,
-            relative_error=gap / max(abs(analytic), REL_ERROR_FLOOR),
-            n_samples=estimate.count,
-            passed=gap <= PASS_HALF_WIDTHS * estimate.ci_half_width,
-        ))
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -331,6 +270,10 @@ _ANALYTIC_COLUMNS = (("merge_probability", "merge_probability"), *_CLOSED_FORMS)
 _SWEEP_COLUMNS = (("threshold_s", "threshold"), *_CLOSED_FORMS)
 SWEEP_HEADER = [name for name, _ in _SWEEP_COLUMNS]
 
+# The columns of ``simulate``'s CSV: a statistic's name, then its fields in
+# a ``simulator.Comparison``.
+SIMULATE_HEADER = ["statistic", "analytic", "empirical", "ci_half_width", "relative_error", "n_samples", "passed"]
+
 # The columns ``sweep --with-simulation`` appends, in output order: the
 # simulated mean size, headway and shift, each followed by its CI half-width.
 SWEEP_SIM_HEADER = [
@@ -368,35 +311,28 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     return 0
 
 
-def comparison_csv_rows(rows: Sequence[ComparisonRow]) -> tuple[list[str], list[list]]:
-    """The comparison table as CSV: one column per ``ComparisonRow`` field,
-    in field order."""
-    header = [field.name for field in dataclasses.fields(ComparisonRow)]
-    return header, [[getattr(row, name) for name in header] for row in rows]
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config, "simulation")
     csv_path = _output_path(args.csv)
-    from .simulator import run_replications
+    from .simulator import PASS_HALF_WIDTHS, compare
 
-    comparison = build_comparison(scenario.arrival, scenario.policy, run_replications(scenario.simulation))
+    sim = scenario.simulation
+    rows = compare(sim, (sim.policy.threshold,), platoon_statistics(sim.arrival, sim.policy)).rows()
 
     print(
         f"{'statistic':<24} {'analytic':>14} {'empirical':>14} "
         f"{'ci_hw':>12} {'rel_err':>10}  result"
     )
-    for row in comparison:
-        verdict = "pass" if row.passed else "FAIL"
+    for statistic, analytic, empirical, half_width, relative_error, _, passed in rows:
+        verdict = "pass" if passed else "FAIL"
         print(
-            f"{row.statistic:<24} {row.analytic:>14.6g} {row.empirical:>14.6g} "
-            f"{row.ci_half_width:>12.4g} {row.relative_error:>10.3g}  {verdict}"
+            f"{statistic:<24} {analytic:>14.6g} {empirical:>14.6g} "
+            f"{half_width:>12.4g} {relative_error:>10.3g}  {verdict}"
         )
     if csv_path:
-        header, rows = comparison_csv_rows(comparison)
-        _write_csv(csv_path, header, rows)
+        _write_csv(csv_path, SIMULATE_HEADER, rows)
         print(f"wrote {csv_path}")
-    if all(row.passed for row in comparison):
+    if all(row[-1] for row in rows):
         print(f"all statistics within {PASS_HALF_WIDTHS:g} CI half-widths of the closed forms")
         return 0
     print(f"comparison FAILED at {PASS_HALF_WIDTHS:g} CI half-widths", file=sys.stderr)
@@ -475,26 +411,27 @@ def sweep_rows(
     rejected before the grid is built. The
     closed-form columns come from one array pass over the grid; each row
     equals ``analytic_quantities`` at its threshold. The empirical columns
-    come from one simulator pass that draws each replication once and folds
-    it at every grid threshold; each row equals ``run_replications`` at its
-    threshold, and only its six floats are kept. The columns (numpy arrays)
-    stay unformatted until ``_ColumnRows.write_csv`` writes them.
+    are the means and half-widths of ``simulator.compare`` over the grid,
+    one simulator pass that draws each replication once and folds it at
+    every grid threshold; each row equals ``simulate``'s at its threshold.
+    The columns (numpy arrays) stay unformatted until
+    ``_ColumnRows.write_csv`` writes them.
     """
     _curves(params, arrival.rate, float(spec.r_max))  # before the grid is built
     curves = _curves(params, arrival.rate, spec.thresholds())
     columns = [getattr(curves, field) for _, field in _SWEEP_COLUMNS]
     header = list(SWEEP_HEADER)
     if sim is not None:
-        from .simulator import _estimates, _pooled_stats
+        from .simulator import compare
 
         try:
-            simulated = _estimates(*_pooled_stats(sim, curves.threshold), 1.0 / sim.arrival.rate)
+            comparison = compare(sim, curves.threshold, curves)
         except ValueError as exc:
             # On the same gaps a larger threshold leads no more platoons, so
             # when any point has too few closed platoons the largest does.
             raise ValueError(f"threshold_s {float(curves.threshold[-1])!r}: {exc}") from exc
         header += SWEEP_SIM_HEADER
-        columns += list(simulated)
+        columns += [row for pair in zip(comparison.empirical[:3], comparison.ci_half_width[:3]) for row in pair]
     return header, _ColumnRows(columns)
 
 

@@ -43,7 +43,10 @@ in memory (O(n)), whose ``SimulationRun`` derives its leaders, headways and
 shifts by a different algorithm, in seconds: the small-n reference the
 streaming kernel matches. One encoder, ``_add_cycles``,
 writes every record from raw closed cycles, and one estimator,
-``_estimates``, reads it.
+``_estimates``, reads it. One verdict, ``compare``, weighs a pool's
+estimates at each threshold of a grid against their closed forms:
+``simulate`` is its one-threshold case, and ``sweep --with-simulation``
+writes its means and half-widths.
 
 Each replication allocates its chunk buffers once, and every chunk's steps
 write into them, so a chunk ``_gap_chunks`` yields is valid only until the
@@ -57,12 +60,14 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .domain import (  # re-exported: the simulator's types live in domain, which needs no numpy
     MAX_SEED,
     MAX_UNIT_GAP,
+    Z_95,
     ArrivalModel,
     EmpiricalSummary,
     PlatoonPolicy,
@@ -296,6 +301,67 @@ def _estimates(records: np.ndarray, centers: np.ndarray, unit: float) -> np.ndar
     return estimates
 
 
+# The statistics ``compare`` checks, in the order of its rows.
+STATISTICS = ("mean_platoon_size", "mean_leader_headway", "mean_time_shift", "singleton_probability")
+
+# A statistic passes when |empirical - closed form| is at most this many of
+# its 95% CI half-widths.
+PASS_HALF_WIDTHS = 3.0
+
+# Denominator floor for relative errors against near-zero closed forms.
+REL_ERROR_FLOOR = 1e-12
+
+
+class Comparison(NamedTuple):
+    """The verdict of ``compare``: one (statistic, threshold) array per
+    field, its rows in ``STATISTICS`` order."""
+
+    analytic: np.ndarray
+    empirical: np.ndarray
+    ci_half_width: np.ndarray
+    relative_error: np.ndarray
+    n_samples: np.ndarray
+    passed: np.ndarray
+
+    def rows(self, point: int = 0) -> list[tuple]:
+        """The (statistic, *fields) row of each statistic at threshold
+        ``point``, its fields as Python floats, ints and bools."""
+        return list(zip(STATISTICS, *(values[:, point].tolist() for values in self)))
+
+
+def compare(config: SimulationConfig, thresholds, closed) -> Comparison:
+    """The pool of ``config``'s replications at each of ``thresholds``, from
+    one ``_pooled_stats`` pass (``config.policy`` is not read), against
+    ``closed``, their closed forms: the ``expected_platoon_size``,
+    ``expected_platoon_headway`` and ``expected_time_reduction`` of an
+    ``analytic.PlatoonStatistics`` or ``ThresholdCurves``, numbers for one
+    threshold, else arrays aligned with ``thresholds``.
+
+    A statistic passes iff |empirical - analytic| <= PASS_HALF_WIDTHS *
+    ci_half_width, and its relative error divides the gap by |analytic|,
+    floored at REL_ERROR_FLOOR. The three means and their half-widths are
+    ``_estimates``'s, on the pool's n closed platoons. Sizes are geometric,
+    so the singleton frequency is a binomial share of known null probability
+    p = 1 / expected size, and its half-width is Z_95·sqrt(p(1 - p)/n): the
+    share's own Wald width is 0 when the pool holds no singleton. A pool of
+    fewer than two closed platoons at any threshold raises ``ValueError``,
+    and so do closed forms of another shape, before any draw."""
+    size = closed.expected_platoon_size
+    analytic = np.reshape(
+        [size, closed.expected_platoon_headway, closed.expected_time_reduction, 1.0 / size], (4, len(thresholds))
+    )
+    pool, centers = _pooled_stats(config, thresholds)
+    n, p = pool[:, 0], analytic[3]
+    estimates = _estimates(pool, centers, 1.0 / config.arrival.rate)
+    empirical = np.vstack([estimates[0::2], pool[:, 8 + 1] / n])  # the size-1 bin
+    half_width = np.vstack([estimates[1::2], Z_95 * np.sqrt(p * (1.0 - p) / n)])
+    gap = np.abs(empirical - analytic)
+    return Comparison(
+        analytic, empirical, half_width, gap / np.maximum(np.abs(analytic), REL_ERROR_FLOOR),
+        np.broadcast_to(n.astype(np.int64), analytic.shape), gap <= PASS_HALF_WIDTHS * half_width,
+    )
+
+
 def _summary(record: np.ndarray, center, unit: float) -> EmpiricalSummary:
     """The ``EmpiricalSummary`` of one record row about ``center`` (c, q), in
     units of ``unit`` seconds, its PMF read from the size histogram."""
@@ -388,24 +454,20 @@ def _replication_stats(config: SimulationConfig, replication: int, thresholds, c
 
 # A pool forks only if a replication costs at least as much as
 # MIN_FORK_CHUNKS full chunks of one threshold at x = 8, the cheapest fold
-# measured. Measured with numpy loaded, 2 cores, as the minimum of 15 runs:
-# a fork round trip (fork, a 160-byte record through a pipe, exit, waitpid)
-# took 1.5 ms (median 2.2); a replication of 8 chunks took, per chunk, 0.29
-# ms for 1 threshold at x = 8, 0.58 for 8 and 3.0 for 64 (0.70, 3.5 and 25
-# at x = 1). So at x = 8 a chunk costs its draw, about 6 folds of one
-# threshold (0.25 ms against 0.043), plus one fold per threshold, and a
-# replication of n vehicles and k thresholds about n * (6 + k) folds of one
-# vehicle. At the cutoff, n * (6 + k) = 8 * 7 * CHUNK_VEHICLES, a replication
-# at x = 8 took 2.3-2.5 ms for k = 1, 2, 8 and 64 (n = 262,144, 229,376,
-# 131,072 and 26,215); one chunk of 8 thresholds, which counting only
-# vehicle-thresholds would fork, took 0.67 ms, less than the round trip.
-# These are isolated timings. Whole pools of 2 replications at x = 8 on a
-# 2-CPU host took 4.6 ms on one process and 7.8 ms with a worker at the
-# cutoff (8 chunks), 17 and 20 ms at 32 chunks, and forking won only at 64
-# chunks (38 against 29 ms); two forked loops there ran no faster together
-# than one alone. The cutoff rests on the isolated timings: end-to-end ones
-# need a host whose cores run in parallel.
-MIN_FORK_CHUNKS = 8
+# measured. A chunk's draw costs about 6 folds of one threshold there (0.25
+# ms against 0.043), and each threshold adds one fold, so a replication of n
+# vehicles and k thresholds costs about n * (6 + k) folds of one vehicle.
+# The cutoff comes from whole pools of 2 replications of one threshold at
+# x = 8, timed on a 2-CPU host whose cores ran in parallel (two forked busy
+# loops took 1.03 times as long as one), as 41 interleaved pairs of a run on
+# one process and a run on two, per replication length. The median ratio of
+# two processes to one, per pass, was 1.33 at 8 chunks (11.2 ms against
+# 8.6), 1.26 at 10, 0.92-1.11 at 12, 0.86-1.06 at 13, 0.79-1.00 at 14,
+# 0.92-0.97 at 15, 0.78-0.95 at 16 (12.5 ms against 16.1) and 0.89 at 18
+# and 20. 15 is the fewest chunks at which two processes were no slower in
+# any pass. At x = 1 a chunk costs about twice as much, and 16 chunks took
+# 34 ms on one process against 27 on two.
+MIN_FORK_CHUNKS = 15
 
 # The exit status of a worker that ran out of memory; the parent raises
 # MemoryError for it. Any other failure raises ChildProcessError.

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from platoonctl import (
     sample_interarrivals,
 )
 from platoonctl.domain import student_t_975
+from platoonctl.simulator import compare
 
 # Nominal planning values used throughout the suite (mixed units).
 NOMINAL_RAW = dict(
@@ -69,6 +71,16 @@ TOO_FEW = (
     "fewer than two platoon-size (each run's last platoon is censored) samples to summarize; "
     "a confidence interval needs at least two"
 )
+
+
+def planted(config, closed):
+    """``closed``, a ``PlatoonStatistics``, with each of its three means
+    moved up by 100 of the CI half-widths that ``compare`` gives ``config``'s
+    pool at its threshold, so every row of that comparison fails; the
+    singleton probability, 1 / expected size, falls with the size."""
+    half_widths = compare(config, (config.policy.threshold,), closed).ci_half_width[:3, 0].tolist()
+    names = ("expected_platoon_size", "expected_platoon_headway", "expected_time_reduction")
+    return replace(closed, **{name: getattr(closed, name) + 100.0 * width for name, width in zip(names, half_widths)})
 
 
 def run_samples(run):

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -29,23 +28,22 @@ from platoonctl import (
     expected_total_cost,
     optimal_threshold,
     platoon_size_pmf,
+    platoon_statistics,
 )
-from platoonctl import EmpiricalSummary, StatEstimate, cli, domain, simulator
+from platoonctl import cli, domain, simulator
 from platoonctl.cli import (
     CSV_BLOCK_ROWS,
     SweepSpec,
     _ColumnRows,
     _write_csv,
-    build_comparison,
-    comparison_csv_rows,
     load_scenario,
     main,
     sweep_rows,
 )
 from platoonctl.domain import Z_95
-from platoonctl.simulator import run_replications
+from platoonctl.simulator import compare
 
-from conftest import NOMINAL_RAW, OVERFLOWING_COSTS, TOO_FEW
+from conftest import NOMINAL_RAW, OVERFLOWING_COSTS, planted
 
 try:
     from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
@@ -503,7 +501,7 @@ class TestExitCodes:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(simulator, "run_replications", exhausted)
+        monkeypatch.setattr(simulator, "compare", exhausted)
         assert main(["simulate", "--config", write_config()]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory in 'simulate'")
@@ -666,8 +664,10 @@ class TestExitCodes:
         assert main(["simulate", "--config", write_config(overrides)]) == 0
 
     def test_simulate_fail_exits_1(self, write_config, capsys, monkeypatch):
-        monkeypatch.setattr(simulator, "run_replications", lambda config: biased(run_replications(config)))
-        assert main(["simulate", "--config", write_config()]) == 1
+        path = write_config()
+        config = load_scenario(path).simulation
+        monkeypatch.setattr(cli, "platoon_statistics", lambda *args: planted(config, platoon_statistics(*args)))
+        assert main(["simulate", "--config", path]) == 1
         captured = capsys.readouterr()
         assert captured.out.count("FAIL") == 4
         assert captured.err == "comparison FAILED at 3 CI half-widths\n"
@@ -868,9 +868,12 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "command, chunk, vehicles",
         [
-            # Replications of 13 chunks fork min(reps, CPUs) - 1 workers.
-            (["simulate"], 4096, 50_000),
-            (["sweep", "--r-min", "0", "--r-max", "400", "--points", "9", "--with-simulation"], 4096, 50_000),
+            # Replications of MIN_FORK_CHUNKS + 1 chunks fork min(reps, CPUs) - 1 workers.
+            (["simulate"], 4096, (simulator.MIN_FORK_CHUNKS + 1) * 4096),
+            (
+                ["sweep", "--r-min", "0", "--r-max", "400", "--points", "9", "--with-simulation"],
+                4096, (simulator.MIN_FORK_CHUNKS + 1) * 4096,
+            ),
             # 410 thresholds make a record of 65,600 bytes, more than a 64 KiB
             # pipe holds; replications of 9 short chunks keep the run brief.
             (["sweep", "--r-min", "0", "--r-max", "200", "--points", "410", "--with-simulation"], 1024, 9000),
@@ -912,32 +915,6 @@ class TestSimulateCommand:
         for line in lines[1:]:
             assert line.split(",")[-1] == "True"
 
-    def test_comparison_rows_match_library(self, write_config):
-        scenario = load_scenario(write_config())
-        rows = build_comparison(scenario.arrival, scenario.policy, run_replications(scenario.simulation))
-        assert all(row.passed for row in rows)
-        names = [row.statistic for row in rows]
-        assert names == [
-            "mean_platoon_size",
-            "mean_leader_headway",
-            "mean_time_shift",
-            "singleton_probability",
-        ]
-        for row in rows:
-            assert row.relative_error < 0.02
-
-    @pytest.mark.parametrize("rate, threshold", [(0.02, 50.0), (0.05, 60.0), (0.5, 10.0), (0.3, 0.0)])
-    def test_analytic_column_equals_the_scalar_closed_forms(self, rate, threshold):
-        arrival, policy = ArrivalModel(rate=rate), PlatoonPolicy(threshold=threshold)
-        summary = run_replications(SimulationConfig(arrival=arrival, policy=policy, n_vehicles=2000, seed=3))
-        rows = build_comparison(arrival, policy, summary)
-        assert [row.analytic.hex() for row in rows] == [
-            expected_platoon_size(arrival, policy).hex(),
-            expected_platoon_headway(arrival, policy).hex(),
-            expected_time_reduction(arrival, policy).hex(),
-            platoon_size_pmf(arrival, policy, 1).hex(),
-        ]
-
     def test_singleton_row_passes_on_a_pool_with_no_singleton(self, write_config, tmp_path):
         # At x = 8 the 1e6 vehicles close 300 platoons, none of them a
         # singleton, as e^-8 makes likely; the row must not fail for that.
@@ -956,72 +933,6 @@ class TestSimulateCommand:
         assert float(row["empirical"]) == 0.0 and n == 300
         assert row["ci_half_width"] == repr(Z_95 * math.sqrt(p0 * (1.0 - p0) / n))
         assert row["passed"] == "True"
-
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 1: on about ten closed platoons the mean shift's t interval is too narrow",
-    )
-    def test_mean_shift_verdict_is_calibrated_on_ten_closed_platoons(self):
-        # Unit rate, one replication of round(10 e^x) + 1 vehicles, about ten
-        # closed platoons, at seeds 0-999; a seed that closes fewer than two
-        # has no verdict. The correct closed forms may fail the mean shift on
-        # at most 1% of the seeds: the 3-half-width gate fails 4.9%, 5.7%,
-        # 5.6% and 7.6% of them at x = 1, 3, 5 and 8.
-        shares = {}
-        for x in (1.0, 3.0, 5.0, 8.0):
-            arrival, policy = ArrivalModel(rate=1.0), PlatoonPolicy(threshold=x)
-            failed = compared = 0
-            for seed in range(1000):
-                config = SimulationConfig(
-                    arrival=arrival, policy=policy, n_vehicles=round(10.0 * math.exp(x)) + 1, seed=seed
-                )
-                try:
-                    summary = run_replications(config)
-                except ValueError as exc:
-                    if str(exc) != TOO_FEW:
-                        raise
-                    continue
-                rows = {row.statistic: row for row in build_comparison(arrival, policy, summary)}
-                compared += 1
-                failed += not rows["mean_time_shift"].passed
-            shares[x] = failed / compared
-        assert all(share <= 0.01 for share in shares.values()), shares
-
-    @pytest.mark.parametrize("rate, passed", [(1.0, True), (0.125, False)])
-    def test_singleton_half_width_is_the_null_one_when_no_singleton_is_seen(self, rate, passed):
-        # At x = 8 (rate 1.0) a pool of 300 platoons with no singleton is
-        # within three null half-widths of e^-8; at x = 1 (rate 0.125) it
-        # is not. The empirical share's own Wald width would be 0 in both.
-        arrival, policy = ArrivalModel(rate=rate), PlatoonPolicy(threshold=8.0)
-        estimate = StatEstimate(10.0, 1.0, 300)
-        summary = EmpiricalSummary(
-            platoon_size=estimate, leader_headway=estimate, time_shift=estimate, size_pmf={1: 0.0, 2: 0.5}
-        )
-        row = build_comparison(arrival, policy, summary)[3]
-        p0 = platoon_size_pmf(arrival, policy, 1)
-        assert row.statistic == "singleton_probability" and row.empirical == 0.0
-        assert row.ci_half_width == Z_95 * math.sqrt(p0 * (1.0 - p0) / 300) > 0.0
-        assert row.passed is passed
-
-
-def biased(summary):
-    """``summary`` moved off the truth, so every comparison row fails: each
-    mean by 100 CI half-widths, and the singleton frequency to 1, which is
-    further from its closed form e^-x than three half-widths of that share
-    at every x and pool size the tests use."""
-
-    def moved(estimate):
-        return dataclasses.replace(estimate, mean=estimate.mean + 100.0 * estimate.ci_half_width)
-
-    return dataclasses.replace(
-        summary,
-        platoon_size=moved(summary.platoon_size),
-        leader_headway=moved(summary.leader_headway),
-        time_shift=moved(summary.time_shift),
-        size_pmf={**summary.size_pmf, 1: 1.0},
-    )
-
 
 def csv_writer_bytes(tmp_path, header, rows) -> bytes:
     """The bytes the standard library's CSV writer gives for these rows."""
@@ -1060,11 +971,12 @@ class TestWriteCsv:
 
     def test_simulate_comparison_table(self, tmp_path):
         arrival, policy = ArrivalModel(rate=0.05), PlatoonPolicy(threshold=60.0)
-        summary = run_replications(SimulationConfig(arrival=arrival, policy=policy, n_vehicles=2000, seed=3))
-        for pooled, passed in ((summary, True), (biased(summary), False)):
-            header, rows = comparison_csv_rows(build_comparison(arrival, policy, pooled))
+        config = SimulationConfig(arrival=arrival, policy=policy, n_vehicles=2000, seed=3)
+        closed = platoon_statistics(arrival, policy)
+        for forms, passed in ((closed, True), (planted(config, closed), False)):
+            rows = compare(config, (policy.threshold,), forms).rows()
             assert {row[-1] for row in rows} == {passed}
-            self.assert_same_bytes_as_csv_writer(tmp_path, header, rows)
+            self.assert_same_bytes_as_csv_writer(tmp_path, cli.SIMULATE_HEADER, rows)
 
     @pytest.mark.parametrize("count", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
     def test_row_counts_around_the_block_size(self, tmp_path, count):

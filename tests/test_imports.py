@@ -1,10 +1,12 @@
 """numpy loads only where arrays are computed and orjson only where a sweep
 writes its CSV, the package's public names are the objects their defining
-modules hold, and the README's library example runs.
+modules hold, ``cli`` holds no statistical rule, and the README's library
+example runs.
 
 Each import check runs in a fresh interpreter, because this test process has
 already imported numpy and orjson."""
 
+import ast
 import importlib
 import json
 import os
@@ -148,6 +150,28 @@ def test_array_paths_load_numpy(tmp_path):
 def test_sweep_loads_orjson(tmp_path):
     # The control for the orjson checks: a sweep that writes its CSV loads it.
     assert _loaded(_main(_commands(NOMINAL, tmp_path / "out.csv")[3], 0)) == {"numpy", "orjson"}
+
+
+def test_cli_holds_no_statistical_rule():
+    # The verdict's constants live beside its estimator in the simulator, and
+    # the CLI reaches the simulator through public names alone.
+    tree = ast.parse(Path(platoonctl.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    defined = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    assert not defined & {"PASS_HALF_WIDTHS", "REL_ERROR_FLOOR"}
+    from_simulator = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "simulator"
+        for alias in node.names
+    ]
+    assert "compare" in from_simulator
+    assert [name for name in from_simulator if name.startswith("_")] == []
 
 
 def _readme_library_names() -> list[str]:
