@@ -71,13 +71,6 @@ class ThresholdCurves:
     expected_total_cost: float | np.ndarray  # currency per vehicle
 
 
-def _threshold_arg(name: str, value, rule, arrival: ArrivalModel) -> float:
-    """``value`` as a float threshold that obeys ``rule`` and the product limit."""
-    threshold = rule(name, value)
-    _check_product(arrival.rate, threshold)
-    return threshold
-
-
 # The closed forms below are written once, in terms of x = rate * threshold,
 # and take either numbers or the numpy array of a sweep's thresholds.
 # Numbers never touch numpy.
@@ -284,8 +277,8 @@ def total_cost_derivative(params: CostParameters, arrival: ArrivalModel, r: floa
     """Derivative of expected_total_cost with respect to the threshold,
     currency per vehicle per second, evaluated at threshold ``r``:
     net_rate * g - drafting_value * rate / (g + 1) with g = expm1(rate * r)."""
-    _threshold_arg("r", r, _non_negative, arrival)
     rate = arrival.rate
+    _check_product(rate, _non_negative("r", r))
     growth = math.expm1(rate * r)
     return merge_time_cost_rate(params) * growth - params.drafting_value * rate / (growth + 1.0)
 
@@ -304,8 +297,13 @@ def optimal_threshold(
     is returned, clamped to r_max (``clamped`` flags that case), as
     (1/rate) * log1p(g) with g = 2c / (1 + sqrt(1 + 4c)), the root of
     g * (g + 1) = c: no digits cancel when c is small.
+
+    ``r_max`` must be > 0, obey the product limit and leave every cost term
+    finite, which then holds at every threshold below it (see ``_curves``);
+    else ``ValueError``, before any cost is evaluated.
     """
-    r_max = _threshold_arg("r_max", r_max, _positive, arrival)
+    r_max = _positive("r_max", r_max)
+    _curves(params, arrival.rate, r_max)
 
     net_rate = merge_time_cost_rate(params)
     if net_rate <= 0.0:
@@ -335,9 +333,11 @@ def numeric_optimal_threshold(params: CostParameters, arrival: ArrivalModel, r_m
 
     The cost derivative changes sign at most once on [0, r_max], so the cost
     is unimodal there and golden-section search is valid; it serves as the
-    independent cross-check for :func:`optimal_threshold`.
+    independent cross-check for :func:`optimal_threshold`, and admits
+    ``r_max`` as it does, before the search.
     """
-    r_max = _threshold_arg("r_max", r_max, _positive, arrival)
+    r_max = _positive("r_max", r_max)
+    _curves(params, arrival.rate, r_max)
 
     def cost(r: float) -> float:
         return expected_total_cost(params, arrival, PlatoonPolicy(threshold=r))

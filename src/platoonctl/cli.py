@@ -63,7 +63,6 @@ from .domain import (
     _integer,
     _non_negative,
     _number,
-    _positive,
     normalize_units,
 )
 
@@ -450,7 +449,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config, "cost")
     params = scenario.cost
-    _curves(params, scenario.arrival.rate, _positive("r_max", args.r_max))  # before the search
     result = optimal_threshold(params, scenario.arrival, args.r_max)
     numeric = numeric_optimal_threshold(params, scenario.arrival, args.r_max)
     print(f"{'regime':<26} {result.regime.value}")

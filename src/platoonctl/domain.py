@@ -51,8 +51,9 @@ def student_t_975(df: int) -> float:
     the factor of a two-sided 95% confidence half-width from ``df + 1``
     samples. Tabulated up to df = 30; beyond, the Cornish-Fisher expansion in
     1/df about the normal quantile (Abramowitz & Stegun 26.7.5), whose
-    relative error is below 2e-8 from df = 30 on."""
-    if df <= len(_T_975):
+    relative error is below 2e-8 from df = 30 on. ``df`` is checked with
+    ``_integer``: a bool, a non-int or an int below 1 raises ``ValueError``."""
+    if _integer("df", df, 1) <= len(_T_975):
         return _T_975[df - 1]
     z = 1.959963984540054  # the normal quantile, unrounded
     z2 = z * z

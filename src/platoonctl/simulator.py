@@ -73,7 +73,9 @@ from .domain import (  # re-exported: the simulator's types live in domain, whic
     PlatoonPolicy,
     SimulationConfig,
     StatEstimate,
+    _check_product,
     _integer,
+    _non_negative,
     _number,
     _seed,
     student_t_975,
@@ -273,15 +275,15 @@ def _add_cycles(record: np.ndarray, center, sizes: np.ndarray, cycles: np.ndarra
     record += row
 
 
-def _estimates(records: np.ndarray, centers: np.ndarray, unit: float) -> np.ndarray:
+def _estimates(records: np.ndarray, centers: np.ndarray, unit: float) -> tuple[np.ndarray, np.ndarray]:
     """The mean size, mean headway and mean shift of each row of
-    ``records``, about its column of ``centers``, each followed by its
-    Student-t half-width at count - 1 degrees of freedom, as the six rows of
-    one array. The mean shift is the ratio ΣS/Σm, and its half-width the
-    delta-method one, sd(S - ratio·m) / (sqrt(count)·mean size) (Asmussen &
-    Glynn 2007, ch. IV.4). Times are in units of ``unit`` seconds, so the
-    headway and shift rows are multiplied by it. A row of fewer than two
-    cycles, too few for a CI, raises ``ValueError``."""
+    ``records``, about its column of ``centers``, and their Student-t
+    half-widths at count - 1 degrees of freedom: a pair of (3, rows)
+    arrays, (means, half_widths). The mean shift is the ratio ΣS/Σm, and its
+    half-width the delta-method one, sd(S - ratio·m) / (sqrt(count)·mean
+    size) (Asmussen & Glynn 2007, ch. IV.4). Times are in units of ``unit``
+    seconds, so the headway and shift rows of both are multiplied by it. A
+    row of fewer than two cycles, too few for a CI, raises ``ValueError``."""
     n, e, ee, v, vv, w, ww, mw = records[:, :8].T  # e is m - 1
     if n.min() < 2:
         raise ValueError(
@@ -296,9 +298,10 @@ def _estimates(records: np.ndarray, centers: np.ndarray, unit: float) -> np.ndar
     # exactly proportional to m, say), rounding can take one below 0.
     m2 = np.maximum([ee - e * e / n, vv - v * v / n, residual / (means[0] * means[0])], 0.0)
     scale = np.array([student_t_975(int(count) - 1) for count in n]) / np.sqrt(n)
-    estimates = np.stack([means, scale * np.sqrt(m2 / (n - 1))], axis=1).reshape(6, -1)
-    estimates[2:] *= unit
-    return estimates
+    half_widths = scale * np.sqrt(m2 / (n - 1))
+    means[1:] *= unit
+    half_widths[1:] *= unit
+    return means, half_widths
 
 
 # The statistics ``compare`` checks, in the order of its rows.
@@ -344,17 +347,27 @@ def compare(config: SimulationConfig, thresholds, closed) -> Comparison:
     so the singleton frequency is a binomial share of known null probability
     p = 1 / expected size, and its half-width is Z_95·sqrt(p(1 - p)/n): the
     share's own Wald width is 0 when the pool holds no singleton. A pool of
-    fewer than two closed platoons at any threshold raises ``ValueError``,
-    and so do closed forms of another shape, before any draw."""
+    fewer than two closed platoons at any threshold raises ``ValueError``.
+
+    Before any draw, ``thresholds`` are converted as ``run_from_interarrivals``
+    converts gaps, with ``_float_array`` (a float64 array as a whole), and
+    must be a non-empty 1-d sequence of numbers >= 0 whose largest obeys
+    ``SimulationConfig``'s product limit; thresholds that do not, and closed
+    forms of another shape, raise ``ValueError``."""
+    thresholds = _float_array("thresholds", thresholds)
+    if thresholds.ndim != 1 or not thresholds.size:
+        raise ValueError("thresholds must be a non-empty 1-d sequence")
+    _non_negative("thresholds", float(thresholds.min()))
+    _check_product(config.arrival.rate, float(thresholds.max()))
     size = closed.expected_platoon_size
     analytic = np.reshape(
         [size, closed.expected_platoon_headway, closed.expected_time_reduction, 1.0 / size], (4, len(thresholds))
     )
     pool, centers = _pooled_stats(config, thresholds)
     n, p = pool[:, 0], analytic[3]
-    estimates = _estimates(pool, centers, 1.0 / config.arrival.rate)
-    empirical = np.vstack([estimates[0::2], pool[:, 8 + 1] / n])  # the size-1 bin
-    half_width = np.vstack([estimates[1::2], Z_95 * np.sqrt(p * (1.0 - p) / n)])
+    means, half_widths = _estimates(pool, centers, 1.0 / config.arrival.rate)
+    empirical = np.vstack([means, pool[:, 8 + 1] / n])  # the size-1 bin
+    half_width = np.vstack([half_widths, Z_95 * np.sqrt(p * (1.0 - p) / n)])
     gap = np.abs(empirical - analytic)
     return Comparison(
         analytic, empirical, half_width, gap / np.maximum(np.abs(analytic), REL_ERROR_FLOOR),
@@ -366,9 +379,9 @@ def _summary(record: np.ndarray, center, unit: float) -> EmpiricalSummary:
     """The ``EmpiricalSummary`` of one record row about ``center`` (c, q), in
     units of ``unit`` seconds, its PMF read from the size histogram."""
     n = int(record[0])
-    means_and_widths = _estimates(record[None], np.reshape(center, (2, 1)), unit).reshape(3, 2).tolist()
+    means, half_widths = (values[:, 0].tolist() for values in _estimates(record[None], np.reshape(center, (2, 1)), unit))
     return EmpiricalSummary(
-        *(StatEstimate(mean=mean, ci_half_width=width, count=n) for mean, width in means_and_widths),
+        *(StatEstimate(mean=mean, ci_half_width=width, count=n) for mean, width in zip(means, half_widths)),
         size_pmf={y: float(record[8 + y] / record[0]) for y in range(1, PMF_CUTOFF + 1)},
     )
 

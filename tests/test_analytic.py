@@ -654,6 +654,23 @@ class TestCostTermOverflow:
         with pytest.raises(ValueError, match=r"^cost term expected_fuel_increase overflows the float range"):
             numeric_optimal_threshold(params, self.ARRIVAL, 1e300)
 
+    @pytest.mark.parametrize("optimizer", [optimal_threshold, numeric_optimal_threshold])
+    def test_optimizers_reject_r_max_before_evaluating_any_cost(self, nominal_params, monkeypatch, optimizer):
+        # At rate 0.02 and r_max 2500 s (x = 50) every closed form is finite,
+        # but the fuel increase overflows. Inside the range it does not: the
+        # closed form's optimum is 4.1e-295 s, and the golden section ran
+        # until its first probe that overflowed, at 1545.08 s. Both now give
+        # the verdict ``optimize`` gives, at r_max, before any cost.
+        params = dataclasses.replace(nominal_params, drag_fuel_coeff=1e290)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a cost was evaluated before r_max was admitted")
+
+        monkeypatch.setattr(analytic, "expected_total_cost", never)
+        message = r"^cost term expected_fuel_increase overflows the float range at threshold 2500\.0 s, got inf$"
+        with pytest.raises(ValueError, match=message):
+            optimizer(params, ArrivalModel(rate=0.02), 2500)
+
     def test_a_grid_is_checked_at_its_largest_threshold(self, params):
         # 5e299 overflows too; the error names the largest threshold.
         with pytest.raises(ValueError, match=self.MESSAGE):

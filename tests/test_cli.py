@@ -30,7 +30,7 @@ from platoonctl import (
     platoon_size_pmf,
     platoon_statistics,
 )
-from platoonctl import cli, domain, simulator
+from platoonctl import analytic, cli, domain, simulator
 from platoonctl.cli import (
     CSV_BLOCK_ROWS,
     SweepSpec,
@@ -525,7 +525,7 @@ class TestExitCodes:
         # 7.2e299 s, is not: analytic printed inf, sweep wrote it, and
         # optimize's golden section ran on an infinite cost.
         monkeypatch.chdir(tmp_path)
-        for module, name in ((SweepSpec, "thresholds"), (cli, "optimal_threshold"), (cli, "numeric_optimal_threshold")):
+        for module, name in ((SweepSpec, "thresholds"), (analytic, "expected_total_cost")):
             monkeypatch.setattr(module, name, self._never)
         path = write_config(
             {"arrival": {"rate": 1e-300}, "policy": {"threshold": 1e300}, "cost": {"drag_fuel_coeff": 1e10},

@@ -174,6 +174,26 @@ def test_cli_holds_no_statistical_rule():
     assert [name for name in from_simulator if name.startswith("_")] == []
 
 
+def test_optimize_leaves_the_admission_of_r_max_to_the_optimizers():
+    # The optimizers check r_max themselves, so ``cmd_optimize`` calls no
+    # other closed form or check of ``analytic``, nor any of ``domain``.
+    tree = ast.parse(Path(platoonctl.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name: node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    command = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "cmd_optimize")
+    called = {
+        node.func.id
+        for node in ast.walk(command)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and imported.get(node.func.id) in ("analytic", "domain")
+    }
+    assert called == {"optimal_threshold", "numeric_optimal_threshold"}
+
+
 def _readme_library_names() -> list[str]:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     library = readme[readme.index("## Library"):]

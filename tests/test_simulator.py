@@ -519,6 +519,14 @@ class TestMoments:
         assert math.isclose(summary.platoon_size.ci_half_width, reference.platoon_size.ci_half_width, rel_tol=1e-14)
 
 
+@pytest.mark.parametrize("df", [0, -5, 1.5, True, 10**400, "3"], ids=["0", "-5", "1.5", "True", "10**400", "'3'"])
+def test_student_t_quantile_rejects_a_df_below_1_or_not_an_int(df):
+    # 0 and -5 read the df = 30 and df = 25 entries of the table, 1.5 and
+    # 10**400 raised TypeError and OverflowError, and True was df = 1.
+    with pytest.raises(ValueError, match=r"^df must be "):
+        student_t_975(df)
+
+
 def test_student_t_quantile_matches_scipy():
     dfs = sorted({*range(1, 200), *np.unique(np.geomspace(200, 10**6, 400).astype(int)).tolist()})
     worst = max(abs(student_t_975(df) / scipy_stats.t.ppf(0.975, df) - 1.0) for df in dfs)
@@ -798,8 +806,8 @@ class TestStreamingKernel:
         config = self._config(n_vehicles=n, n_replications=3)
         grid = [0.0, 25.0, 50.0, 100.0, 100.0, 200.0, 400.0, 600.0]
         records, centers = _pooled_stats(config, grid)
-        columns = _estimates(records, centers, 1.0 / config.arrival.rate)
-        assert records.shape == (len(grid), _RECORD_WIDTH) and columns.shape == (6, len(grid))
+        means, half_widths = _estimates(records, centers, 1.0 / config.arrival.rate)
+        assert records.shape == (len(grid), _RECORD_WIDTH) and means.shape == half_widths.shape == (3, len(grid))
         for point, threshold in enumerate(grid):
             config_alone = replace(config, policy=PlatoonPolicy(threshold=threshold))
             record, center = _pooled_stats(config_alone, [threshold])
@@ -811,7 +819,8 @@ class TestStreamingKernel:
                 for name in ("platoon_size", "leader_headway", "time_shift")
                 for part in ("mean", "ci_half_width")
             ]
-            assert [repr(value) for value in columns[:, point].tolist()] == [repr(value) for value in want], threshold
+            got = [value for pair in zip(means[:, point].tolist(), half_widths[:, point].tolist()) for value in pair]
+            assert [repr(value) for value in got] == [repr(value) for value in want], threshold
 
     def test_the_kernel_reads_rate_only_through_x(self):
         # The process depends on rate and threshold only through x, with
@@ -835,16 +844,13 @@ class TestStreamingKernel:
         for (rate, _), (other_records, other_centers) in zip(cases[1:], pools[1:]):
             assert np.array_equal(other_records, records), rate
             assert np.array_equal(other_centers, centers), rate
-        unit = _estimates(records, centers, 1.0)[:, 0]
+        unit = dict(zip(("mean", "ci_half_width"), (values[:, 0] for values in _estimates(records, centers, 1.0))))
         for (rate, _), config in zip(cases, configs):
             summary = run_replications(config)
-            got = [
-                getattr(getattr(summary, name), part)
-                for name in ("platoon_size", "leader_headway", "time_shift")
-                for part in ("mean", "ci_half_width")
-            ]
-            want = unit[:2].tolist() + (unit[2:] * (1.0 / rate)).tolist()
-            assert [repr(value) for value in got] == [repr(value) for value in want], rate
+            for part, values in unit.items():
+                got = [getattr(getattr(summary, name), part) for name in ("platoon_size", "leader_headway", "time_shift")]
+                want = values[:1].tolist() + (values[1:] * (1.0 / rate)).tolist()
+                assert [repr(value) for value in got] == [repr(value) for value in want], (rate, part)
 
     def test_two_close_headways_keep_their_spread(self):
         # These 5 vehicles close two platoons at x = 0.5, with headways of
@@ -1188,6 +1194,35 @@ class TestCompare:
         ):
             with pytest.raises(ValueError):
                 compare(config, thresholds, closed)
+
+    def test_thresholds_are_checked_before_any_draw(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("compare drew before checking its thresholds")
+
+        monkeypatch.setattr(simulator, "_gap_chunks", never)
+        config = SimulationConfig(arrival=ArrivalModel(rate=0.02), policy=PlatoonPolicy(threshold=50.0), n_vehicles=1000)
+        closed = platoon_statistics(config.arrival, config.policy)
+        # x = 1e9: SimulationConfig's error, not "too few samples" after every replication.
+        with pytest.raises(ValueError) as beyond:
+            replace(config, policy=PlatoonPolicy(threshold=5e10))
+        for thresholds, message in (
+            ((-1.0,), "thresholds must be >= 0, got -1.0"),
+            (np.array([50.0, -1.0]), "thresholds must be >= 0, got -1.0"),
+            ((True,), "thresholds must be a number, got True"),
+            (np.array([True]), "thresholds must be a number, got True"),
+            (("1",), "thresholds must be a number, got '1'"),
+            ((math.nan,), "thresholds must be a finite number, got nan"),
+            (np.array([50.0, np.nan]), "thresholds must be a finite number, got nan"),
+            ((), "thresholds must be a non-empty 1-d sequence"),
+            (50.0, "thresholds must be a non-empty 1-d sequence"),
+            (np.zeros((1, 1)), "thresholds must be a non-empty 1-d sequence"),
+            ((50.0, 5e10), str(beyond.value)),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                compare(config, thresholds, closed)
+        # A sweep's float64 grid is taken as a whole, not element by element.
+        grid = np.linspace(0.0, 400.0, 7)
+        assert simulator._float_array("thresholds", grid) is grid
 
     @pytest.mark.xfail(
         strict=True,
